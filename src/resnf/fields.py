@@ -20,7 +20,6 @@ from .indexing import (
     Mode,
     MultiIndex,
     TruncationContext,
-    ZERO_INDEX,
     format_mode,
     mode_key,
     norm_weight,
@@ -81,9 +80,6 @@ class GaussianRational:
 
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
-
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -282,19 +278,6 @@ class ScalarSeries:
         store = {q: c for q, c in self._terms.items() if q.degree == d}
         return ScalarSeries._raw(self.ctx, store, self.truncated)
 
-    # -- numerics -----------------------------------------------------
-
-    def evaluate(self, x, positions: dict[Mode, int] | None = None) -> complex:
-        if positions is None:
-            positions = self.ctx.mode_positions()
-        total = 0j
-        for q, c in self._terms.items():
-            val = complex(c)
-            for m, e in q.items():
-                val *= x[positions[m]] ** e
-            total += val
-        return total
-
     # -- text ---------------------------------------------------------
 
     def to_lines(self) -> list[str]:
@@ -419,9 +402,6 @@ class VectorField:
 
     def directions(self) -> list[Mode]:
         return sorted(self._terms, key=mode_key)
-
-    def component_items(self, k: Mode) -> dict[MultiIndex, object]:
-        return dict(self._terms.get(k, {}))
 
     def coefficient(self, k: Mode, q: MultiIndex):
         return self._terms.get(k, {}).get(q)
@@ -606,7 +586,11 @@ class VectorField:
     # -- numerics ----------------------------------------------------------
 
     def evaluate(self, x, positions: dict[Mode, int] | None = None) -> list[complex]:
-        """Evaluate at a coordinate vector aligned with ``ctx.modes()``."""
+        """Evaluate at a coordinate vector aligned with ``ctx.modes()``.
+
+        The pipeline's flows use ``normalform.compile_field``; this
+        term-by-term evaluator is the reference the tests compare it
+        against."""
         if positions is None:
             positions = self.ctx.mode_positions()
         out = [0j] * len(positions)

@@ -11,7 +11,6 @@ stored sparsely.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import NormalFormError
@@ -130,11 +129,6 @@ class MultiIndex:
     @property
     def momentum_sum(self) -> int:
         return sum(mode_momentum(m) * e for m, e in self._pairs)
-
-    @property
-    def max_label(self) -> int:
-        """Largest ``|j|`` in the support (0 for the empty index)."""
-        return max((abs(m.j) for m, _ in self._pairs), default=0)
 
     def negative_entries(self) -> tuple[tuple[Mode, int], ...]:
         return tuple((m, e) for m, e in self._pairs if e < 0)
@@ -345,22 +339,6 @@ class TruncationContext:
 # -- scalar helpers on indices ------------------------------------------
 
 
-def degree(q: MultiIndex) -> int:
-    """Total degree of a nonnegative exponent vector."""
-    return q.degree
-
-
-def momentum(q: MultiIndex, ctx: TruncationContext) -> int:
-    """Total momentum ``sum sigma * j * q[(j, sigma)]``.
-
-    Raises if the context has momentum bookkeeping disabled, since the
-    quantity is not meaningful there.
-    """
-    if not ctx.momentum_enabled:
-        raise NormalFormError("momentum is not tracked in this context")
-    return q.momentum_sum
-
-
 def rearranged_weights(v: MultiIndex) -> tuple[int, ...]:
     """Decreasing rearrangement of the mode weights of ``v``, with
     multiplicity.
@@ -428,11 +406,3 @@ def iter_indices(
 
     yield from rec(0, max_degree, [])
 
-
-def parse_rational(text) -> Fraction:
-    """Parse ``"p/q"`` / ``"p"`` strings (or ints) into a Fraction."""
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, int):
-        return Fraction(text)
-    return Fraction(str(text).strip())

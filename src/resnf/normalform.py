@@ -15,10 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     AlreadyNormal,
+    CutoffTooSmall,
     HypothesisViolation,
     NonterminatingSeries,
     NormalFormError,
@@ -179,6 +180,13 @@ def _a_inverse(y: VectorField, model: FrequencyModel) -> VectorField:
 
     def divide(k, q, c):
         if model.is_resonant_pair(q, k):
+            if q.degree == ctx.degree_cutoff + 1:
+                # enumeration records resonant pairs only up to degree D
+                raise CutoffTooSmall(
+                    "resonant term x^%s d/dx_%s at degree %d lies beyond the "
+                    "enumeration window %d; raise the degree cutoff"
+                    % (q, format_mode(k), q.degree, ctx.degree_cutoff)
+                )
             raise ResonantTermInRange(
                 "resonant term x^%s d/dx_%s inside a class-0/1 block: the "
                 "ideal classification and the kernel structure disagree"
@@ -678,8 +686,46 @@ def normalize(
 
 
 # ---------------------------------------------------------------------------
-# numeric transform evaluation
+# numeric flows: compiled evaluator, RK4 step, transform evaluation
 # ---------------------------------------------------------------------------
+
+
+def compile_field(w: VectorField) -> Callable[[Sequence[complex]], list[complex]]:
+    """Flatten the field into position-indexed rows for fast repeated
+    evaluation inside integrator loops."""
+    f = w.as_float()
+    positions = f.ctx.mode_positions()
+    rows = [
+        (positions[k], complex(c), tuple((positions[m], e) for m, e in q.items()))
+        for k, q, c in f.terms()
+    ]
+    width = len(positions)
+
+    def evaluate(x: Sequence[complex]) -> list[complex]:
+        out = [0j] * width
+        for target, coeff, mono in rows:
+            val = coeff
+            for pos, e in mono:
+                base = x[pos]
+                if not base:
+                    val = 0j
+                    break
+                val *= base ** e
+            out[target] += val
+        return out
+
+    return evaluate
+
+
+def _rk4(evaluate, x, h):
+    k1 = evaluate(x)
+    k2 = evaluate([xi + 0.5 * h * ki for xi, ki in zip(x, k1)])
+    k3 = evaluate([xi + 0.5 * h * ki for xi, ki in zip(x, k2)])
+    k4 = evaluate([xi + h * ki for xi, ki in zip(x, k3)])
+    return [
+        xi + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+        for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+    ]
 
 
 def apply_transform(
@@ -695,42 +741,29 @@ def apply_transform(
     normal-form coordinates back to the original coordinates, so the
     original field's flow is ``forward`` conjugated with the normalized
     field's flow.  ``inverse`` composes the time -1 flows in entry
-    order and undoes ``forward``.  Each flow is integrated with a
-    fixed-step RK4; accuracy is the caller's concern (more steps,
-    smaller points).
+    order and undoes ``forward``.  Each flow is integrated with
+    ``steps`` fixed RK4 steps; accuracy is the caller's concern (more
+    steps, smaller points).
     """
     if direction not in ("forward", "inverse"):
         raise ValueError("direction must be 'forward' or 'inverse'")
-    state = tuple(complex(v) for v in point)
+    state = [complex(v) for v in point]
     if not log.entries:
-        return state
-    fields = [f.as_float() for f in log.fields()]
+        return tuple(state)
+    fields = log.fields()
+    width = len(fields[0].ctx.modes())
+    if len(state) != width:
+        raise ValueError(
+            "point has %d coordinates; context has %d modes" % (len(state), width)
+        )
     if direction == "forward":
         fields = fields[::-1]
         time = 1.0
     else:
         time = -1.0
-    positions = fields[0].ctx.mode_positions()
-    for f in fields:
-        state = _rk4_flow(f, state, time, steps, positions)
-    return state
-
-
-def _rk4_flow(f, state, time, steps, positions):
-    if len(state) != len(positions):
-        raise ValueError(
-            "point has %d coordinates; context has %d modes"
-            % (len(state), len(positions))
-        )
     h = time / steps
-    x = list(state)
-    for _ in range(steps):
-        k1 = f.evaluate(x, positions)
-        k2 = f.evaluate([xi + 0.5 * h * ki for xi, ki in zip(x, k1)], positions)
-        k3 = f.evaluate([xi + 0.5 * h * ki for xi, ki in zip(x, k2)], positions)
-        k4 = f.evaluate([xi + h * ki for xi, ki in zip(x, k3)], positions)
-        x = [
-            xi + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
-        ]
-    return tuple(x)
+    for f in fields:
+        evaluate = compile_field(f)
+        for _ in range(steps):
+            state = _rk4(evaluate, state, h)
+    return tuple(state)

@@ -41,10 +41,6 @@ CoordVector = dict[int, GaussianRational]
 form never stores zero coefficients, so emptiness is the zero test."""
 
 
-def _canon(coord: Mapping[int, GaussianRational]) -> CoordVector:
-    return {i: c for i, c in coord.items() if not c.is_zero}
-
-
 def _coord_sub(a: CoordVector, b: CoordVector) -> CoordVector:
     out = dict(a)
     for i, c in b.items():
@@ -133,9 +129,6 @@ class FrequencyModel:
         """True when all symbol values are rational, so divisions by
         divisor values stay exact."""
         return all(isinstance(v, Fraction) for v in self.symbol_values)
-
-    def covered_modes(self) -> tuple[Mode, ...]:
-        return tuple(sorted(self._coords, key=mode_key))
 
     def validate(self, ctx: TruncationContext) -> None:
         """Check the model covers the context with nonzero eigenvalues."""

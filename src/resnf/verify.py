@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .indexing import (
     iter_indices,
     mode_key,
 )
-from .normalform import TransformLog, apply_transform
+from .normalform import TransformLog, _rk4, apply_transform, compile_field
 from .resonance import FrequencyModel, ResonanceModule
 
 #: Continued-fraction convergents standing in for the irrational
@@ -225,44 +225,6 @@ class Trajectory:
     @property
     def final(self) -> tuple[complex, ...]:
         return self.states[-1]
-
-
-def compile_field(w: VectorField) -> Callable[[Sequence[complex]], list[complex]]:
-    """Flatten the field into position-indexed rows for fast repeated
-    evaluation inside integrator loops."""
-    f = w.as_float()
-    positions = f.ctx.mode_positions()
-    rows = [
-        (positions[k], complex(c), tuple((positions[m], e) for m, e in q.items()))
-        for k, q, c in f.terms()
-    ]
-    width = len(positions)
-
-    def evaluate(x: Sequence[complex]) -> list[complex]:
-        out = [0j] * width
-        for target, coeff, mono in rows:
-            val = coeff
-            for pos, e in mono:
-                base = x[pos]
-                if not base:
-                    val = 0j
-                    break
-                val *= base ** e
-            out[target] += val
-        return out
-
-    return evaluate
-
-
-def _rk4(evaluate, x, h):
-    k1 = evaluate(x)
-    k2 = evaluate([xi + 0.5 * h * ki for xi, ki in zip(x, k1)])
-    k3 = evaluate([xi + 0.5 * h * ki for xi, ki in zip(x, k2)])
-    k4 = evaluate([xi + h * ki for xi, ki in zip(x, k3)])
-    return [
-        xi + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-        for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
-    ]
 
 
 def integrate_flow(

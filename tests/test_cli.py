@@ -445,6 +445,30 @@ class TestExitCodes:
         assert run(["analyze", path]) == EXIT_MODEL
         assert "nondegenerate" in capsys.readouterr().err
 
+    def test_resonant_term_at_window_edge_is_cutoff_error(self, tmp_path, capsys):
+        doc = {
+            "schema_version": 1,
+            "model": {
+                "name": "edge",
+                "symbols": {"one": 1},
+                "modes": {"1+": {"one": 1}, "2+": {"one": 9}},
+            },
+            "truncation": {"mode_cutoff": 2, "degree_cutoff": 8},
+            "field": {
+                "terms": [
+                    "1+ | 1+^1 | 1/1 0/1",
+                    "2+ | 2+^1 | 9/1 0/1",
+                    "2+ | 1+^9 | 1/1 0/1",
+                ]
+            },
+        }
+        path = write(tmp_path, doc)
+        assert run(["normalize", path]) == EXIT_MODEL
+        err = capsys.readouterr().err
+        assert "x^1+^9 d/dx_2+ at degree 9" in err
+        assert "raise the degree cutoff" in err
+        assert "disagree" not in err
+
     def test_problem_file_error_is_input_error(self, tmp_path):
         with pytest.raises(ProblemFileError):
             load_problem(str(tmp_path / "absent.json"))

@@ -123,11 +123,6 @@ class TestScalarSeries:
         df3 = f.partial(fin(3))
         assert df3.is_zero
 
-    def test_evaluate(self, ctx6f):
-        f = ScalarSeries(ctx6f, [(mi((1, 1, 1), (2, 1, 1)), 2.0)])
-        x = [0.5 + 0.5j, 1 - 1j, 0, 0, 0, 0]
-        assert f.evaluate(x) == pytest.approx(2 * x[0] * x[1])
-
     def test_lines_round_trip(self, ctx6):
         f = ScalarSeries(
             ctx6,

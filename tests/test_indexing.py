@@ -2,7 +2,6 @@
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -16,10 +15,8 @@ from resnf.indexing import (
     iter_indices,
     mode_momentum,
     mode_weight,
-    momentum,
     norm_weight,
     parse_mode,
-    parse_rational,
     rearranged_weights,
     smoothing_gap,
 )
@@ -133,13 +130,6 @@ class TestTruncationContext:
         assert ctx.allows_field_key(mi((1, 1, 4)))
         assert not ctx.allows_field_key(mi((1, 1, 5)))
         assert not ctx.allows_field_key(ZERO_INDEX)
-
-    def test_momentum_requires_enabled_context(self):
-        ctx = TruncationContext(2, 3)
-        with pytest.raises(NormalFormError):
-            momentum(mi((1, 1, 1)), ctx)
-        wave = TruncationContext(2, 3, momentum_enabled=True)
-        assert momentum(mi((2, 1, 1), (2, -1, 1)), wave) == 0
 
     def test_validation_errors(self):
         with pytest.raises(NormalFormError):
@@ -283,9 +273,3 @@ class TestIteration:
         # C(3,1)=3 of degree 2 ... over 2 symbols: deg2 -> 3, deg3 -> 4
         assert len(found) == 7
 
-
-def test_parse_rational():
-    assert parse_rational("3/4") == Fraction(3, 4)
-    assert parse_rational("-2") == Fraction(-2)
-    assert parse_rational(5) == Fraction(5)
-    assert parse_rational(Fraction(1, 3)) == Fraction(1, 3)

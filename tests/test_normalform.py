@@ -10,6 +10,7 @@ import pytest
 from helpers import dim6_model, nls_model
 from resnf.errors import (
     AlreadyNormal,
+    CutoffTooSmall,
     HypothesisViolation,
     NonterminatingSeries,
     NormalFormError,
@@ -34,7 +35,7 @@ from resnf.normalform import (
     solve_extended_homological,
     solve_linear_homological,
 )
-from resnf.resonance import enumerate_resonance
+from resnf.resonance import FrequencyModel, enumerate_resonance
 
 
 def fin(label: int) -> Mode:
@@ -260,6 +261,32 @@ class TestExtendedHomological:
         bad_z = VectorField.monomial(ctx, fin(2), E1 + E2, 1)
         with pytest.raises(HypothesisViolation, match="diagonal"):
             solve_extended_homological(x0, 0, bad_z, n, model, module)
+
+
+class TestWindowEdge:
+    """Resonant pairs are enumerated up to degree D, while fields hold
+    terms up to degree D + 1."""
+
+    def test_resonant_term_at_window_edge_asks_for_larger_cutoff(self):
+        ctx = TruncationContext(2, 8)
+        one, nine = Mode(1, 1), Mode(2, 1)
+        model = FrequencyModel(
+            "edge", [("one", Fraction(1))], {one: {"one": 1}, nine: {"one": 9}}
+        )
+        module = enumerate_resonance(ctx, model)
+        w = model.linear_field(ctx) + VectorField.monomial(
+            ctx, nine, MultiIndex({one: 9}), 1
+        )
+        with pytest.raises(CutoffTooSmall, match="1\\+\\^9.*raise the degree cutoff"):
+            normalize(w, model, module)
+
+    def test_resonant_term_inside_window_keeps_range_error(self, six_setup):
+        ctx, model, module = six_setup
+        zero = VectorField.zero(ctx)
+        y = VectorField.monomial(ctx, fin(1), Q1 + E1, 1)
+        assert module.classify(Q1 + E1) == 1
+        with pytest.raises(ResonantTermInRange, match="disagree"):
+            solve_extended_homological(y, 1, zero, zero, model, module)
 
 
 class TestLieSeries:
@@ -507,6 +534,30 @@ class TestApplyTransform:
             there = apply_transform(log, pt, "forward")
             back = apply_transform(log, there, "inverse")
             assert max(abs(a - b) for a, b in zip(pt, back)) < 1e-8
+
+    def test_point_length_validated(self, run):
+        _, _, log, _ = run
+        with pytest.raises(ValueError, match="5 coordinates; context has 6"):
+            apply_transform(log, [0j] * 5)
+
+    @pytest.mark.parametrize("direction", ["forward", "inverse"])
+    def test_matches_evaluate_oracle(self, run, direction):
+        # The compiled evaluator and RK4 step against the reference
+        # evaluator, flow by flow in the documented composition order.
+        _, _, log, _ = run
+        rng = random.Random(37)
+        pt = [0.1 * rng.uniform(-1, 1) + 0.1j * rng.uniform(-1, 1) for _ in range(6)]
+        fields = log.fields()
+        if direction == "forward":
+            fields, t = fields[::-1], 1.0
+        else:
+            t = -1.0
+        want = pt
+        for f in fields:
+            want = rk4_flow(f, want, t, steps=64)
+        got = apply_transform(log, pt, direction, steps=64)
+        assert len(fields) > 1
+        assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12
 
     def test_flow_conjugacy(self, run):
         # forward carries the normalized flow to the original flow.
