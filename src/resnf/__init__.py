@@ -34,7 +34,6 @@ from .errors import (
 from .indexing import Mode, MultiIndex, TruncationContext
 from .fields import (
     GaussianRational,
-    NormReport,
     ScalarSeries,
     VectorField,
     bracket,
@@ -88,7 +87,6 @@ __all__ = [
     "ModelError",
     "MultiIndex",
     "NonterminatingSeries",
-    "NormReport",
     "NormalFormError",
     "ProblemFileError",
     "ResonanceModule",

@@ -4,14 +4,12 @@ Coefficients are dual-mode: Gaussian rationals (exact zero tests, exact
 division) or complex doubles with a configured zero tolerance.  All
 containers are keyed by :class:`~resnf.indexing.MultiIndex` and validated
 against a shared :class:`~resnf.indexing.TruncationContext`; products that
-fall outside the degree window are dropped and the result is marked as
-truncation-touched.
+fall outside the degree window are dropped.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
@@ -163,14 +161,12 @@ def parse_coefficient(ctx: TruncationContext, text: str):
 class ScalarSeries:
     """Truncated formal series ``sum_q f_q x^q`` with sparse storage."""
 
-    __slots__ = ("ctx", "_terms", "truncated")
+    __slots__ = ("ctx", "_terms")
 
     def __init__(
         self,
         ctx: TruncationContext,
         terms: Iterable[tuple[MultiIndex, object]] | dict = (),
-        *,
-        truncated: bool = False,
     ):
         if isinstance(terms, dict):
             items = terms.items()
@@ -190,7 +186,6 @@ class ScalarSeries:
                 store[q] = acc
         self.ctx = ctx
         self._terms = store
-        self.truncated = bool(truncated)
 
     @classmethod
     def zero(cls, ctx: TruncationContext) -> "ScalarSeries":
@@ -201,11 +196,10 @@ class ScalarSeries:
         return cls(ctx, ((q, c),))
 
     @classmethod
-    def _raw(cls, ctx, store, truncated=False):
+    def _raw(cls, ctx, store):
         obj = object.__new__(cls)
         obj.ctx = ctx
         obj._terms = store
-        obj.truncated = truncated
         return obj
 
     # -- queries ------------------------------------------------------
@@ -237,9 +231,7 @@ class ScalarSeries:
         store = dict(self._terms)
         for q, c in other._terms.items():
             _accumulate(self.ctx, store, q, c)
-        return ScalarSeries._raw(
-            self.ctx, store, self.truncated or other.truncated
-        )
+        return ScalarSeries._raw(self.ctx, store)
 
     def __sub__(self, other: "ScalarSeries") -> "ScalarSeries":
         return self + other.scale(-1)
@@ -247,23 +239,20 @@ class ScalarSeries:
     def scale(self, factor) -> "ScalarSeries":
         factor = coerce_coefficient(self.ctx, factor)
         if self.ctx.is_zero_coeff(factor):
-            return ScalarSeries._raw(self.ctx, {}, self.truncated)
+            return ScalarSeries._raw(self.ctx, {})
         store = {q: c * factor for q, c in self._terms.items()}
-        return ScalarSeries._raw(self.ctx, store, self.truncated)
+        return ScalarSeries._raw(self.ctx, store)
 
     def mul(self, other: "ScalarSeries") -> "ScalarSeries":
         """Series product, truncated at the scalar degree cutoff."""
         _same_ctx(self.ctx, other.ctx)
         cutoff = self.ctx.degree_cutoff
         store: dict[MultiIndex, object] = {}
-        touched = self.truncated or other.truncated
         for qa, ca in self._terms.items():
             for qb, cb in other._terms.items():
-                if qa.degree + qb.degree > cutoff:
-                    touched = True
-                    continue
-                _accumulate(self.ctx, store, qa + qb, ca * cb)
-        return ScalarSeries._raw(self.ctx, store, touched)
+                if qa.degree + qb.degree <= cutoff:
+                    _accumulate(self.ctx, store, qa + qb, ca * cb)
+        return ScalarSeries._raw(self.ctx, store)
 
     def partial(self, k: Mode) -> "ScalarSeries":
         """Partial derivative with respect to the coordinate of mode ``k``."""
@@ -272,11 +261,11 @@ class ScalarSeries:
             e = q.get(k)
             if e:
                 _accumulate(self.ctx, store, q.add_unit(k, -1), c * e)
-        return ScalarSeries._raw(self.ctx, store, self.truncated)
+        return ScalarSeries._raw(self.ctx, store)
 
     def project_degree(self, d: int) -> "ScalarSeries":
         store = {q: c for q, c in self._terms.items() if q.degree == d}
-        return ScalarSeries._raw(self.ctx, store, self.truncated)
+        return ScalarSeries._raw(self.ctx, store)
 
     # -- text ---------------------------------------------------------
 
@@ -310,36 +299,6 @@ class ScalarSeries:
 # ---------------------------------------------------------------------------
 
 
-class NormReport:
-    """Certified upper bound and sampled lower bound of the majorant norm."""
-
-    __slots__ = ("upper", "lower", "r", "s", "samples")
-
-    def __init__(self, upper: float, lower: float, r: float, s: float, samples: int):
-        self.upper = upper
-        self.lower = lower
-        self.r = r
-        self.s = s
-        self.samples = samples
-
-    def as_dict(self) -> dict:
-        return {
-            "upper": self.upper,
-            "lower": self.lower,
-            "r": self.r,
-            "s": self.s,
-            "samples": self.samples,
-        }
-
-    def __repr__(self):
-        return "NormReport(lower=%g, upper=%g, r=%g, s=%g)" % (
-            self.lower,
-            self.upper,
-            self.r,
-            self.s,
-        )
-
-
 class VectorField:
     """Truncated polynomial vector field ``sum_{k,q} X^(k)_q x^q d/dx_k``.
 
@@ -349,14 +308,12 @@ class VectorField:
     enabled, ``momentum(q) == momentum(k)``.
     """
 
-    __slots__ = ("ctx", "_terms", "truncated")
+    __slots__ = ("ctx", "_terms")
 
     def __init__(
         self,
         ctx: TruncationContext,
         terms: Iterable[tuple[Mode, MultiIndex, object]] = (),
-        *,
-        truncated: bool = False,
     ):
         store: dict[Mode, dict[MultiIndex, object]] = {}
         for k, q, c in terms:
@@ -373,7 +330,6 @@ class VectorField:
                 comp[q] = acc
         self.ctx = ctx
         self._terms = {k: comp for k, comp in store.items() if comp}
-        self.truncated = bool(truncated)
 
     @classmethod
     def zero(cls, ctx: TruncationContext) -> "VectorField":
@@ -384,11 +340,10 @@ class VectorField:
         return cls(ctx, ((k, q, c),))
 
     @classmethod
-    def _raw(cls, ctx, store, truncated=False):
+    def _raw(cls, ctx, store):
         obj = object.__new__(cls)
         obj.ctx = ctx
         obj._terms = {k: comp for k, comp in store.items() if comp}
-        obj.truncated = truncated
         return obj
 
     # -- queries ------------------------------------------------------
@@ -444,7 +399,7 @@ class VectorField:
             target = store.setdefault(k, {})
             for q, c in comp.items():
                 _accumulate(self.ctx, target, q, c)
-        return VectorField._raw(self.ctx, store, self.truncated or other.truncated)
+        return VectorField._raw(self.ctx, store)
 
     def __sub__(self, other: "VectorField") -> "VectorField":
         return self + other.scale(-1)
@@ -455,12 +410,12 @@ class VectorField:
     def scale(self, factor) -> "VectorField":
         factor = coerce_coefficient(self.ctx, factor)
         if self.ctx.is_zero_coeff(factor):
-            return VectorField._raw(self.ctx, {}, self.truncated)
+            return VectorField._raw(self.ctx, {})
         store = {
             k: {q: c * factor for q, c in comp.items()}
             for k, comp in self._terms.items()
         }
-        return VectorField._raw(self.ctx, store, self.truncated)
+        return VectorField._raw(self.ctx, store)
 
     def map_coefficients(self, fn: Callable[[Mode, MultiIndex, object], object]):
         """Termwise coefficient map; drops terms mapped to zero."""
@@ -469,7 +424,7 @@ class VectorField:
             new = coerce_coefficient(self.ctx, fn(k, q, c))
             if not self.ctx.is_zero_coeff(new):
                 store.setdefault(k, {})[q] = new
-        return VectorField._raw(self.ctx, store, self.truncated)
+        return VectorField._raw(self.ctx, store)
 
     # -- derivations ----------------------------------------------------
 
@@ -478,31 +433,27 @@ class VectorField:
         ``sum_k X^(k) * df/dx_k``, truncated at the scalar cutoff."""
         _same_ctx(self.ctx, f.ctx)
         store: dict[MultiIndex, object] = {}
-        touched = self.truncated or f.truncated
-        touched |= _lie_into(
-            self.ctx, store, self._terms, f._terms, self.ctx.degree_cutoff
-        )
-        return ScalarSeries._raw(self.ctx, store, touched)
+        _lie_into(self.ctx, store, self._terms, f._terms, self.ctx.degree_cutoff)
+        return ScalarSeries._raw(self.ctx, store)
 
     def bracket(self, other: "VectorField") -> "VectorField":
         """Lie bracket ``[X, Y]^(j) = X(Y^(j)) - Y(X^(j))``, truncated at
         the field cutoff."""
         _same_ctx(self.ctx, other.ctx)
         cutoff = self.ctx.degree_cutoff + 1
-        touched = self.truncated or other.truncated
         store: dict[Mode, dict[MultiIndex, object]] = {}
         for j, comp in other._terms.items():
             target: dict[MultiIndex, object] = {}
-            touched |= _lie_into(self.ctx, target, self._terms, comp, cutoff)
+            _lie_into(self.ctx, target, self._terms, comp, cutoff)
             if target:
                 store[j] = target
         for j, comp in self._terms.items():
             target = store.setdefault(j, {})
             neg = {q: -c for q, c in comp.items()}
-            touched |= _lie_into(self.ctx, target, other._terms, neg, cutoff)
+            _lie_into(self.ctx, target, other._terms, neg, cutoff)
             if not target:
                 store.pop(j, None)
-        return VectorField._raw(self.ctx, store, touched)
+        return VectorField._raw(self.ctx, store)
 
     # -- projections ----------------------------------------------------
 
@@ -513,7 +464,7 @@ class VectorField:
             kept = {q: c for q, c in comp.items() if q.degree == d + 1}
             if kept:
                 store[k] = kept
-        return VectorField._raw(self.ctx, store, self.truncated)
+        return VectorField._raw(self.ctx, store)
 
     def project(self, keep: Callable[[Mode, MultiIndex], bool]) -> "VectorField":
         store = {}
@@ -521,7 +472,7 @@ class VectorField:
             kept = {q: c for q, c in comp.items() if keep(k, q)}
             if kept:
                 store[k] = kept
-        return VectorField._raw(self.ctx, store, self.truncated)
+        return VectorField._raw(self.ctx, store)
 
     def split_diagonal(self) -> tuple["VectorField", "VectorField"]:
         """Split into (diagonal, rest): a term is diagonal when the
@@ -532,56 +483,20 @@ class VectorField:
 
     # -- norms ------------------------------------------------------------
 
-    def majorant_norm(
-        self, r: float, s: float, *, samples: int = 32, seed: int = 7
-    ) -> NormReport:
-        """Majorant operator norm surrogate on the ball of radius ``r``
-        with smoothing parameter ``s``.
-
-        The upper bound sums absolute coefficients against the monomial
-        weights (l1 in the exponent, l2 across directions); the lower
-        bound evaluates the majorant at sampled nonnegative unit vectors.
-        """
+    def majorant_norm(self, r: float, s: float) -> float:
+        """Certified upper bound of the majorant operator norm on the ball
+        of radius ``r`` with smoothing parameter ``s``: absolute
+        coefficients summed against the monomial weights, l1 in the
+        exponent and l2 across directions."""
         theta = self.ctx.theta
-        weighted: dict[Mode, list[tuple[MultiIndex, float]]] = {}
-        for k, comp in self._terms.items():
-            rows = []
-            for q, c in comp.items():
-                rows.append((q, abs(_coeff_abs(c)) * norm_weight(q, k, r, s, theta)))
-            weighted[k] = rows
         upper_sq = 0.0
-        for rows in weighted.values():
-            col = sum(w for _, w in rows)
+        for k, comp in self._terms.items():
+            col = sum(
+                abs(complex(c)) * norm_weight(q, k, r, s, theta)
+                for q, c in comp.items()
+            )
             upper_sq += col * col
-        upper = math.sqrt(upper_sq)
-
-        modes = self.ctx.modes()
-        positions = {m: i for i, m in enumerate(modes)}
-        rng = random.Random(seed)
-        points: list[list[float]] = []
-        for m in modes:
-            e = [0.0] * len(modes)
-            e[positions[m]] = 1.0
-            points.append(e)
-        while len(points) < max(samples, len(modes)):
-            vec = [rng.random() for _ in modes]
-            norm = math.sqrt(sum(v * v for v in vec))
-            points.append([v / norm for v in vec])
-        lower = 0.0
-        for y in points:
-            total = 0.0
-            for k, rows in weighted.items():
-                comp_val = 0.0
-                for q, w in rows:
-                    mono = w
-                    for m, e in q.items():
-                        mono *= y[positions[m]] ** e
-                        if not mono:
-                            break
-                    comp_val += mono
-                total += comp_val * comp_val
-            lower = max(lower, math.sqrt(total))
-        return NormReport(upper, min(lower, upper), r, s, len(points))
+        return math.sqrt(upper_sq)
 
     # -- numerics ----------------------------------------------------------
 
@@ -610,9 +525,7 @@ class VectorField:
             return self
         fctx = self.ctx.with_arithmetic("float")
         return VectorField(
-            fctx,
-            ((k, q, complex(c)) for k, q, c in self._iter_terms()),
-            truncated=self.truncated,
+            fctx, ((k, q, complex(c)) for k, q, c in self._iter_terms())
         )
 
     # -- text ----------------------------------------------------------
@@ -697,10 +610,9 @@ def _accumulate(ctx, store: dict, key, value) -> None:
         store[key] = acc
 
 
-def _lie_into(ctx, out: dict, xterms: dict, fdict: dict, cutoff: int) -> bool:
+def _lie_into(ctx, out: dict, xterms: dict, fdict: dict, cutoff: int) -> None:
     """Accumulate ``sum_k X^(k) * d f / dx_k`` into ``out`` (exponent map),
-    dropping products above ``cutoff``.  Returns True when truncation hit."""
-    touched = False
+    dropping products above ``cutoff``."""
     for k, comp in xterms.items():
         for qf, cf in fdict.items():
             e = qf.get(k)
@@ -709,17 +621,8 @@ def _lie_into(ctx, out: dict, xterms: dict, fdict: dict, cutoff: int) -> bool:
             base = qf.add_unit(k, -1)
             for qx, cx in comp.items():
                 q_new = qx + base
-                if q_new.degree > cutoff:
-                    touched = True
-                    continue
-                _accumulate(ctx, out, q_new, cx * cf * e)
-    return touched
-
-
-def _coeff_abs(c) -> float:
-    if isinstance(c, GaussianRational):
-        return abs(complex(c))
-    return abs(c)
+                if q_new.degree <= cutoff:
+                    _accumulate(ctx, out, q_new, cx * cf * e)
 
 
 def _split_term_line(line: str) -> tuple[str, str, str]:
@@ -748,5 +651,5 @@ def split_diagonal(x: VectorField) -> tuple[VectorField, VectorField]:
     return x.split_diagonal()
 
 
-def majorant_norm(x: VectorField, r: float, s: float, **kw) -> NormReport:
-    return x.majorant_norm(r, s, **kw)
+def majorant_norm(x: VectorField, r: float, s: float) -> float:
+    return x.majorant_norm(r, s)

@@ -188,6 +188,9 @@ class MultiIndex:
 
 ZERO_INDEX = MultiIndex()
 
+# Zero threshold for coefficients in float mode.
+FLOAT_ATOL = 1e-12
+
 
 class TruncationContext:
     """Shared description of the truncation window and the arithmetic mode.
@@ -210,8 +213,6 @@ class TruncationContext:
         Whether momentum conservation is enforced on all stored objects.
     arithmetic : str
         ``"exact"`` (Gaussian-rational coefficients) or ``"float"``.
-    float_atol : float
-        Zero threshold for coefficients in float mode.
     """
 
     __slots__ = (
@@ -220,7 +221,6 @@ class TruncationContext:
         "theta",
         "momentum_enabled",
         "arithmetic",
-        "float_atol",
         "_modes",
     )
 
@@ -232,7 +232,6 @@ class TruncationContext:
         momentum_enabled: bool = False,
         theta: float = 0.5,
         arithmetic: str = "exact",
-        float_atol: float = 1e-12,
     ):
         if mode_cutoff < 1:
             raise NormalFormError("mode_cutoff must be >= 1")
@@ -248,7 +247,6 @@ class TruncationContext:
         self.theta = theta
         self.momentum_enabled = bool(momentum_enabled)
         self.arithmetic = arithmetic
-        self.float_atol = float(float_atol)
         if self.momentum_enabled:
             modes = [
                 Mode(j, s)
@@ -293,7 +291,7 @@ class TruncationContext:
     def is_zero_coeff(self, c) -> bool:
         if self.exact:
             return c.is_zero
-        return abs(c) <= self.float_atol
+        return abs(c) <= FLOAT_ATOL
 
     # -- equality -------------------------------------------------------
 
@@ -304,7 +302,6 @@ class TruncationContext:
             self.theta,
             self.momentum_enabled,
             self.arithmetic,
-            self.float_atol,
         )
 
     def __eq__(self, other: object) -> bool:
@@ -332,7 +329,6 @@ class TruncationContext:
             momentum_enabled=self.momentum_enabled,
             theta=self.theta,
             arithmetic=arithmetic,
-            float_atol=self.float_atol,
         )
 
 

@@ -220,19 +220,17 @@ def solve_extended_homological(
         raise ValueError("klass must be 0 or 1")
     ctx = x_i.ctx
     _require_diagonal_resonant(z, model)
-    y = -x_i
-    if klass == 1:
-        if f0 is None:
-            f0 = VectorField.zero(ctx)
-        y = y - _project_class(bracket(f0, z + n), module, 1)
+    if klass == 1 and f0 is not None:
+        coupling = _project_class(bracket(f0, z + n), module, 1)
+    else:
+        coupling = VectorField.zero(ctx)
+    y = -x_i - coupling
     a_y = _a_inverse(y, model)
     f = a_y - _a_inverse(_project_class(bracket(a_y, z), module, klass), model)
 
     residual = _project_class(
         bracket(f, model.linear_field(ctx) + z), module, klass
-    ) + x_i
-    if klass == 1:
-        residual = residual + _project_class(bracket(f0, z + n), module, 1)
+    ) + x_i + coupling
     if not residual.is_zero:
         raise NormalFormError(
             "homological residual is nonzero (nilpotency of the extended "
@@ -600,9 +598,9 @@ def kam_step(
         )
 
     gamma = constants.gamma
-    norm_x = dec.x.majorant_norm(r, s).upper
-    norm_z = dec.z.majorant_norm(r, s).upper
-    norm_n = dec.n.majorant_norm(r, s).upper
+    norm_x = dec.x.majorant_norm(r, s)
+    norm_z = dec.z.majorant_norm(r, s)
+    norm_n = dec.n.majorant_norm(r, s)
     eps = norm_x / gamma
     theta = (norm_z + norm_n) / gamma + eps
     zn = (norm_z + norm_n) / gamma

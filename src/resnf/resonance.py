@@ -332,8 +332,7 @@ class ResonanceModule:
         q_generators: tuple[MultiIndex, ...],
         p_generators: dict[Mode, tuple[MultiIndex, ...]],
         module_elements: frozenset[MultiIndex],
-        violations: tuple[tuple[int, MultiIndex, Mode], ...],
-        resonant_pair_count: int,
+        resonant_pairs: list[tuple[MultiIndex, Mode]],
     ):
         self.model = model
         self.ctx = ctx
@@ -350,14 +349,22 @@ class ResonanceModule:
             default=0,
         )
         self.m_star_bound = 2 * self.M + self.M1
-        self.m_star_minimal = 1 + max((s for s, _, _ in violations), default=-1)
-        self.violations = violations
-        self.resonant_pair_count = resonant_pair_count
         sums = set()
         for i, a in enumerate(q_generators):
             for b in q_generators[i:]:
                 sums.add(a + b)
         self._pair_sums = tuple(sorted(sums, key=lambda s: s.sort_key()))
+        # Resonant field exponents not absorbed by two generators; their
+        # maximal scaling order determines the minimal valid cutoff.
+        violations = [
+            (q.degree - 1, q, k)
+            for q, k in resonant_pairs
+            if not any(q.contains(s) for s in self._pair_sums)
+        ]
+        violations.sort(key=lambda row: (row[0], row[1].sort_key(), mode_key(row[2])))
+        self.violations = tuple(violations)
+        self.m_star_minimal = 1 + max((s for s, _, _ in violations), default=-1)
+        self.resonant_pair_count = len(resonant_pairs)
 
     def classify(self, q: MultiIndex) -> int:
         """Ideal class of a nonnegative exponent: 2 if two generators
@@ -510,16 +517,8 @@ def enumerate_resonance(ctx: TruncationContext, model: FrequencyModel) -> Resona
         translate_elements, p_generators, element_set, q_generators
     )
 
-    violations = _scan_violations(resonant_pairs, q_generators)
-
     return ResonanceModule(
-        model,
-        ctx,
-        q_generators,
-        p_generators,
-        element_set,
-        violations,
-        len(resonant_pairs),
+        model, ctx, q_generators, p_generators, element_set, resonant_pairs
     )
 
 
@@ -634,25 +633,6 @@ def _check_translate_factorization(
                     "translate %s (direction %s) admits %d factorizations "
                     "as generator plus lattice element" % (p, format_mode(k), ways)
                 )
-
-
-def _scan_violations(
-    resonant_pairs: list[tuple[MultiIndex, Mode]],
-    q_generators: tuple[MultiIndex, ...],
-) -> tuple[tuple[int, MultiIndex, Mode], ...]:
-    """Resonant field exponents that are not absorbed by two generators;
-    their maximal scaling order determines the minimal valid cutoff."""
-    pair_sums = []
-    for i, a in enumerate(q_generators):
-        for b in q_generators[i:]:
-            pair_sums.append(a + b)
-    out = []
-    for q, k in resonant_pairs:
-        if any(q.contains(s) for s in pair_sums):
-            continue
-        out.append((q.degree - 1, q, k))
-    out.sort(key=lambda row: (row[0], row[1].sort_key(), mode_key(row[2])))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
