@@ -794,10 +794,11 @@ def cmd_verify(
         )
 
     def slope(key: str) -> float | None:
+        rhos = [row["rho"] for row in rows]
         errors = [row[key] for row in rows]
-        if len(rows) < 2 or min(errors) <= 0.0:
+        if len(set(rhos)) < 2 or min(errors) <= 0.0:
             return None
-        return loglog_slope([row["rho"] for row in rows], errors)
+        return loglog_slope(rhos, errors)
 
     report = {
         "command": "verify",

@@ -71,9 +71,6 @@ class FrequencyModel:
         eigenvalue shape ``<k>**alpha * exp(i*phi_k)`` used by the
         Diophantine fast path; when absent the eigenvalues themselves
         are used.
-    separation : float, optional
-        Declared lower bound for ``|exp(i*phi_k) - exp(i*phi_k')|`` on
-        opposite modes; carried into reports.
     """
 
     __slots__ = (
@@ -83,7 +80,6 @@ class FrequencyModel:
         "_coords",
         "alpha",
         "phases",
-        "separation",
     )
 
     def __init__(
@@ -94,7 +90,6 @@ class FrequencyModel:
         *,
         alpha: float | None = None,
         phases: Mapping[Mode, float] | None = None,
-        separation: float | None = None,
     ):
         self.name = name
         self.symbol_names = tuple(nm for nm, _ in symbols)
@@ -120,7 +115,6 @@ class FrequencyModel:
             (k if isinstance(k, Mode) else Mode(*k)): float(v)
             for k, v in phases.items()
         }
-        self.separation = None if separation is None else float(separation)
 
     # -- capabilities ----------------------------------------------------
 

@@ -3,11 +3,11 @@
 Provides the invariant-set tangency check (every non-kernel term of a
 normalized field lies in the squared resonance ideal, so the restriction
 to the joint zero set of the generator monomials is linear), fixed-step
-flow integration with step-halving error estimates, conjugacy-error
-measurements between the original flow and the linearized flow carried
-through the recorded transform, and constructors for the worked example
-systems (a six-variable real spectrum, a gauge-paired imaginary
-spectrum with a convolution nonlinearity, and its hyperbolic twin).
+flow integration, conjugacy-error measurements between the original flow
+and the linearized flow carried through the recorded transform, and
+constructors for the worked example systems (a six-variable real
+spectrum, a gauge-paired imaginary spectrum with a convolution
+nonlinearity, and its hyperbolic twin).
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .errors import NormalFormError
 from .fields import GaussianRational, VectorField
@@ -99,9 +97,7 @@ def nls_frequency_model(
         for sigma in (1, -1):
             coords[Mode(j, sigma)] = {"w%d" % j: (0, sigma)}
             phases[Mode(j, sigma)] = sigma * _HALF_PI
-    return FrequencyModel(
-        "nls", symbols, coords, alpha=2.0, phases=phases, separation=2.0
-    )
+    return FrequencyModel("nls", symbols, coords, alpha=2.0, phases=phases)
 
 
 def hyperbolic_frequency_model(
@@ -126,9 +122,7 @@ def hyperbolic_frequency_model(
             else:
                 coords[Mode(j, sigma)] = {"w%d" % j: sigma}
                 phases[Mode(j, sigma)] = 0.0 if sigma > 0 else _PI
-    return FrequencyModel(
-        "hyperbolic", symbols, coords, alpha=2.0, phases=phases, separation=2.0
-    )
+    return FrequencyModel("hyperbolic", symbols, coords, alpha=2.0, phases=phases)
 
 
 # ---------------------------------------------------------------------------
@@ -207,61 +201,36 @@ class FlowConfig:
     """Fixed-step integrator parameters."""
 
     steps: int = 256
-    horizon: float = 1.0
     blowup: float = 10.0
 
     def __post_init__(self):
-        if self.steps < 1 or self.horizon <= 0 or self.blowup <= 0:
-            raise NormalFormError("steps, horizon and blowup must be positive")
+        if self.steps < 1 or self.blowup <= 0:
+            raise NormalFormError("steps and blowup must be positive")
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    times: tuple[float, ...]
-    states: tuple[tuple[complex, ...], ...]
-    error_estimate: float | None
+    final: tuple[complex, ...]
     diverged: bool
-
-    @property
-    def final(self) -> tuple[complex, ...]:
-        return self.states[-1]
 
 
 def integrate_flow(
     w: VectorField,
     x0: Sequence[complex],
-    t: float | None = None,
+    t: float,
     config: FlowConfig = FlowConfig(),
 ) -> Trajectory:
-    """Fixed-step RK4 trajectory of ``w`` from ``x0`` over ``[0, t]``,
-    with a step-halving estimate of the final-state error; sets the
-    divergence flag and stops early if the state norm passes the
+    """Fixed-step RK4 flow of ``w`` from ``x0`` over ``[0, t]``; stops
+    early with the divergence flag set once the state norm passes the
     blow-up bound."""
-    t = config.horizon if t is None else t
     evaluate = compile_field(w)
     h = t / config.steps
     x = [complex(v) for v in x0]
-    times = [0.0]
-    states = [tuple(x)]
-    diverged = False
-    for i in range(config.steps):
+    for _ in range(config.steps):
         x = _rk4(evaluate, x, h)
-        times.append((i + 1) * h)
-        states.append(tuple(x))
         if max(abs(v) for v in x) > config.blowup:
-            diverged = True
-            break
-    estimate = None
-    if not diverged:
-        fine = [complex(v) for v in x0]
-        hh = 0.5 * h
-        for _ in range(2 * config.steps):
-            fine = _rk4(evaluate, fine, hh)
-            if max(abs(v) for v in fine) > config.blowup:
-                break
-        else:
-            estimate = max(abs(a - b) for a, b in zip(x, fine))
-    return Trajectory(tuple(times), tuple(states), estimate, diverged)
+            return Trajectory(tuple(x), True)
+    return Trajectory(tuple(x), False)
 
 
 def linear_flow(
@@ -307,9 +276,14 @@ def loglog_slope(scales: Sequence[float], errors: Sequence[float]) -> float:
     """Least-squares slope of ``log(error)`` against ``log(scale)``."""
     if len(scales) != len(errors) or len(scales) < 2:
         raise ValueError("need at least two (scale, error) pairs")
-    xs = np.log(np.asarray(scales, dtype=float))
-    ys = np.log(np.asarray(errors, dtype=float))
-    return float(np.polyfit(xs, ys, 1)[0])
+    xs = [math.log(s) for s in scales]
+    ys = [math.log(e) for e in errors]
+    if min(xs) == max(xs):
+        raise ValueError("need at least two distinct scales")
+    mx = sum(xs) / len(xs)
+    my = sum(ys) / len(ys)
+    sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    return sxy / sum((x - mx) ** 2 for x in xs)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import resnf
 from resnf.cli import (
     EXIT_HYPOTHESIS,
     EXIT_INPUT,
@@ -333,6 +337,20 @@ class TestVerify:
         assert run(["verify", path, "--transform", out]) == EXIT_OK
         assert "on-sigma 0.000000e+00" in capsys.readouterr().out
 
+    def test_equal_rho_values_give_no_slopes(self, workspace, tmp_path, capsys):
+        root, _, out = workspace
+        doc = dim6_doc(field={"seed": 3}, flow={"rho": ["1/20", "1/20"]})
+        path = write(root, doc, "equal_rho.json")
+        report_path = tmp_path / "equal_rho.json"
+        code = run(["verify", path, "--transform", out, "--json", str(report_path)])
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        assert "scaling slopes" not in captured.out
+        assert captured.err == ""
+        conjugacy = json.loads(report_path.read_text())["conjugacy"]
+        assert conjugacy["on_sigma_slope"] is None
+        assert conjugacy["off_sigma_slope"] is None
+
     def test_missing_artifacts(self, workspace, tmp_path, capsys):
         _, problem, _ = workspace
         code = run(["verify", problem, "--transform", str(tmp_path)])
@@ -472,3 +490,12 @@ class TestExitCodes:
     def test_problem_file_error_is_input_error(self, tmp_path):
         with pytest.raises(ProblemFileError):
             load_problem(str(tmp_path / "absent.json"))
+
+
+def test_cli_import_does_not_load_numpy():
+    env = dict(os.environ, PYTHONPATH=str(Path(resnf.__file__).parents[1]))
+    code = "import sys, resnf.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

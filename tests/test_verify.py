@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from helpers import dim6_model
@@ -132,8 +133,6 @@ class TestIntegrateFlow:
         exact = linear_flow(model, ctx, xi, 1.0)
         assert not run.diverged
         assert max(abs(a - b) for a, b in zip(run.final, exact)) < 1e-9
-        assert run.error_estimate is not None and run.error_estimate < 1e-9
-        assert len(run.states) == 201
 
     def test_step_halving_is_fourth_order(self, six_setup):
         ctx, model, _ = six_setup
@@ -154,15 +153,17 @@ class TestIntegrateFlow:
             ctx, fin(1), E1 + E1 + E1 + E1 + E1, 1
         )
         run = integrate_flow(w, [0j] * 6, 1.0)
-        assert all(all(v == 0 for v in state) for state in run.states)
+        assert not run.diverged
+        assert run.final == (0j,) * 6
 
     def test_divergence_flagged(self, six_setup):
         ctx, _, _ = six_setup
         w = VectorField.monomial(ctx, fin(1), E1 + E1, 5)
         run = integrate_flow(w, [0.9, 0, 0, 0, 0, 0], 1.0, FlowConfig(blowup=10.0))
         assert run.diverged
-        assert run.error_estimate is None
-        assert len(run.states) < 257
+        # stopped at the first step past the bound, before overflowing
+        norm = max(abs(v) for v in run.final)
+        assert math.isfinite(norm) and norm > 10.0
 
     def test_compile_field_matches_evaluate(self, six_setup):
         ctx, model, _ = six_setup
@@ -216,6 +217,19 @@ class TestLoglogSlope:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             loglog_slope([0.1], [1.0])
+
+    def test_equal_scales_raise(self):
+        with pytest.raises(ValueError):
+            loglog_slope([0.05, 0.05, 0.05], [1e-3, 2e-3, 4e-3])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_polyfit_oracle(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(2, 8)
+        scales = [rng.uniform(1e-3, 1.0) for _ in range(n)]
+        errors = [rng.uniform(1e-12, 1e-2) for _ in range(n)]
+        expected = float(np.polyfit(np.log(scales), np.log(errors), 1)[0])
+        assert loglog_slope(scales, errors) == pytest.approx(expected, rel=1e-12)
 
 
 class TestBuildDim6:
