@@ -148,9 +148,14 @@ def parse_coefficient(ctx: TruncationContext, text: str):
     parts = text.split()
     if len(parts) != 2:
         raise NormalFormError("coefficient must be two tokens, got %r" % (text,))
+    parse = Fraction if ctx.exact else float
+    try:
+        re, im = (parse(part) for part in parts)
+    except (ValueError, ZeroDivisionError):
+        raise NormalFormError("cannot parse coefficient %r" % (text,)) from None
     if ctx.exact:
-        return GaussianRational(Fraction(parts[0]), Fraction(parts[1]))
-    return complex(float(parts[0]), float(parts[1]))
+        return GaussianRational(re, im)
+    return complex(re, im)
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,11 @@ class MultiIndex:
             if "^" not in token:
                 raise NormalFormError("cannot parse exponent token %r" % (token,))
             mode_part, _, exp_part = token.partition("^")
-            pairs.append((parse_mode(mode_part), int(exp_part)))
+            try:
+                exponent = int(exp_part)
+            except ValueError:
+                raise NormalFormError("cannot parse exponent token %r" % (token,)) from None
+            pairs.append((parse_mode(mode_part), exponent))
         return cls(pairs)
 
 

@@ -13,7 +13,7 @@ conditions are evaluated and reported as diagnostics only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -163,12 +163,13 @@ def solve_linear_homological(y: VectorField, model: FrequencyModel) -> VectorFie
     ctx = y.ctx
 
     def divide(k, q, c):
-        if model.is_resonant_pair(q, k):
+        key = model.key(q, k)
+        if not key:
             raise ResonantTermInRange(
                 "term x^%s d/dx_%s has zero divisor; it lies in the kernel, "
                 "not the range" % (q, format_mode(k))
             )
-        return c / model.divisor_value(q, k, ctx)
+        return c / model.value(key, ctx.exact)
 
     return y.map_coefficients(divide)
 
@@ -179,7 +180,8 @@ def _a_inverse(y: VectorField, model: FrequencyModel) -> VectorField:
     ctx = y.ctx
 
     def divide(k, q, c):
-        if model.is_resonant_pair(q, k):
+        key = model.key(q, k)
+        if not key:
             if q.degree == ctx.degree_cutoff + 1:
                 # enumeration records resonant pairs only up to degree D
                 raise CutoffTooSmall(
@@ -192,7 +194,7 @@ def _a_inverse(y: VectorField, model: FrequencyModel) -> VectorField:
                 "ideal classification and the kernel structure disagree"
                 % (q, format_mode(k))
             )
-        return -(c / model.divisor_value(q, k, ctx))
+        return -(c / model.value(key, ctx.exact))
 
     return y.map_coefficients(divide)
 
@@ -278,11 +280,17 @@ def lie_series_terms(f: VectorField, w: VectorField) -> list[VectorField]:
 def pushforward_exp(f: VectorField, w: VectorField) -> VectorField:
     """Pushforward of ``w`` along the time-1 flow of ``f``:
     ``exp(ad_F) W``, summed exactly at truncation."""
+    return _lie_sum(f, w)[0]
+
+
+def _lie_sum(f: VectorField, w: VectorField) -> tuple[VectorField, int]:
+    """The sum of :func:`pushforward_exp` and the number of its bracket
+    terms (the series length less the leading ``w``)."""
     terms = lie_series_terms(f, w)
     out = terms[0]
     for t in terms[1:]:
         out = out + t
-    return out
+    return out, len(terms) - 1
 
 
 def pushforward_exp_reversed(f: VectorField, w: VectorField) -> VectorField:
@@ -360,17 +368,7 @@ class KamConstants:
         return math.log(self.frak_c) + best
 
     def as_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "k1": self.k1,
-            "c": self.c,
-            "frak_c": self.frak_c,
-            "r0": self.r0,
-            "s0": self.s0,
-            "rho": self.rho,
-            "sigma": self.sigma,
-            "chi": CHI,
-        }
+        return {**asdict(self), "chi": CHI}
 
 
 @dataclass(frozen=True)
@@ -392,24 +390,6 @@ class KamStepRecord:
     smallness_rhs_log: float
     smallness_ok: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "ord_x": self.ord_x,
-            "ord_x_next": self.ord_x_next,
-            "generator_order": self.generator_order,
-            "series_terms": self.series_terms,
-            "eps": self.eps,
-            "theta": self.theta,
-            "r": self.r,
-            "s": self.s,
-            "rho": self.rho,
-            "sigma": self.sigma,
-            "smallness_lhs_log": self.smallness_lhs_log,
-            "smallness_rhs_log": self.smallness_rhs_log,
-            "smallness_ok": self.smallness_ok,
-        }
-
 
 @dataclass(frozen=True)
 class KamTrace:
@@ -423,7 +403,7 @@ class KamTrace:
 
     def as_dict(self) -> dict:
         return {
-            "records": [r.as_dict() for r in self.records],
+            "records": [asdict(r) for r in self.records],
             "constants": self.constants.as_dict(),
             "convergence_lhs_log": self.convergence_lhs_log,
             "convergence_rhs_log": self.convergence_rhs_log,
@@ -486,9 +466,10 @@ class TransformLog:
             if line.startswith("#"):
                 flush()
                 parts = line.lstrip("#").split("|")
-                if len(parts) != 2 or not parts[1].strip().startswith("stage"):
+                words = parts[1].split() if len(parts) == 2 else []
+                if len(words) != 2 or words[0] != "stage":
                     raise ProblemFileError("malformed generator header %r" % line)
-                stage = parts[1].strip().split()[1]
+                stage = words[1]
                 block = []
             else:
                 if stage is None:
@@ -582,10 +563,7 @@ def kam_step(
     if not _project_class(f, dec.module, 2).is_zero:
         raise NormalFormError("generator has class-2 terms")
 
-    series = lie_series_terms(f, dec.assemble())
-    w_plus = series[0]
-    for t in series[1:]:
-        w_plus = w_plus + t
+    w_plus, series_terms = _lie_sum(f, dec.assemble())
     dec_plus = decompose(w_plus, dec.model, dec.module, dec.mstar)
 
     if not (dec_plus.z - dec.z).is_zero:
@@ -615,7 +593,7 @@ def kam_step(
         ord_x=old_ord,
         ord_x_next=new_ord,
         generator_order=f.order(),
-        series_terms=len(series) - 1,
+        series_terms=series_terms,
         eps=eps,
         theta=theta,
         r=r,

@@ -1,19 +1,23 @@
 """Exact resonance structure of a diagonal linear part.
 
-A frequency model stores each eigenvalue ``lambda_k`` as an exact
-Gaussian-rational coordinate vector over a small basis of named real
-symbols that are assumed rationally independent.  Resonance questions
-(``lambda . p = 0``?) are decided exactly on the coordinates; numeric
-symbol values are used for divisions, flows and Diophantine audits, and
-a coherence audit verifies that within the truncation window the values
-produce exactly the same vanishing pattern as the symbols.
+A frequency model stores each eigenvalue ``lambda_k`` once, as an
+integer key: its Gaussian-rational coordinates over a small basis of
+named real symbols (assumed rationally independent), multiplied by the
+common denominator of all coordinates.  The key of a combination
+``lambda . p`` or ``lambda . (q - e_k)`` is the same integer sum of the
+eigenvalue keys, and an empty key is a vanishing combination, so every
+resonance question is decided exactly and independently of the symbol
+values.  The value of a key (``sum_i key_i * symbol_i``) is used for
+divisions, flows and Diophantine audits, and a coherence audit checks
+that within the truncation window the values vanish exactly where the
+keys do.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -23,7 +27,7 @@ from .errors import (
     NormalFormError,
     UniqueFactorizationViolation,
 )
-from .fields import GR_ZERO, GaussianRational, VectorField
+from .fields import GaussianRational, VectorField
 from .indexing import (
     Mode,
     MultiIndex,
@@ -36,24 +40,23 @@ from .indexing import (
     smoothing_gap,
 )
 
-CoordVector = dict[int, GaussianRational]
-"""Sparse symbol-index -> Gaussian-rational coefficient map; canonical
-form never stores zero coefficients, so emptiness is the zero test."""
-
-
-def _coord_sub(a: CoordVector, b: CoordVector) -> CoordVector:
-    out = dict(a)
-    for i, c in b.items():
-        acc = out.get(i, GR_ZERO) - c
-        if acc.is_zero:
-            out.pop(i, None)
-        else:
-            out[i] = acc
-    return out
+Key = dict[int, tuple[int, int]]
+"""Integer coordinates ``symbol index -> (re, im)`` of a combination of
+eigenvalues over the model's common denominator.  Zero entries are never
+stored, so an empty key is a vanishing combination; the insertion order
+is the order the entries first appeared in, which fixes the summation
+order of float values."""
 
 
 class FrequencyModel:
-    """Eigenvalues of the diagonal linear part over a symbol basis.
+    """Eigenvalues of the diagonal linear part as integer keys.
+
+    ``__init__`` builds one table: each mode's coordinates over the
+    symbol basis as integers over a common denominator.  Every caller
+    goes through two functions: :meth:`key` gives the key of
+    ``lambda . p`` or ``lambda . (q - e_k)`` (empty means resonant) and
+    :meth:`value` turns a key into a ``GaussianRational`` (exact
+    arithmetic) or a complex number (float arithmetic).
 
     Parameters
     ----------
@@ -77,9 +80,13 @@ class FrequencyModel:
         "name",
         "symbol_names",
         "symbol_values",
-        "_coords",
         "alpha",
         "phases",
+        "_table",
+        "_den",
+        "_floats",
+        "_weights",
+        "_unit",
     )
 
     def __init__(
@@ -97,19 +104,35 @@ class FrequencyModel:
             raise ModelError("duplicate symbol names in frequency model")
         self.symbol_values = tuple(val for _, val in symbols)
         index = {nm: i for i, nm in enumerate(self.symbol_names)}
-        coords: dict[Mode, CoordVector] = {}
+        coords: dict[Mode, dict[int, GaussianRational]] = {}
+        den = 1
         for k, row in coordinates.items():
             if not isinstance(k, Mode):
                 k = Mode(*k)
-            vec: CoordVector = {}
+            vec = {}
             for sym, coeff in row.items():
                 if sym not in index:
                     raise ModelError("unknown symbol %r for mode %s" % (sym, (k,)))
                 g = _as_coeff(coeff)
                 if not g.is_zero:
                     vec[index[sym]] = g
+                    den = math.lcm(den, g.re.denominator, g.im.denominator)
             coords[k] = vec
-        self._coords = coords
+        self._table: dict[Mode, Key] = {
+            k: {i: (int(c.re * den), int(c.im * den)) for i, c in vec.items()}
+            for k, vec in coords.items()
+        }
+        self._den = den
+        self._floats = tuple(float(v) for v in self.symbol_values)
+        # ``_weights`` scale the symbol values so that ``_scaled`` returns
+        # ``value * _unit``: integers when every value is rational.
+        if self.exact_capable:
+            sden = math.lcm(*(v.denominator for v in self.symbol_values))
+            self._weights = tuple(int(v * sden) for v in self.symbol_values)
+            self._unit = den * sden
+        else:
+            self._weights = self._floats
+            self._unit = den
         self.alpha = None if alpha is None else float(alpha)
         self.phases = None if phases is None else {
             (k if isinstance(k, Mode) else Mode(*k)): float(v)
@@ -127,78 +150,90 @@ class FrequencyModel:
     def validate(self, ctx: TruncationContext) -> None:
         """Check the model covers the context with nonzero eigenvalues."""
         for k in ctx.modes():
-            vec = self._coords.get(k)
-            if vec is None:
+            row = self._table.get(k)
+            if row is None:
                 raise ModelError("mode %s has no eigenvalue in model %s" % (format_mode(k), self.name))
-            if not vec:
+            if not row:
                 raise ModelError(
                     "eigenvalue of mode %s is zero; the linear part must be "
                     "nondegenerate" % format_mode(k)
                 )
 
-    # -- exact coordinates ------------------------------------------------
+    # -- keys and values ---------------------------------------------------
 
-    def coord(self, k: Mode) -> CoordVector:
+    def _row(self, k: Mode) -> Key:
         try:
-            return self._coords[k]
+            return self._table[k]
         except KeyError:
             raise ModelError("mode %s not covered by model %s" % (format_mode(k), self.name)) from None
 
-    def combination_coord(self, p: MultiIndex) -> CoordVector:
-        """Exact coordinates of ``lambda . p`` for a signed index ``p``."""
-        acc: CoordVector = {}
-        for k, e in p.items():
-            for i, c in self.coord(k).items():
-                cur = acc.get(i, GR_ZERO) + c * e
-                if cur.is_zero:
-                    acc.pop(i, None)
+    def key(self, p: MultiIndex, k: Mode | None = None) -> Key:
+        """Key of ``lambda . p`` for a signed index ``p``, or of
+        ``lambda . (p - e_k)`` when a direction ``k`` is given."""
+        table = self._table
+        acc: Key = {}
+        terms = p.items() if k is None else p.items() + ((k, -1),)
+        for m, e in terms:
+            row = table.get(m)
+            if row is None:
+                row = self._row(m)
+            for i, (re, im) in row.items():
+                cur = acc.get(i)
+                if cur is None:
+                    acc[i] = (re * e, im * e)
+                    continue
+                re = cur[0] + re * e
+                im = cur[1] + im * e
+                if re or im:
+                    acc[i] = (re, im)
                 else:
-                    acc[i] = cur
+                    del acc[i]
+        return acc
+
+    def _scaled(self, key: Key) -> tuple:
+        """``value(key) * _unit`` as an ``(re, im)`` pair; integers for
+        exact-capable models, so zero tests need no rational arithmetic."""
+        weights = self._weights
+        re = im = 0
+        for i, (a, b) in key.items():
+            re += a * weights[i]
+            im += b * weights[i]
+        return re, im
+
+    def value(self, key: Key, exact: bool):
+        """``sum_i key_i * symbol_i`` over the common denominator: a
+        ``GaussianRational`` when ``exact``, else a complex number."""
+        if exact:
+            if not self.exact_capable:
+                raise ModelError(
+                    "model %s has irrational symbol values; exact arithmetic "
+                    "is unavailable" % self.name
+                )
+            re, im = self._scaled(key)
+            return GaussianRational(Fraction(re, self._unit), Fraction(im, self._unit))
+        den = self._den
+        floats = self._floats
+        acc = 0j
+        for i, (a, b) in key.items():
+            acc += complex(a / den, b / den) * floats[i]
         return acc
 
     def is_resonant_combination(self, p: MultiIndex) -> bool:
         """Exact test of ``lambda . p = 0`` (symbolic, value-independent)."""
-        return not self.combination_coord(p)
-
-    def divisor_coord(self, q: MultiIndex, k: Mode) -> CoordVector:
-        return _coord_sub(self.combination_coord(q), self.coord(k))
+        return not self.key(p)
 
     def is_resonant_pair(self, q: MultiIndex, k: Mode) -> bool:
         """Exact test of ``lambda . (q - e_k) = 0``."""
-        return not self.divisor_coord(q, k)
-
-    # -- numeric values ----------------------------------------------------
-
-    def coord_value_exact(self, vec: CoordVector) -> GaussianRational:
-        if not self.exact_capable:
-            raise ModelError(
-                "model %s has irrational symbol values; exact arithmetic "
-                "is unavailable" % self.name
-            )
-        acc = GR_ZERO
-        for i, c in vec.items():
-            acc = acc + c * self.symbol_values[i]
-        return acc
-
-    def coord_value_float(self, vec: CoordVector) -> complex:
-        acc = 0j
-        for i, c in vec.items():
-            acc += complex(c) * float(self.symbol_values[i])
-        return acc
-
-    def coord_value(self, vec: CoordVector, ctx: TruncationContext):
-        return (
-            self.coord_value_exact(vec) if ctx.exact else self.coord_value_float(vec)
-        )
-
-    def eigenvalue(self, k: Mode, ctx: TruncationContext):
-        return self.coord_value(self.coord(k), ctx)
-
-    def eigenvalue_complex(self, k: Mode) -> complex:
-        return self.coord_value_float(self.coord(k))
+        return not self.key(q, k)
 
     def divisor_value(self, q: MultiIndex, k: Mode, ctx: TruncationContext):
-        return self.coord_value(self.divisor_coord(q, k), ctx)
+        return self.value(self.key(q, k), ctx.exact)
+
+    def eigenvalue(self, k: Mode, ctx: TruncationContext):
+        return self.value(self._row(k), ctx.exact)
+
+    def eigenvalue_complex(self, k: Mode) -> complex:
+        return self.value(self._row(k), False)
 
     def asymptotic_eigenvalue(self, k: Mode) -> complex:
         """The declared model shape ``<k>**alpha * exp(i*phi_k)``; falls
@@ -223,7 +258,7 @@ class FrequencyModel:
     def __repr__(self):
         return "FrequencyModel(%s, %d modes, %d symbols)" % (
             self.name,
-            len(self._coords),
+            len(self._table),
             len(self.symbol_names),
         )
 
@@ -236,59 +271,6 @@ def _as_coeff(value) -> GaussianRational:
     if isinstance(value, (tuple, list)) and len(value) == 2:
         return GaussianRational(Fraction(value[0]), Fraction(value[1]))
     raise ModelError("cannot interpret %r as an exact coefficient" % (value,))
-
-
-def _integer_view(model: FrequencyModel, modes: tuple[Mode, ...]):
-    """Rescale the model onto integers for the enumeration loops.
-
-    Zero tests and equalities are invariant under a common positive
-    scale, so coordinates (and, for exact models, values) are multiplied
-    by the lcm of their denominators once and the inner loops run on
-    plain integer arithmetic.  Returns ``(icoords, ivalues, fvalues)``
-    where ``icoords[k]`` is a sorted ``(symbol, re, im)`` tuple usable as
-    an equality key, ``ivalues[k]`` is an integer ``(re, im)`` pair (or
-    ``None`` for float-valued models) and ``fvalues[k]`` is the complex
-    eigenvalue.
-    """
-    coords = {k: model.coord(k) for k in modes}
-    cden = 1
-    for vec in coords.values():
-        for c in vec.values():
-            cden = math.lcm(cden, c.re.denominator, c.im.denominator)
-    icoords = {
-        k: tuple(
-            (i, int(c.re * cden), int(c.im * cden))
-            for i, c in sorted(vec.items())
-        )
-        for k, vec in coords.items()
-    }
-    ivalues = None
-    if model.exact_capable:
-        vals = {k: model.coord_value_exact(vec) for k, vec in coords.items()}
-        vden = 1
-        for v in vals.values():
-            vden = math.lcm(vden, v.re.denominator, v.im.denominator)
-        ivalues = {
-            k: (int(v.re * vden), int(v.im * vden)) for k, v in vals.items()
-        }
-    fvalues = {k: model.coord_value_float(vec) for k, vec in coords.items()}
-    return icoords, ivalues, fvalues
-
-
-def _combination_key(
-    q: MultiIndex, icoords: Mapping[Mode, tuple[tuple[int, int, int], ...]]
-) -> tuple[tuple[int, int, int], ...]:
-    """Integer equality key of ``lambda . q`` (same form as ``icoords``)."""
-    acc: dict[int, list[int]] = {}
-    for k, e in q.items():
-        for i, re_c, im_c in icoords[k]:
-            cur = acc.get(i)
-            if cur is None:
-                acc[i] = [re_c * e, im_c * e]
-            else:
-                cur[0] += re_c * e
-                cur[1] += im_c * e
-    return tuple((i, v[0], v[1]) for i, v in sorted(acc.items()) if v[0] or v[1])
 
 
 # ---------------------------------------------------------------------------
@@ -421,51 +403,39 @@ def enumerate_resonance(ctx: TruncationContext, model: FrequencyModel) -> Resona
 
     Walks every nonnegative exponent ``q`` with ``|q| <= D`` (module
     candidates and, per direction ``k``, the signed translates
-    ``q - e_k``), decides resonance exactly on symbol coordinates, and
-    cross-checks that numeric symbol values vanish in exactly the same
-    places (a value-coherence audit guarding the divisions performed by
-    the solvers over the larger field window ``|q| <= D + 1``).
+    ``q - e_k``), decides resonance exactly on the model's integer keys,
+    and cross-checks that the values of those keys vanish in exactly the
+    same places (a value-coherence audit guarding the divisions performed
+    by the solvers over the larger field window ``|q| <= D + 1``).
     """
     model.validate(ctx)
     D = ctx.degree_cutoff
     modes = ctx.modes()
     momentum_on = ctx.momentum_enabled
 
-    icoords, ivalues, fvalues = _integer_view(model, modes)
-    exactly = ivalues is not None
+    # Values are compared as ``value * unit`` pairs (``_scaled``): integer
+    # pairs for exact-capable models, float pairs against a tolerance
+    # otherwise.  The value of the divisor key ``lambda . (q - e_k)`` is
+    # the value of ``lambda . q`` less that of the eigenvalue key.
+    table = model._table
+    exactly = model.exact_capable
+    tol = 1e-9 * model._unit
+    scaled = {k: model._scaled(table[k]) for k in modes}
     mom_of = {k: mode_momentum(k) for k in modes}
 
     module_elements: list[MultiIndex] = []
     resonant_pairs: list[tuple[MultiIndex, Mode]] = []
     for q in iter_indices(modes, D + 1, min_degree=1):
-        acc: dict[int, list[int]] = {}
-        vre = vim = 0
-        fval = 0j
-        for k, e in q.items():
-            for i, re_c, im_c in icoords[k]:
-                cur = acc.get(i)
-                if cur is None:
-                    acc[i] = [re_c * e, im_c * e]
-                else:
-                    cur[0] += re_c * e
-                    cur[1] += im_c * e
-            if exactly:
-                iv = ivalues[k]
-                vre += iv[0] * e
-                vim += iv[1] * e
-            else:
-                fval += fvalues[k] * e
-        combo_key = tuple(
-            (i, v[0], v[1]) for i, v in sorted(acc.items()) if v[0] or v[1]
-        )
+        combo = model.key(q)
+        vre, vim = model._scaled(combo)
         if exactly:
-            value_zero_q = vre == 0 and vim == 0
+            value_zero_q = not vre and not vim
         else:
-            value_zero_q = abs(fval) <= 1e-9
-        _require_coherent(model, q, None, not combo_key, value_zero_q)
+            value_zero_q = abs(complex(vre, vim)) <= tol
+        _require_coherent(model, q, None, not combo, value_zero_q)
         if (
             q.degree <= D
-            and not combo_key
+            and not combo
             and (not momentum_on or q.momentum_sum == 0)
         ):
             module_elements.append(q)
@@ -474,13 +444,13 @@ def enumerate_resonance(ctx: TruncationContext, model: FrequencyModel) -> Resona
         for k in modes:
             if momentum_on and momentum_q != mom_of[k]:
                 continue
-            # divisor lambda.(q - e_k) vanishes iff the integer keys agree
-            symbolic_zero = combo_key == icoords[k]
+            # the divisor key of (q, k) is empty iff the two keys agree
+            symbolic_zero = combo == table[k]
+            kre, kim = scaled[k]
             if exactly:
-                iv = ivalues[k]
-                value_zero = vre == iv[0] and vim == iv[1]
+                value_zero = vre == kre and vim == kim
             else:
-                value_zero = abs(fval - fvalues[k]) <= 1e-9
+                value_zero = abs(complex(vre - kre, vim - kim)) <= tol
             _require_coherent(model, q, k, symbolic_zero, value_zero)
             if symbolic_zero and in_window:
                 resonant_pairs.append((q, k))
@@ -697,7 +667,7 @@ def diophantine_audit(
     modes = ctx.modes()
     momentum_on = ctx.momentum_enabled
 
-    icoords, _, fvalues = _integer_view(model, modes)
+    fvalues = {k: model.eigenvalue_complex(k) for k in modes}
     asymptotics = {k: model.asymptotic_eigenvalue(k) for k in modes}
     gamma_max = math.inf
     worst: MultiIndex | None = None
@@ -706,7 +676,7 @@ def diophantine_audit(
     for p in _signed_candidates(modes, degree_bound):
         if momentum_on and p.momentum_sum != 0:
             continue
-        if not _combination_key(p, icoords):
+        if not model.key(p):
             continue
         count += 1
         value = abs(sum(fvalues[k] * e for k, e in p.items()))
@@ -772,16 +742,7 @@ class WeightAuditReport:
 
     def as_dict(self) -> dict:
         return {
-            "rows": [
-                {
-                    "delta": r.delta,
-                    "max_value": r.max_value,
-                    "implied_constant": r.implied_constant,
-                    "worst_q": r.worst_q,
-                    "worst_k": r.worst_k,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
             "enumerated_count": self.enumerated_count,
             "case0_checked": self.case0_checked,
             "case0_passed": self.case0_passed,
@@ -821,15 +782,16 @@ def small_divisor_audit(
     count = 0
     case0_checked = 0
     case0_passed = True
-    icoords, _, fvalues = _integer_view(model, modes)
+    table = model._table
+    fvalues = {k: model.eigenvalue_complex(k) for k in modes}
     for q in iter_indices(modes, ctx.degree_cutoff + 1, min_degree=1):
-        combo_key = _combination_key(q, icoords)
+        combo_key = model.key(q)
         combo_value = sum(fvalues[k] * e for k, e in q.items())
         momentum_q = q.momentum_sum if momentum_on else 0
         for k in modes:
             if momentum_on and momentum_q != mode_momentum(k):
                 continue
-            if combo_key == icoords[k]:
+            if combo_key == table[k]:
                 continue
             count += 1
             divisor = abs(combo_value - fvalues[k])
@@ -889,7 +851,7 @@ def _case0_chain_holds(
     the second step requiring |q| >= 2.
     """
     p = q - MultiIndex.unit(k)
-    divisor = abs(model.coord_value_float(model.combination_coord(p)))
+    divisor = abs(model.value(model.key(p), False))
     prod = 1.0
     for _, e in p.items():
         prod *= (1 + e * e) ** tau

@@ -426,6 +426,73 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
 
+class TestMalformedTokens:
+    """A bad exponent, coefficient or generator header is an input error
+    (exit 1) that names the token, on every path that reads term lines."""
+
+    BAD_LINES = {
+        "letter-exponent": ("1+ | 1+^x | 1/1 0/1", "1+^x"),
+        "fractional-exponent": ("1+ | 1+^2.5 | 1/1 0/1", "1+^2.5"),
+        "word-coefficient": ("1+ | 1+^2 | abc 0/1", "abc 0/1"),
+        "zero-denominator": ("1+ | 1+^2 | 1/0 0/1", "1/0 0/1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BAD_LINES))
+    def test_terms(self, tmp_path, capsys, case):
+        line, token = self.BAD_LINES[case]
+        path = write(tmp_path, dim6_doc(field={"terms": DIAGONAL_LINES + [line]}))
+        assert run(["analyze", path]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "problem.field.terms" in err and repr(token) in err
+
+    @pytest.mark.parametrize("case", sorted(BAD_LINES))
+    def test_terms_file(self, tmp_path, capsys, case):
+        line, token = self.BAD_LINES[case]
+        (tmp_path / "field.txt").write_text(
+            "\n".join(DIAGONAL_LINES + [line]) + "\n", encoding="utf-8"
+        )
+        path = write(tmp_path, dim6_doc(field={"terms_file": "field.txt"}))
+        assert run(["normalize", path]) == EXIT_INPUT
+        assert repr(token) in capsys.readouterr().err
+
+    def test_float_coefficient(self, tmp_path, capsys):
+        path = write(tmp_path, dim6_doc(field={"terms": DIAGONAL_LINES}))
+        assert run(["analyze", path, "--float"]) == EXIT_INPUT
+        assert "cannot parse coefficient '2/1 0/1'" in capsys.readouterr().err
+
+    def _artifacts(self, workspace, tmp_path, name, edit):
+        _, problem, out = workspace
+        copy = tmp_path / "out"
+        copy.mkdir()
+        for entry in os.listdir(out):
+            text = Path(out, entry).read_text(encoding="utf-8")
+            if entry == name:
+                text = edit(text)
+            (copy / entry).write_text(text, encoding="utf-8")
+        return problem, str(copy)
+
+    def test_verify_generator_header(self, workspace, tmp_path, capsys):
+        problem, out = self._artifacts(
+            workspace,
+            tmp_path,
+            "transform_log.txt",
+            lambda text: text.replace("| stage kam", "| stage", 1),
+        )
+        assert run(["verify", problem, "--transform", out]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "malformed generator header '# generator 0 | stage'" in err
+
+    def test_verify_normal_form_exponent(self, workspace, tmp_path, capsys):
+        problem, out = self._artifacts(
+            workspace,
+            tmp_path,
+            "normal_form.txt",
+            lambda text: text.replace("^1", "^x", 1),
+        )
+        assert run(["verify", problem, "--transform", out]) == EXIT_INPUT
+        assert "cannot parse exponent token" in capsys.readouterr().err
+
+
 class TestExitCodes:
     def test_model_error_for_dependent_symbol_values(self, tmp_path, capsys):
         doc = {

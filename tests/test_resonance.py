@@ -82,8 +82,11 @@ class TestFrequencyModel:
             "floaty", [("rt2", math.sqrt(2))], {fin(1): {"rt2": 1}}
         )
         assert not floaty.exact_capable
+        exact = TruncationContext(1, 2, arithmetic="exact")
         with pytest.raises(ModelError, match="irrational"):
-            floaty.coord_value_exact({0: GaussianRational(1)})
+            floaty.eigenvalue(fin(1), exact)
+        with pytest.raises(ModelError, match="irrational"):
+            floaty.divisor_value(E1 + E1, fin(1), exact)
 
     def test_eigenvalues(self, ctx6):
         model = dim6_model()
@@ -91,7 +94,9 @@ class TestFrequencyModel:
         assert model.eigenvalue(fin(3), ctx6) == GaussianRational(Fraction(1393, 985))
         assert model.eigenvalue_complex(fin(4)) == pytest.approx(-1393 / 985)
         with pytest.raises(ModelError, match="not covered"):
-            model.coord(Mode(7, 1))
+            model.eigenvalue_complex(Mode(7, 1))
+        with pytest.raises(ModelError, match="not covered"):
+            model.is_resonant_pair(E1, Mode(7, 1))
 
     def test_combination_and_divisor(self, ctx6):
         model = dim6_model()
