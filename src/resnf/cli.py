@@ -2,9 +2,12 @@
 
 A problem file (schema version 1) declares a frequency model (a named
 builder or an explicit symbol table with per-mode coordinates), a
-truncation window, a field (a builder seed, an explicit term list in
-canonical text form, or a reference to a previously emitted field file),
-and optional task parameters.  Four commands drive the library:
+truncation window, a field (a builder seed, the nls degree ``p``, an
+explicit term list in canonical text form, or a reference to a previously
+emitted field file), and optional task parameters.  ``load_problem`` reads
+each key once through ``_Section.get``, which labels and converts it;
+``_BUILDERS`` gives each builder's momentum rule, default field and ``p``
+parameter, and ``_FLOW`` the flow defaults.  Four commands drive the library:
 
 - ``analyze``     resonance enumeration plus the optional Diophantine
                   lower-bound scan;
@@ -32,7 +35,7 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     HypothesisViolation,
@@ -103,6 +106,14 @@ class _Section:
             raise ProblemFileError("%s: missing required key" % self.label(key))
         return default
 
+    def get(self, key: str, convert, default=_MISSING):
+        """``take`` the value and ``convert`` it under the key's label; a
+        key whose default is None reads null as absent."""
+        value = self.take(key, default)
+        if value is None and default is None:
+            return None
+        return convert(value, self.label(key))
+
     def child(self, key: str, required: bool = False) -> "_Section | None":
         if key not in self._data:
             if required:
@@ -166,6 +177,39 @@ def _as_number(value, label: str) -> float:
     raise ProblemFileError("%s: expected a number" % label)
 
 
+def _as_numbers(value, label: str) -> list[float]:
+    if not isinstance(value, list) or not value:
+        raise ProblemFileError("%s: expected a non-empty array" % label)
+    return [_as_number(v, "%s[%d]" % (label, i)) for i, v in enumerate(value)]
+
+
+class _Builder(NamedTuple):
+    """What a model builder fixes about its problem file."""
+
+    momentum: bool | None  # the required momentum flag (None: off unless set)
+    seeded: bool  # builds a seeded field, seed 0 (the linear part) by default
+    takes_p: bool  # builds its field from the nonlinearity degree p
+
+
+#: The model builders; the None key is a custom model (no ``builder`` key).
+_BUILDERS = {
+    "dim6": _Builder(momentum=False, seeded=True, takes_p=False),
+    "nls": _Builder(momentum=True, seeded=False, takes_p=True),
+    "hyperbolic": _Builder(momentum=True, seeded=True, takes_p=False),
+    None: _Builder(momentum=None, seeded=False, takes_p=False),
+}
+
+#: The flow section in reading order: (key, converter, default).  An absent
+#: or null ``rho`` reads as ``[0.05, 0.025, 0.0125]``.
+_FLOW = (
+    ("steps", _as_int, 256),
+    ("horizon", _as_number, 1.0),
+    ("blowup", _as_number, 10.0),
+    ("rho", _as_numbers, None),
+    ("seed", _as_int, 0),
+)
+
+
 @dataclass(frozen=True)
 class Problem:
     """A parsed problem file plus any command-line overrides."""
@@ -203,7 +247,7 @@ def _parse_potential(modelsec: _Section, cutoff: int):
 
 
 def _parse_custom_model(modelsec: _Section) -> FrequencyModel:
-    name = _as_str(modelsec.take("name", "custom"), modelsec.label("name"))
+    name = modelsec.get("name", _as_str, "custom")
     symtable = modelsec.take("symbols")
     symlabel = modelsec.label("symbols")
     if not isinstance(symtable, dict) or not symtable:
@@ -248,16 +292,6 @@ def _parse_custom_model(modelsec: _Section) -> FrequencyModel:
     return FrequencyModel(name, symbols, coords)
 
 
-def _refit(w: VectorField, ctx: TruncationContext) -> VectorField:
-    """Rebuild a builder-produced field over the problem's context (the
-    mode set matches; theta or the arithmetic mode may differ)."""
-    if w.ctx == ctx:
-        return w
-    if ctx.exact:
-        return VectorField(ctx, w.terms())
-    return VectorField(ctx, ((k, q, complex(c)) for k, q, c in w.terms()))
-
-
 def load_problem(
     path: str,
     *,
@@ -276,105 +310,75 @@ def load_problem(
         raise ProblemFileError("%s: %s" % (path, exc)) from exc
 
     root = _Section(data, "problem")
-    version = _as_int(
-        root.take("schema_version"), root.label("schema_version")
-    )
+    version = root.get("schema_version", _as_int)
     if version != SCHEMA_VERSION:
         raise ProblemFileError(
             "problem.schema_version: expected %d, got %d"
             % (SCHEMA_VERSION, version)
         )
-    name = _as_str(root.take("name", ""), root.label("name"))
+    name = root.get("name", _as_str, "")
 
     trunc = root.child("truncation", required=True)
-    mode_cutoff = _as_int(trunc.take("mode_cutoff"), trunc.label("mode_cutoff"))
-    degree_cutoff = _as_int(
-        trunc.take("degree_cutoff"), trunc.label("degree_cutoff")
-    )
-    theta = _as_number(trunc.take("theta", 0.5), trunc.label("theta"))
-    momentum_raw = trunc.take("momentum", None)
-    momentum = (
-        None
-        if momentum_raw is None
-        else _as_bool(momentum_raw, trunc.label("momentum"))
-    )
-    arith = _as_str(
-        trunc.take("arithmetic", "exact"), trunc.label("arithmetic")
-    )
+    mode_cutoff = trunc.get("mode_cutoff", _as_int)
+    degree_cutoff = trunc.get("degree_cutoff", _as_int)
+    theta = trunc.get("theta", _as_number, 0.5)
+    momentum = trunc.get("momentum", _as_bool, None)
+    arith = trunc.get("arithmetic", _as_str, "exact")
     if arith not in ("exact", "float"):
         raise ProblemFileError(
             "%s: must be 'exact' or 'float'" % trunc.label("arithmetic")
         )
     trunc.finish()
-    if arithmetic is not None:
-        arith = arithmetic
+    arith = arithmetic or arith
 
     modelsec = root.child("model", required=True)
-    builder_raw = modelsec.take("builder", None)
-    builder = (
-        None
-        if builder_raw is None
-        else _as_str(builder_raw, modelsec.label("builder"))
-    )
-
-    zeta1 = zeta2 = None
+    builder = modelsec.get("builder", _as_str, None)
+    if builder not in _BUILDERS:
+        raise ProblemFileError(
+            "problem.model.builder: unknown builder %r (expected dim6, nls "
+            "or hyperbolic)" % builder
+        )
+    rules = _BUILDERS[builder]
+    builder = builder or "custom"
+    zeta: tuple[Fraction, ...] = ()
     potential = None
     elliptic: tuple[int, ...] = ()
     if builder == "dim6":
-        zeta1 = _as_rational(
-            modelsec.take("zeta1", "1393/985"), modelsec.label("zeta1")
+        zeta = (
+            modelsec.get("zeta1", _as_rational, "1393/985"),
+            modelsec.get("zeta2", _as_rational, "1351/780"),
         )
-        zeta2 = _as_rational(
-            modelsec.take("zeta2", "1351/780"), modelsec.label("zeta2")
-        )
-        modelsec.finish()
-        if momentum is True:
-            raise ProblemFileError(
-                "problem.truncation.momentum: the dim6 model is a finite "
-                "problem without momentum bookkeeping"
+    elif builder == "custom":
+        model = _parse_custom_model(modelsec)
+    else:
+        potential = _parse_potential(modelsec, mode_cutoff)
+    if builder == "hyperbolic":
+        sites = modelsec.take("elliptic_sites", [])
+        siteslabel = modelsec.label("elliptic_sites")
+        if not isinstance(sites, list):
+            raise ProblemFileError("%s: expected an array" % siteslabel)
+        elliptic = tuple(_as_int(v, siteslabel) for v in sites)
+    modelsec.finish()
+    if momentum is not None and rules.momentum not in (None, momentum):
+        raise ProblemFileError(
+            "problem.truncation.momentum: the %s model %s" % (
+                builder,
+                "requires momentum bookkeeping" if rules.momentum
+                else "is a finite problem without momentum bookkeeping",
             )
-        momentum = False
+        )
+    momentum = bool(momentum) if rules.momentum is None else rules.momentum
+    if builder == "dim6":
         if mode_cutoff != 6:
             raise ProblemFileError(
                 "problem.truncation.mode_cutoff: the dim6 model has exactly "
                 "6 modes"
             )
-        model = dim6_frequency_model(zeta1, zeta2)
+        model = dim6_frequency_model(*zeta)
     elif builder == "nls":
-        potential = _parse_potential(modelsec, mode_cutoff)
-        modelsec.finish()
-        if momentum is False:
-            raise ProblemFileError(
-                "problem.truncation.momentum: the nls model requires "
-                "momentum bookkeeping"
-            )
-        momentum = True
         model = nls_frequency_model(mode_cutoff, potential)
     elif builder == "hyperbolic":
-        potential = _parse_potential(modelsec, mode_cutoff)
-        sites_raw = modelsec.take("elliptic_sites", [])
-        siteslabel = modelsec.label("elliptic_sites")
-        if not isinstance(sites_raw, list):
-            raise ProblemFileError("%s: expected an array" % siteslabel)
-        elliptic = tuple(_as_int(v, siteslabel) for v in sites_raw)
-        modelsec.finish()
-        if momentum is False:
-            raise ProblemFileError(
-                "problem.truncation.momentum: the hyperbolic model requires "
-                "momentum bookkeeping"
-            )
-        momentum = True
         model = hyperbolic_frequency_model(mode_cutoff, potential, elliptic)
-    elif builder is None:
-        model = _parse_custom_model(modelsec)
-        modelsec.finish()
-        momentum = False if momentum is None else momentum
-        builder = "custom"
-    else:
-        raise ProblemFileError(
-            "problem.model.builder: unknown builder %r (expected dim6, nls "
-            "or hyperbolic)" % builder
-        )
 
     try:
         ctx = TruncationContext(
@@ -388,67 +392,58 @@ def load_problem(
         raise ProblemFileError("problem.truncation: %s" % exc) from exc
 
     fieldsec = root.child("field")
+    if fieldsec is None and not rules.seeded:
+        raise ProblemFileError(
+            "problem.field: missing section (the %s model has no default "
+            "field)" % builder
+        )
+    fieldsec = fieldsec or _Section({}, "problem.field")
     terms_lines = None
     field_seed: int | None = None
     p_param: int | None = None
-    if fieldsec is None:
-        if builder not in ("dim6", "hyperbolic"):
+    terms_raw, file_raw, seed_raw, p_raw = (
+        fieldsec.take(key, None) for key in ("terms", "terms_file", "seed", "p")
+    )
+    fieldsec.finish()
+    if sum(v is not None for v in (terms_raw, file_raw, seed_raw, p_raw)) > 1:
+        raise ProblemFileError(
+            "problem.field: give exactly one of terms, terms_file, seed or p"
+        )
+    if terms_raw is not None:
+        label = fieldsec.label("terms")
+        if not isinstance(terms_raw, list):
+            raise ProblemFileError("%s: expected an array of term lines" % label)
+        terms_lines = [_as_str(line, label) for line in terms_raw]
+    elif file_raw is not None:
+        ref = fieldsec.get("terms_file", _as_str)
+        full = os.path.join(os.path.dirname(os.path.abspath(path)), ref)
+        try:
+            with open(full, "r", encoding="utf-8") as fh:
+                terms_lines = fh.read().splitlines()
+        except OSError as exc:
             raise ProblemFileError(
-                "problem.field: missing section (the %s model has no "
-                "default field)" % builder
+                "%s: cannot read %s: %s" % (fieldsec.label("terms_file"), ref, exc)
+            ) from exc
+    elif p_raw is not None:
+        if not rules.takes_p:
+            raise ProblemFileError(
+                "problem.field.p: only the nls builder takes the "
+                "nonlinearity degree"
             )
+        p_param = fieldsec.get("p", _as_int)
+    elif seed_raw is not None:
+        if not rules.seeded:
+            raise ProblemFileError(
+                "problem.field.seed: only the dim6 and hyperbolic "
+                "builders generate seeded fields"
+            )
+        field_seed = fieldsec.get("seed", _as_int)
+    elif rules.seeded:
         field_seed = 0
     else:
-        terms_raw = fieldsec.take("terms", None)
-        file_raw = fieldsec.take("terms_file", None)
-        seed_raw = fieldsec.take("seed", None)
-        p_raw = fieldsec.take("p", None)
-        fieldsec.finish()
-        given = sum(v is not None for v in (terms_raw, file_raw, seed_raw, p_raw))
-        if given > 1:
-            raise ProblemFileError(
-                "problem.field: give exactly one of terms, terms_file, "
-                "seed or p"
-            )
-        if terms_raw is not None:
-            label = fieldsec.label("terms")
-            if not isinstance(terms_raw, list):
-                raise ProblemFileError("%s: expected an array of term lines" % label)
-            terms_lines = [_as_str(line, label) for line in terms_raw]
-        elif file_raw is not None:
-            ref = _as_str(file_raw, fieldsec.label("terms_file"))
-            full = os.path.join(os.path.dirname(os.path.abspath(path)), ref)
-            try:
-                with open(full, "r", encoding="utf-8") as fh:
-                    terms_lines = fh.read().splitlines()
-            except OSError as exc:
-                raise ProblemFileError(
-                    "%s: cannot read %s: %s" % (fieldsec.label("terms_file"), ref, exc)
-                ) from exc
-        elif p_raw is not None:
-            if builder != "nls":
-                raise ProblemFileError(
-                    "problem.field.p: only the nls builder takes the "
-                    "nonlinearity degree"
-                )
-            p_param = _as_int(p_raw, fieldsec.label("p"))
-        elif seed_raw is not None:
-            if builder not in ("dim6", "hyperbolic"):
-                raise ProblemFileError(
-                    "problem.field.seed: only the dim6 and hyperbolic "
-                    "builders generate seeded fields"
-                )
-            field_seed = _as_int(seed_raw, fieldsec.label("seed"))
-        else:
-            if builder not in ("dim6", "hyperbolic"):
-                raise ProblemFileError(
-                    "problem.field: the %s model needs terms or builder "
-                    "parameters" % builder
-                )
-            field_seed = 0
-    if builder == "nls" and terms_lines is None and p_param is None:
         raise ProblemFileError(
-            "problem.field: the nls builder needs the nonlinearity degree p"
+            "problem.field: the %s model needs terms or builder "
+            "parameters" % builder
         )
 
     if seed is not None:
@@ -463,73 +458,44 @@ def load_problem(
             w = VectorField.from_lines(ctx, terms_lines)
         except NormalFormError as exc:
             raise ProblemFileError("problem.field.terms: %s" % exc) from exc
-        field_seed = None
-    elif builder == "dim6":
-        w, model = build_example_dim6(
-            zeta1, zeta2, seed=field_seed, degree=degree_cutoff
-        )
-        w = _refit(w, ctx)
-    elif builder == "nls":
-        try:
-            w, model = build_example_nls(
-                p_param, potential, cutoff=mode_cutoff, degree=degree_cutoff
-            )
-        except ValueError as exc:
-            raise ProblemFileError("problem.field.p: %s" % exc) from exc
-        w = _refit(w, ctx)
     else:
-        w, model = build_example_hyperbolic(
-            mode_cutoff,
-            potential,
-            seed=field_seed,
-            degree=degree_cutoff,
-            elliptic_sites=elliptic,
-        )
-        w = _refit(w, ctx)
+        try:
+            if builder == "dim6":
+                w, _ = build_example_dim6(
+                    *zeta, seed=field_seed, degree=degree_cutoff
+                )
+            elif builder == "nls":
+                w, _ = build_example_nls(
+                    p_param, potential, cutoff=mode_cutoff, degree=degree_cutoff
+                )
+            else:
+                w, _ = build_example_hyperbolic(
+                    mode_cutoff,
+                    potential,
+                    seed=field_seed,
+                    degree=degree_cutoff,
+                    elliptic_sites=elliptic,
+                )
+        except ValueError as exc:
+            window = "field.p" if rules.takes_p else "truncation.degree_cutoff"
+            raise ProblemFileError("problem.%s: %s" % (window, exc)) from exc
+        if w.ctx != ctx:  # theta or the arithmetic lane differs
+            w = VectorField(ctx, w.terms())
 
     dio = None
     diosec = root.child("diophantine")
     if diosec is not None:
         dio = {
-            "tau": _as_number(diosec.take("tau"), diosec.label("tau")),
-            "degree_bound": _as_int(
-                diosec.take("degree_bound"), diosec.label("degree_bound")
-            ),
-            "fast_path": _as_bool(
-                diosec.take("fast_path", True), diosec.label("fast_path")
-            ),
+            "tau": diosec.get("tau", _as_number),
+            "degree_bound": diosec.get("degree_bound", _as_int),
+            "fast_path": diosec.get("fast_path", _as_bool, True),
         }
         diosec.finish()
 
-    flow = {
-        "steps": 256,
-        "horizon": 1.0,
-        "blowup": 10.0,
-        "rho": [0.05, 0.025, 0.0125],
-        "seed": 0,
-    }
-    flowsec = root.child("flow")
-    if flowsec is not None:
-        flow["steps"] = _as_int(
-            flowsec.take("steps", 256), flowsec.label("steps")
-        )
-        flow["horizon"] = _as_number(
-            flowsec.take("horizon", 1.0), flowsec.label("horizon")
-        )
-        flow["blowup"] = _as_number(
-            flowsec.take("blowup", 10.0), flowsec.label("blowup")
-        )
-        rho_raw = flowsec.take("rho", None)
-        if rho_raw is not None:
-            label = flowsec.label("rho")
-            if not isinstance(rho_raw, list) or not rho_raw:
-                raise ProblemFileError("%s: expected a non-empty array" % label)
-            flow["rho"] = [
-                _as_number(v, "%s[%d]" % (label, i))
-                for i, v in enumerate(rho_raw)
-            ]
-        flow["seed"] = _as_int(flowsec.take("seed", 0), flowsec.label("seed"))
-        flowsec.finish()
+    flowsec = root.child("flow") or _Section({}, "problem.flow")
+    flow = {key: flowsec.get(key, convert, default) for key, convert, default in _FLOW}
+    flow["rho"] = flow["rho"] or [0.05, 0.025, 0.0125]
+    flowsec.finish()
     if flow["steps"] < 1:
         raise ProblemFileError("problem.flow.steps: must be >= 1")
     if flow["horizon"] < 0:
@@ -565,11 +531,13 @@ def _write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _json_text(data: dict) -> str:
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
 def _emit_json(report: dict, path: str | None) -> None:
     if path is not None:
-        _write_atomic(
-            path, json.dumps(report, sort_keys=True, indent=2) + "\n"
-        )
+        _write_atomic(path, _json_text(report))
 
 
 def _problem_block(problem: Problem) -> dict:
@@ -720,22 +688,13 @@ def cmd_normalize(
         )
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        _write_atomic(
-            os.path.join(out_dir, NORMAL_FORM_FILE),
-            "\n".join(result.to_lines()) + "\n",
-        )
-        _write_atomic(
-            os.path.join(out_dir, TRANSFORM_FILE),
-            "\n".join(log.to_lines()) + "\n",
-        )
-        _write_atomic(
-            os.path.join(out_dir, TRACE_FILE),
-            json.dumps(trace.as_dict(), sort_keys=True, indent=2) + "\n",
-        )
-        _write_atomic(
-            os.path.join(out_dir, REPORT_FILE),
-            json.dumps(report, sort_keys=True, indent=2) + "\n",
-        )
+        for name, text in (
+            (NORMAL_FORM_FILE, "\n".join(result.to_lines()) + "\n"),
+            (TRANSFORM_FILE, "\n".join(log.to_lines()) + "\n"),
+            (TRACE_FILE, _json_text(trace.as_dict())),
+            (REPORT_FILE, _json_text(report)),
+        ):
+            _write_atomic(os.path.join(out_dir, name), text)
         print("wrote %s" % out_dir)
     _emit_json(report, json_path)
     return EXIT_OK

@@ -144,11 +144,19 @@ def format_coefficient(ctx: TruncationContext, c) -> str:
     return "%r %r" % (c.real, c.imag)
 
 
+def _parse_float(token: str) -> float:
+    """A float-lane token: a float literal, or else a ``p/q`` rational."""
+    try:
+        return float(token)
+    except ValueError:
+        return float(Fraction(token))
+
+
 def parse_coefficient(ctx: TruncationContext, text: str):
     parts = text.split()
     if len(parts) != 2:
         raise NormalFormError("coefficient must be two tokens, got %r" % (text,))
-    parse = Fraction if ctx.exact else float
+    parse = Fraction if ctx.exact else _parse_float
     try:
         re, im = (parse(part) for part in parts)
     except (ValueError, ZeroDivisionError):
@@ -183,12 +191,7 @@ class ScalarSeries:
             if ctx.is_zero_coeff(c):
                 continue
             _validate_scalar_key(ctx, q)
-            prev = store.get(q)
-            acc = c if prev is None else prev + c
-            if ctx.is_zero_coeff(acc):
-                store.pop(q, None)
-            else:
-                store[q] = acc
+            _accumulate(ctx, store, q, c)
         self.ctx = ctx
         self._terms = store
 
@@ -326,13 +329,7 @@ class VectorField:
             if ctx.is_zero_coeff(c):
                 continue
             _validate_field_key(ctx, k, q)
-            comp = store.setdefault(k, {})
-            prev = comp.get(q)
-            acc = c if prev is None else prev + c
-            if ctx.is_zero_coeff(acc):
-                comp.pop(q, None)
-            else:
-                comp[q] = acc
+            _accumulate(ctx, store.setdefault(k, {}), q, c)
         self.ctx = ctx
         self._terms = {k: comp for k, comp in store.items() if comp}
 

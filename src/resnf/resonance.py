@@ -333,9 +333,7 @@ class ResonanceModule:
         # Resonant field exponents not absorbed by two generators; their
         # maximal scaling order determines the minimal valid cutoff.
         violations = [
-            (q.degree - 1, q, k)
-            for q, k in resonant_pairs
-            if not any(q.contains(s) for s in self._pair_sums)
+            (q.degree - 1, q, k) for q, k in resonant_pairs if self.classify(q) != 2
         ]
         violations.sort(key=lambda row: (row[0], row[1].sort_key(), mode_key(row[2])))
         self.violations = tuple(violations)
@@ -513,11 +511,10 @@ def _extract_generators(
 
 
 def _count_factorizations(
-    target: MultiIndex, generators: tuple[MultiIndex, ...], _memo=None
+    target: MultiIndex, generators: tuple[MultiIndex, ...]
 ) -> int:
     """Number of multisets of generators summing to ``target``."""
-    if _memo is None:
-        _memo = {}
+    memo = {}
 
     def rec(rem: MultiIndex, i: int) -> int:
         if rem.is_zero:
@@ -525,12 +522,12 @@ def _count_factorizations(
         if i >= len(generators):
             return 0
         key = (rem, i)
-        if key in _memo:
-            return _memo[key]
+        if key in memo:
+            return memo[key]
         total = rec(rem, i + 1)
         if rem.contains(generators[i]):
             total += rec(rem - generators[i], i)
-        _memo[key] = total
+        memo[key] = total
         return total
 
     return rec(target, 0)

@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import NormalFormError
 from .fields import GaussianRational, VectorField
@@ -83,33 +83,16 @@ def dim6_frequency_model(
     return FrequencyModel("dim6", symbols, coords)
 
 
-def nls_frequency_model(
-    cutoff: int, potential: Mapping[int, Fraction] | None = None
-) -> FrequencyModel:
-    """Gauge-paired imaginary spectrum ``lambda_(j,s) = i s (j^2 + V_j)``
-    with one independent symbol per site ``j``."""
-    potential = default_potential(cutoff) if potential is None else potential
-    sites = range(-cutoff, cutoff + 1)
-    symbols = [("w%d" % j, Fraction(j * j) + Fraction(potential[j])) for j in sites]
-    coords = {}
-    phases = {}
-    for j in sites:
-        for sigma in (1, -1):
-            coords[Mode(j, sigma)] = {"w%d" % j: (0, sigma)}
-            phases[Mode(j, sigma)] = sigma * _HALF_PI
-    return FrequencyModel("nls", symbols, coords, alpha=2.0, phases=phases)
-
-
-def hyperbolic_frequency_model(
+def _gauge_frequency_model(
+    name: str,
     cutoff: int,
-    potential: Mapping[int, Fraction] | None = None,
-    elliptic_sites: Iterable[int] = (),
+    potential: Mapping[int, Fraction] | None,
+    elliptic: Container[int],
 ) -> FrequencyModel:
-    """Real gauge-paired spectrum ``lambda_(j,s) = s (j^2 + V_j)``; sites
-    listed in ``elliptic_sites`` keep the imaginary pairing instead,
-    giving the mixed elliptic/hyperbolic partition."""
+    """Gauge-paired spectrum ``lambda_(j,s) = s (j^2 + V_j)`` with one
+    symbol per site ``j``; sites in ``elliptic`` carry the imaginary
+    pairing ``i s (j^2 + V_j)`` instead."""
     potential = default_potential(cutoff) if potential is None else potential
-    elliptic = frozenset(elliptic_sites)
     sites = range(-cutoff, cutoff + 1)
     symbols = [("w%d" % j, Fraction(j * j) + Fraction(potential[j])) for j in sites]
     coords = {}
@@ -122,7 +105,29 @@ def hyperbolic_frequency_model(
             else:
                 coords[Mode(j, sigma)] = {"w%d" % j: sigma}
                 phases[Mode(j, sigma)] = 0.0 if sigma > 0 else _PI
-    return FrequencyModel("hyperbolic", symbols, coords, alpha=2.0, phases=phases)
+    return FrequencyModel(name, symbols, coords, alpha=2.0, phases=phases)
+
+
+def nls_frequency_model(
+    cutoff: int, potential: Mapping[int, Fraction] | None = None
+) -> FrequencyModel:
+    """Gauge-paired imaginary spectrum ``lambda_(j,s) = i s (j^2 + V_j)``
+    with one independent symbol per site ``j``."""
+    sites = range(-cutoff, cutoff + 1)
+    return _gauge_frequency_model("nls", cutoff, potential, sites)
+
+
+def hyperbolic_frequency_model(
+    cutoff: int,
+    potential: Mapping[int, Fraction] | None = None,
+    elliptic_sites: Iterable[int] = (),
+) -> FrequencyModel:
+    """Real gauge-paired spectrum ``lambda_(j,s) = s (j^2 + V_j)``; sites
+    listed in ``elliptic_sites`` keep the imaginary pairing instead,
+    giving the mixed elliptic/hyperbolic partition."""
+    return _gauge_frequency_model(
+        "hyperbolic", cutoff, potential, frozenset(elliptic_sites)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +319,8 @@ def build_example_dim6(
     d = model.linear_field(ctx)
     if seed == 0:
         return d, model
+    if degree < 4:
+        raise ValueError("a seeded dim6 field needs degree >= 4, got %d" % degree)
     rng = random.Random(seed)
     modes = ctx.modes()
     terms = []

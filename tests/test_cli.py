@@ -426,6 +426,175 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
 
+_DROP = object()
+
+
+def hyperbolic_doc():
+    return {
+        "schema_version": 1,
+        "model": {"builder": "hyperbolic"},
+        "truncation": {"mode_cutoff": 1, "degree_cutoff": 3},
+    }
+
+
+def custom_doc():
+    return {
+        "schema_version": 1,
+        "model": {"symbols": {"a": 1}, "modes": {"1+": {"a": 1}, "2+": {"a": 3}}},
+        "truncation": {"mode_cutoff": 2, "degree_cutoff": 4},
+        "field": {"terms": ["1+ | 1+^1 | 1/1 0/1", "2+ | 2+^1 | 3/1 0/1"]},
+    }
+
+
+LOADER_BASES = {
+    "dim6": dim6_doc,
+    "nls": nls_doc,
+    "hyperbolic": hyperbolic_doc,
+    "custom": custom_doc,
+}
+
+# (id, base problem, edits by dotted key path, extra argv, stderr message).
+# One case per reachable rejection in the loader, then cases with two
+# faults in one file that pin which check fires first.
+LOADER_REJECTIONS = [
+    ("section-not-object", "dim6", {"truncation": 5}, [],
+     "problem.truncation: expected an object"),
+    ("missing-key", "dim6", {"schema_version": _DROP}, [],
+     "problem.schema_version: missing required key"),
+    ("missing-section", "dim6", {"model": _DROP}, [],
+     "problem.model: missing required key"),
+    ("unknown-key", "dim6", {"surprise": 1}, [],
+     "problem: unknown key(s): surprise"),
+    ("int-type", "dim6", {"truncation.degree_cutoff": "8"}, [],
+     "problem.truncation.degree_cutoff: expected an integer"),
+    ("bool-type", "dim6", {"truncation.momentum": "no"}, [],
+     "problem.truncation.momentum: expected true or false"),
+    ("str-type", "dim6", {"name": 5}, [],
+     "problem.name: expected a string"),
+    ("rational-bool", "dim6", {"model.zeta1": True}, [],
+     "problem.model.zeta1: expected a rational, got a boolean"),
+    ("rational-parse", "dim6", {"model.zeta2": "1/0"}, [],
+     "problem.model.zeta2: cannot parse rational '1/0'"),
+    ("rational-float", "dim6", {"model.zeta1": 1.5}, [],
+     "problem.model.zeta1: rationals must be integers or 'p/q' strings"),
+    ("number-bool", "dim6", {"truncation.theta": True}, [],
+     "problem.truncation.theta: expected a number, got a boolean"),
+    ("number-type", "dim6", {"flow": {"horizon": [1]}}, [],
+     "problem.flow.horizon: expected a number"),
+    ("potential-type", "nls", {"model.potential": [1]}, [],
+     "problem.model.potential: expected an object keyed by site"),
+    ("potential-site-key", "nls", {"model.potential": {"x": 1}}, [],
+     "problem.model.potential: bad site key 'x'"),
+    ("potential-site-range", "hyperbolic", {"model.potential": {"-2": "1/3"}}, [],
+     "problem.model.potential.-2: site outside the mode cutoff 1"),
+    ("symbols-empty", "custom", {"model.symbols": {}}, [],
+     "problem.model.symbols: expected a non-empty object"),
+    ("modes-type", "custom", {"model.modes": ["1+"]}, [],
+     "problem.model.modes: expected a non-empty object"),
+    ("mode-token", "custom", {"model.modes": {"x": {"a": 1}}}, [],
+     "problem.model.modes: bad mode token 'x' (use e.g. '1+' or '-2-')"),
+    ("mode-coordinates", "custom", {"model.modes.2+": 2}, [],
+     "problem.model.modes.2+: expected an object mapping symbols to integer "
+     "coefficients"),
+    ("mode-symbol", "custom", {"model.modes.2+": {"b": 1}}, [],
+     "problem.model.modes.2+.b: undeclared symbol"),
+    ("mode-complex", "custom", {"model.modes.2+": {"a": [1, 2, 3]}}, [],
+     "problem.model.modes.2+.a: complex coefficients are [re, im] pairs"),
+    ("unreadable-file", None, None, [],
+     "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+    ("json-syntax", None, "nope", [],
+     "{path}: Expecting value: line 1 column 1 (char 0)"),
+    ("schema-version", "dim6", {"schema_version": 2}, [],
+     "problem.schema_version: expected 1, got 2"),
+    ("arithmetic", "dim6", {"truncation.arithmetic": "interval"}, [],
+     "problem.truncation.arithmetic: must be 'exact' or 'float'"),
+    ("dim6-momentum", "dim6", {"truncation.momentum": True}, [],
+     "problem.truncation.momentum: the dim6 model is a finite problem "
+     "without momentum bookkeeping"),
+    ("dim6-modes", "dim6", {"truncation.mode_cutoff": 4}, [],
+     "problem.truncation.mode_cutoff: the dim6 model has exactly 6 modes"),
+    ("nls-momentum", "nls", {"truncation.momentum": False}, [],
+     "problem.truncation.momentum: the nls model requires momentum bookkeeping"),
+    ("elliptic-sites", "hyperbolic", {"model.elliptic_sites": 0}, [],
+     "problem.model.elliptic_sites: expected an array"),
+    ("hyperbolic-momentum", "hyperbolic", {"truncation.momentum": False}, [],
+     "problem.truncation.momentum: the hyperbolic model requires momentum "
+     "bookkeeping"),
+    ("unknown-builder", "dim6", {"model.builder": "custom"}, [],
+     "problem.model.builder: unknown builder 'custom' (expected dim6, nls or "
+     "hyperbolic)"),
+    ("truncation-window", "dim6", {"truncation.theta": 1}, [],
+     "problem.truncation: theta must lie strictly between 0 and 1"),
+    ("field-missing", "nls", {"field": _DROP}, [],
+     "problem.field: missing section (the nls model has no default field)"),
+    ("field-sources", "dim6", {"field": {"seed": 1, "p": 1}}, [],
+     "problem.field: give exactly one of terms, terms_file, seed or p"),
+    ("terms-type", "dim6", {"field": {"terms": "1+ | 1+^1 | 1/1 0/1"}}, [],
+     "problem.field.terms: expected an array of term lines"),
+    ("terms-file", "dim6", {"field": {"terms_file": "absent.txt"}}, [],
+     "problem.field.terms_file: cannot read absent.txt: [Errno 2] No such "
+     "file or directory: '{dir}/absent.txt'"),
+    ("p-builder", "hyperbolic", {"field": {"p": 1}}, [],
+     "problem.field.p: only the nls builder takes the nonlinearity degree"),
+    ("seed-builder", "nls", {"field": {"seed": 1}}, [],
+     "problem.field.seed: only the dim6 and hyperbolic builders generate "
+     "seeded fields"),
+    ("field-empty", "custom", {"field": {}}, [],
+     "problem.field: the custom model needs terms or builder parameters"),
+    ("seed-override", "custom", {}, ["--seed", "1"],
+     "--seed: this problem does not build its field from a seed"),
+    ("terms-line", "dim6", {"field": {"terms": ["1+ | 1+^1"]}}, [],
+     "problem.field.terms: term line must have three '|' fields: '1+ | 1+^1'"),
+    ("nls-window", "nls", {"field": {"p": 0}}, [],
+     "problem.field.p: p must be >= 1"),
+    ("rho-type", "dim6", {"flow": {"rho": []}}, [],
+     "problem.flow.rho: expected a non-empty array"),
+    ("steps-range", "dim6", {"flow": {"steps": 0}}, [],
+     "problem.flow.steps: must be >= 1"),
+    ("horizon-range", "dim6", {"flow": {"horizon": -1}}, [],
+     "problem.flow.horizon: must be >= 0"),
+    ("blowup-range", "dim6", {"flow": {"blowup": 0}}, [],
+     "problem.flow: blowup and every rho must be positive"),
+    ("first-sources-then-seed", "dim6",
+     {"field": {"terms": DIAGONAL_LINES, "seed": "x"}}, [],
+     "problem.field: give exactly one of terms, terms_file, seed or p"),
+    ("first-momentum-then-modes", "dim6",
+     {"truncation.momentum": True, "truncation.mode_cutoff": 4}, [],
+     "problem.truncation.momentum: the dim6 model is a finite problem "
+     "without momentum bookkeeping"),
+    ("first-zeta-then-unknown", "dim6", {"model.extra": 1, "model.zeta1": 1.5}, [],
+     "problem.model.zeta1: rationals must be integers or 'p/q' strings"),
+    ("first-steps-then-seed", "dim6",
+     {"flow": {"steps": "x", "seed": "y", "extra": 1}}, [],
+     "problem.flow.steps: expected an integer"),
+]
+
+
+@pytest.mark.parametrize(
+    "base, edits, argv, message",
+    [pytest.param(*case[1:], id=case[0]) for case in LOADER_REJECTIONS],
+)
+def test_loader_rejection(tmp_path, capsys, base, edits, argv, message):
+    path = tmp_path / "problem.json"
+    if base is not None:
+        doc = LOADER_BASES[base]()
+        for dotted, value in edits.items():
+            *parents, key = dotted.split(".")
+            node = doc
+            for part in parents:
+                node = node[part]
+            if value is _DROP:
+                del node[key]
+            else:
+                node[key] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    elif edits is not None:
+        path.write_text(edits, encoding="utf-8")
+    assert run(["analyze", str(path), *argv]) == EXIT_INPUT
+    expected = message.format(path=path, dir=tmp_path)
+    assert capsys.readouterr().err == "input error: %s\n" % expected
+
+
 class TestMalformedTokens:
     """A bad exponent, coefficient or generator header is an input error
     (exit 1) that names the token, on every path that reads term lines."""
@@ -457,8 +626,19 @@ class TestMalformedTokens:
 
     def test_float_coefficient(self, tmp_path, capsys):
         path = write(tmp_path, dim6_doc(field={"terms": DIAGONAL_LINES}))
+        assert run(["analyze", path, "--float"]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        line = "1+ | 1+^2 | abc 0/1"
+        path = write(tmp_path, dim6_doc(field={"terms": DIAGONAL_LINES + [line]}))
         assert run(["analyze", path, "--float"]) == EXIT_INPUT
-        assert "cannot parse coefficient '2/1 0/1'" in capsys.readouterr().err
+        assert "cannot parse coefficient 'abc 0/1'" in capsys.readouterr().err
+
+    def test_float_verify_reads_exact_artifacts(self, workspace, capsys):
+        _, problem, out = workspace
+        assert run(["verify", problem, "--float", "--transform", out]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "tangency: ok" in captured.out
 
     def _artifacts(self, workspace, tmp_path, name, edit):
         _, problem, out = workspace
@@ -554,9 +734,44 @@ class TestExitCodes:
         assert "raise the degree cutoff" in err
         assert "disagree" not in err
 
+    @pytest.mark.parametrize("argv", [[], ["--seed", "2"]])
+    def test_seeded_dim6_field_needs_degree_four(self, tmp_path, capsys, argv):
+        doc = dim6_doc(field={"seed": 1} if not argv else None)
+        doc["truncation"]["degree_cutoff"] = 3
+        assert run(["analyze", write(tmp_path, doc), *argv]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "input error: problem.truncation.degree_cutoff: a seeded dim6 "
+            "field needs degree >= 4, got 3\n"
+        )
+
+    def test_unseeded_dim6_field_at_low_degree(self, tmp_path, capsys):
+        doc = dim6_doc()
+        doc["truncation"]["degree_cutoff"] = 1
+        assert run(["analyze", write(tmp_path, doc)]) == EXIT_OK
+        capsys.readouterr()
+
     def test_problem_file_error_is_input_error(self, tmp_path):
         with pytest.raises(ProblemFileError):
             load_problem(str(tmp_path / "absent.json"))
+
+
+def _module_cli(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(resnf.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "resnf.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_console_entry_point(tmp_path):
+    done = _module_cli("analyze", write(tmp_path, dim6_doc(), "good.json"))
+    assert done.returncode == EXIT_OK
+    assert done.stdout.startswith("model dim6 | 6 modes")
+    done = _module_cli("analyze", write(tmp_path, dim6_doc(surprise=1), "bad.json"))
+    assert done.returncode == EXIT_INPUT
+    assert done.stderr == "input error: problem: unknown key(s): surprise\n"
 
 
 def test_cli_import_does_not_load_numpy():
