@@ -358,6 +358,12 @@ def load_problem(
         if not isinstance(sites, list):
             raise ProblemFileError("%s: expected an array" % siteslabel)
         elliptic = tuple(_as_int(v, siteslabel) for v in sites)
+        for site in elliptic:
+            if abs(site) > mode_cutoff:
+                raise ProblemFileError(
+                    "%s: site %d outside the mode cutoff %d"
+                    % (siteslabel, site, mode_cutoff)
+                )
     modelsec.finish()
     if momentum is not None and rules.momentum not in (None, momentum):
         raise ProblemFileError(
@@ -491,6 +497,8 @@ def load_problem(
             "fast_path": diosec.get("fast_path", _as_bool, True),
         }
         diosec.finish()
+        if dio["degree_bound"] < 1:
+            raise ProblemFileError("problem.diophantine.degree_bound: must be >= 1")
 
     flowsec = root.child("flow") or _Section({}, "problem.flow")
     flow = {key: flowsec.get(key, convert, default) for key, convert, default in _FLOW}
@@ -811,6 +819,8 @@ def cmd_diophantine(
     degree: int | None,
     json_path: str | None,
 ) -> int:
+    if degree is not None and degree < 1:
+        raise ProblemFileError("--degree: must be >= 1")
     dio = problem.diophantine or {}
     if tau is None:
         tau = dio.get("tau")

@@ -317,11 +317,7 @@ class ResonanceModule:
         self.module_elements = module_elements
         self.M = max((g.degree for g in q_generators), default=0)
         self.M1 = max(
-            (
-                (p + MultiIndex.unit(k)).degree
-                for k, gens in p_generators.items()
-                for p in gens
-            ),
+            (p.degree + 1 for gens in p_generators.values() for p in gens),
             default=0,
         )
         self.m_star_bound = 2 * self.M + self.M1
@@ -405,6 +401,17 @@ def enumerate_resonance(ctx: TruncationContext, model: FrequencyModel) -> Resona
     and cross-checks that the values of those keys vanish in exactly the
     same places (a value-coherence audit guarding the divisions performed
     by the solvers over the larger field window ``|q| <= D + 1``).
+
+    Generators: in ``(degree, sort_key)`` order, an element is one unless
+    a step down by a generator already found lands on an element (the
+    walk keeps every resonant index of degree ``<= D``, so these are the
+    indecomposable ones); a translate is one unless a step down by a
+    module generator lands on a translate of its direction.  Unique
+    factorization: one table ``ways[e]`` of generator multisets summing
+    to ``e``, built by the coin-change recurrence over the sorted
+    elements; each element needs ``ways == 1``, and each translate ``p``
+    one split ``p = g + e``, ``g`` a generator of its direction and ``e``
+    zero or an element.
     """
     model.validate(ctx)
     D = ctx.degree_cutoff
@@ -431,14 +438,10 @@ def enumerate_resonance(ctx: TruncationContext, model: FrequencyModel) -> Resona
         else:
             value_zero_q = abs(complex(vre, vim)) <= tol
         _require_coherent(model, q, None, not combo, value_zero_q)
-        if (
-            q.degree <= D
-            and not combo
-            and (not momentum_on or q.momentum_sum == 0)
-        ):
-            module_elements.append(q)
-        momentum_q = q.momentum_sum if momentum_on else 0
         in_window = q.degree <= D
+        momentum_q = q.momentum_sum if momentum_on else 0
+        if in_window and not combo and momentum_q == 0:
+            module_elements.append(q)
         for k in modes:
             if momentum_on and momentum_q != mom_of[k]:
                 continue
@@ -455,29 +458,50 @@ def enumerate_resonance(ctx: TruncationContext, model: FrequencyModel) -> Resona
 
     module_elements.sort(key=lambda e: (e.degree, e.sort_key()))
     element_set = frozenset(module_elements)
-
-    q_generators = _extract_generators(module_elements, element_set)
+    q_generators = _generators(module_elements, element_set)
     for g in q_generators:
         if g.degree >= D:
             raise CutoffTooSmall(
                 "module generator %s touches the degree window %d; raise the "
                 "cutoff to certify completeness" % (g, D)
             )
-    _check_unique_factorization(module_elements, q_generators)
+    ways = dict.fromkeys(module_elements, 0)
+    for g in q_generators:
+        ways[g] += 1
+        for e in module_elements:
+            ways[e] += ways.get(e - g, 0)
+    for e in module_elements:
+        if ways[e] != 1:
+            raise UniqueFactorizationViolation(
+                "lattice element %s admits %d generator factorizations; the "
+                "frequency model violates the unique-sum hypothesis" % (e, ways[e])
+            )
 
-    p_generators, translate_elements = _extract_translates(
-        resonant_pairs, element_set, q_generators
-    )
+    # per direction, the signed resonant translates outside the lattice
+    translates: dict[Mode, list[MultiIndex]] = {}
+    for q, k in resonant_pairs:
+        p = q - MultiIndex.unit(k)
+        if not p.is_zero and p not in element_set:
+            translates.setdefault(k, []).append(p)
+    p_generators = {}
+    for k, plist in translates.items():
+        plist.sort(key=MultiIndex.sort_key)
+        p_generators[k] = _generators(plist, set(plist), q_generators)
     for k, gens in p_generators.items():
         for p in gens:
-            if (p + MultiIndex.unit(k)).degree >= D:
+            if p.degree + 1 >= D:
                 raise CutoffTooSmall(
                     "translate generator %s for direction %s touches the "
                     "degree window %d" % (p, format_mode(k), D)
                 )
-    _check_translate_factorization(
-        translate_elements, p_generators, element_set, q_generators
-    )
+    for k, plist in translates.items():
+        for p in plist:
+            n = sum(1 if p == g else ways.get(p - g, 0) for g in p_generators[k])
+            if n != 1:
+                raise UniqueFactorizationViolation(
+                    "translate %s (direction %s) admits %d factorizations "
+                    "as generator plus lattice element" % (p, format_mode(k), n)
+                )
 
     return ResonanceModule(
         model, ctx, q_generators, p_generators, element_set, resonant_pairs
@@ -496,104 +520,14 @@ def _require_coherent(model, q, k, symbolic_zero: bool, numeric_zero: bool) -> N
         )
 
 
-def _extract_generators(
-    elements: list[MultiIndex], element_set: frozenset[MultiIndex]
-) -> tuple[MultiIndex, ...]:
-    generators = []
-    for e in elements:
-        decomposable = any(
-            a.degree < e.degree and e.contains(a) and (e - a) in element_set
-            for a in elements
-        )
-        if not decomposable:
-            generators.append(e)
-    return tuple(generators)
-
-
-def _count_factorizations(
-    target: MultiIndex, generators: tuple[MultiIndex, ...]
-) -> int:
-    """Number of multisets of generators summing to ``target``."""
-    memo = {}
-
-    def rec(rem: MultiIndex, i: int) -> int:
-        if rem.is_zero:
-            return 1
-        if i >= len(generators):
-            return 0
-        key = (rem, i)
-        if key in memo:
-            return memo[key]
-        total = rec(rem, i + 1)
-        if rem.contains(generators[i]):
-            total += rec(rem - generators[i], i)
-        memo[key] = total
-        return total
-
-    return rec(target, 0)
-
-
-def _check_unique_factorization(
-    elements: list[MultiIndex], generators: tuple[MultiIndex, ...]
-) -> None:
-    for e in elements:
-        n = _count_factorizations(e, generators)
-        if n != 1:
-            raise UniqueFactorizationViolation(
-                "lattice element %s admits %d generator factorizations; the "
-                "frequency model violates the unique-sum hypothesis" % (e, n)
-            )
-
-
-def _extract_translates(
-    resonant_pairs: list[tuple[MultiIndex, Mode]],
-    element_set: frozenset[MultiIndex],
-    q_generators: tuple[MultiIndex, ...],
-):
-    """Per direction, the signed resonant translates outside the lattice
-    and their minimal elements."""
-    per_direction: dict[Mode, list[MultiIndex]] = {}
-    for q, k in resonant_pairs:
-        p = q - MultiIndex.unit(k)
-        if p.is_zero or p in element_set:
-            continue  # lattice translates are not "new" directions
-        per_direction.setdefault(k, []).append(p)
-    p_generators: dict[Mode, tuple[MultiIndex, ...]] = {}
-    for k, plist in per_direction.items():
-        plist.sort(key=lambda p: (p.l1, p.sort_key()))
-        pset = set(plist)
-        gens = []
-        for p in plist:
-            reducible = any(
-                (p - g) in pset for g in q_generators if not (p - g).is_zero
-            )
-            if not reducible:
-                gens.append(p)
-        p_generators[k] = tuple(gens)
-    return p_generators, per_direction
-
-
-def _check_translate_factorization(
-    translate_elements: dict[Mode, list[MultiIndex]],
-    p_generators: dict[Mode, tuple[MultiIndex, ...]],
-    element_set: frozenset[MultiIndex],
-    q_generators: tuple[MultiIndex, ...],
-) -> None:
-    for k, plist in translate_elements.items():
-        gens = p_generators.get(k, ())
-        for p in plist:
-            ways = 0
-            for g in gens:
-                rem = p - g
-                if rem.is_zero:
-                    ways += 1
-                elif rem.is_nonnegative and rem in element_set:
-                    ways += _count_factorizations(rem, q_generators)
-            if ways != 1:
-                raise UniqueFactorizationViolation(
-                    "translate %s (direction %s) admits %d factorizations "
-                    "as generator plus lattice element" % (p, format_mode(k), ways)
-                )
+def _generators(ordered, members, steps=None) -> tuple[MultiIndex, ...]:
+    """The elements of ``ordered`` from which no step down by one of
+    ``steps`` (default: the ones found so far) lands in ``members``."""
+    gens: list[MultiIndex] = []
+    for e in ordered:
+        if not any(e - g in members for g in (gens if steps is None else steps)):
+            gens.append(e)
+    return tuple(gens)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,14 @@
 """Shared fixtures and the acceptance-criterion summary hook."""
 
 import pytest
+from hypothesis import settings
 
 from resnf.indexing import TruncationContext
+
+# Property tests draw the same examples on every run (derandomize also
+# turns off the example database); each test keeps its own max_examples.
+settings.register_profile("repeatable", derandomize=True)
+settings.load_profile("repeatable")
 
 
 @pytest.fixture

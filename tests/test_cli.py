@@ -382,6 +382,12 @@ class TestDiophantine:
         assert dio["degree_bound"] == 5
         assert dio["gamma_max"] == pytest.approx(8.0)
 
+    def test_degree_flag_must_be_positive(self, tmp_path, capsys):
+        path = write(tmp_path, dim6_doc())
+        code = run(["diophantine", path, "--tau", "2", "--degree", "0"])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr() == ("", "input error: --degree: must be >= 1\n")
+
     def test_parameters_required_somewhere(self, tmp_path, capsys):
         path = write(tmp_path, dim6_doc())
         assert run(["diophantine", path]) == EXIT_INPUT
@@ -517,6 +523,8 @@ LOADER_REJECTIONS = [
      "problem.truncation.momentum: the nls model requires momentum bookkeeping"),
     ("elliptic-sites", "hyperbolic", {"model.elliptic_sites": 0}, [],
      "problem.model.elliptic_sites: expected an array"),
+    ("elliptic-site-range", "hyperbolic", {"model.elliptic_sites": [5, 5, -9]}, [],
+     "problem.model.elliptic_sites: site 5 outside the mode cutoff 1"),
     ("hyperbolic-momentum", "hyperbolic", {"truncation.momentum": False}, [],
      "problem.truncation.momentum: the hyperbolic model requires momentum "
      "bookkeeping"),
@@ -555,6 +563,10 @@ LOADER_REJECTIONS = [
      "problem.flow.horizon: must be >= 0"),
     ("blowup-range", "dim6", {"flow": {"blowup": 0}}, [],
      "problem.flow: blowup and every rho must be positive"),
+    ("degree-bound-negative", "dim6", {"diophantine": {"tau": 2, "degree_bound": -3}}, [],
+     "problem.diophantine.degree_bound: must be >= 1"),
+    ("degree-bound-zero", "dim6", {"diophantine": {"tau": 2, "degree_bound": 0}}, [],
+     "problem.diophantine.degree_bound: must be >= 1"),
     ("first-sources-then-seed", "dim6",
      {"field": {"terms": DIAGONAL_LINES, "seed": "x"}}, [],
      "problem.field: give exactly one of terms, terms_file, seed or p"),

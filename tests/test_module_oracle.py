@@ -1,0 +1,298 @@
+"""Differential oracle for the resonance-module certificates.
+
+``parent_enumerate`` is the earlier implementation of
+``enumerate_resonance``: the same window walk, then five helpers that
+extract the generators with two different decomposability tests and
+count factorizations with a recursive, memoised counter per element.
+The library now states one generator rule and builds one factorization
+table; on every model below both must give the same generators,
+translates, summary and violations, or raise the same error with the
+same message.
+"""
+
+import random
+from collections import Counter
+from fractions import Fraction
+
+from helpers import dim6_model, hyperbolic_model, nls_model
+from resnf.errors import (
+    CutoffTooSmall,
+    NormalFormError,
+    UniqueFactorizationViolation,
+)
+from resnf.indexing import (
+    Mode,
+    MultiIndex,
+    TruncationContext,
+    format_mode,
+    iter_indices,
+    mode_momentum,
+)
+from resnf.resonance import (
+    FrequencyModel,
+    ResonanceModule,
+    _require_coherent,
+    enumerate_resonance,
+)
+from resnf.verify import hyperbolic_frequency_model
+
+
+def parent_enumerate(ctx, model):
+    """The earlier ``enumerate_resonance``, kept as the reference."""
+    model.validate(ctx)
+    D = ctx.degree_cutoff
+    modes = ctx.modes()
+    momentum_on = ctx.momentum_enabled
+
+    # Values are compared as ``value * unit`` pairs (``_scaled``): integer
+    # pairs for exact-capable models, float pairs against a tolerance
+    # otherwise.  The value of the divisor key ``lambda . (q - e_k)`` is
+    # the value of ``lambda . q`` less that of the eigenvalue key.
+    table = model._table
+    exactly = model.exact_capable
+    tol = 1e-9 * model._unit
+    scaled = {k: model._scaled(table[k]) for k in modes}
+    mom_of = {k: mode_momentum(k) for k in modes}
+
+    module_elements: list[MultiIndex] = []
+    resonant_pairs: list[tuple[MultiIndex, Mode]] = []
+    for q in iter_indices(modes, D + 1, min_degree=1):
+        combo = model.key(q)
+        vre, vim = model._scaled(combo)
+        if exactly:
+            value_zero_q = not vre and not vim
+        else:
+            value_zero_q = abs(complex(vre, vim)) <= tol
+        _require_coherent(model, q, None, not combo, value_zero_q)
+        if (
+            q.degree <= D
+            and not combo
+            and (not momentum_on or q.momentum_sum == 0)
+        ):
+            module_elements.append(q)
+        momentum_q = q.momentum_sum if momentum_on else 0
+        in_window = q.degree <= D
+        for k in modes:
+            if momentum_on and momentum_q != mom_of[k]:
+                continue
+            # the divisor key of (q, k) is empty iff the two keys agree
+            symbolic_zero = combo == table[k]
+            kre, kim = scaled[k]
+            if exactly:
+                value_zero = vre == kre and vim == kim
+            else:
+                value_zero = abs(complex(vre - kre, vim - kim)) <= tol
+            _require_coherent(model, q, k, symbolic_zero, value_zero)
+            if symbolic_zero and in_window:
+                resonant_pairs.append((q, k))
+
+    module_elements.sort(key=lambda e: (e.degree, e.sort_key()))
+    element_set = frozenset(module_elements)
+
+    q_generators = _extract_generators(module_elements, element_set)
+    for g in q_generators:
+        if g.degree >= D:
+            raise CutoffTooSmall(
+                "module generator %s touches the degree window %d; raise the "
+                "cutoff to certify completeness" % (g, D)
+            )
+    _check_unique_factorization(module_elements, q_generators)
+
+    p_generators, translate_elements = _extract_translates(
+        resonant_pairs, element_set, q_generators
+    )
+    for k, gens in p_generators.items():
+        for p in gens:
+            if (p + MultiIndex.unit(k)).degree >= D:
+                raise CutoffTooSmall(
+                    "translate generator %s for direction %s touches the "
+                    "degree window %d" % (p, format_mode(k), D)
+                )
+    _check_translate_factorization(
+        translate_elements, p_generators, element_set, q_generators
+    )
+
+    return ResonanceModule(
+        model, ctx, q_generators, p_generators, element_set, resonant_pairs
+    )
+
+
+def _extract_generators(
+    elements: list[MultiIndex], element_set: frozenset[MultiIndex]
+) -> tuple[MultiIndex, ...]:
+    generators = []
+    for e in elements:
+        decomposable = any(
+            a.degree < e.degree and e.contains(a) and (e - a) in element_set
+            for a in elements
+        )
+        if not decomposable:
+            generators.append(e)
+    return tuple(generators)
+
+
+def _count_factorizations(
+    target: MultiIndex, generators: tuple[MultiIndex, ...]
+) -> int:
+    """Number of multisets of generators summing to ``target``."""
+    memo = {}
+
+    def rec(rem: MultiIndex, i: int) -> int:
+        if rem.is_zero:
+            return 1
+        if i >= len(generators):
+            return 0
+        key = (rem, i)
+        if key in memo:
+            return memo[key]
+        total = rec(rem, i + 1)
+        if rem.contains(generators[i]):
+            total += rec(rem - generators[i], i)
+        memo[key] = total
+        return total
+
+    return rec(target, 0)
+
+
+def _check_unique_factorization(
+    elements: list[MultiIndex], generators: tuple[MultiIndex, ...]
+) -> None:
+    for e in elements:
+        n = _count_factorizations(e, generators)
+        if n != 1:
+            raise UniqueFactorizationViolation(
+                "lattice element %s admits %d generator factorizations; the "
+                "frequency model violates the unique-sum hypothesis" % (e, n)
+            )
+
+
+def _extract_translates(
+    resonant_pairs: list[tuple[MultiIndex, Mode]],
+    element_set: frozenset[MultiIndex],
+    q_generators: tuple[MultiIndex, ...],
+):
+    """Per direction, the signed resonant translates outside the lattice
+    and their minimal elements."""
+    per_direction: dict[Mode, list[MultiIndex]] = {}
+    for q, k in resonant_pairs:
+        p = q - MultiIndex.unit(k)
+        if p.is_zero or p in element_set:
+            continue  # lattice translates are not "new" directions
+        per_direction.setdefault(k, []).append(p)
+    p_generators: dict[Mode, tuple[MultiIndex, ...]] = {}
+    for k, plist in per_direction.items():
+        plist.sort(key=lambda p: (p.l1, p.sort_key()))
+        pset = set(plist)
+        gens = []
+        for p in plist:
+            reducible = any(
+                (p - g) in pset for g in q_generators if not (p - g).is_zero
+            )
+            if not reducible:
+                gens.append(p)
+        p_generators[k] = tuple(gens)
+    return p_generators, per_direction
+
+
+def _check_translate_factorization(
+    translate_elements: dict[Mode, list[MultiIndex]],
+    p_generators: dict[Mode, tuple[MultiIndex, ...]],
+    element_set: frozenset[MultiIndex],
+    q_generators: tuple[MultiIndex, ...],
+) -> None:
+    for k, plist in translate_elements.items():
+        gens = p_generators.get(k, ())
+        for p in plist:
+            ways = 0
+            for g in gens:
+                rem = p - g
+                if rem.is_zero:
+                    ways += 1
+                elif rem.is_nonnegative and rem in element_set:
+                    ways += _count_factorizations(rem, q_generators)
+            if ways != 1:
+                raise UniqueFactorizationViolation(
+                    "translate %s (direction %s) admits %d factorizations "
+                    "as generator plus lattice element" % (p, format_mode(k), ways)
+                )
+
+
+# ---------------------------------------------------------------------------
+# models
+# ---------------------------------------------------------------------------
+
+
+def fixed_cases():
+    """dim6 across the window sizes, and the gauge-paired lattices."""
+    for degree in range(4, 9):
+        yield "dim6-D%d" % degree, dim6_model(), TruncationContext(6, degree)
+    for n in (1, 2, 3):
+        for degree in ((3, 4, 5) if n < 3 else (3, 4)):
+            ctx = TruncationContext(n, degree, momentum_enabled=True)
+            yield "nls-N%d-D%d" % (n, degree), nls_model(n), ctx
+            yield "hyperbolic-N%d-D%d" % (n, degree), hyperbolic_model(n), ctx
+            yield (
+                "hyperbolic-elliptic0-N%d-D%d" % (n, degree),
+                hyperbolic_frequency_model(n, elliptic_sites=[0]),
+                ctx,
+            )
+
+
+def random_case(seed):
+    """A seeded custom model: 2-5 modes over 1-3 symbols with small
+    integer (sometimes complex) coordinates, window degree 2-6."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    names = ("a", "b", "c")[: rng.randint(1, 3)]
+    symbols = [(nm, Fraction(rng.randint(1, 5), rng.randint(1, 3))) for nm in names]
+    coords = {}
+    for j in range(1, n + 1):
+        row = {}
+        for nm in rng.sample(names, rng.randint(1, len(names))):
+            c = rng.choice((-2, -1, 1, 2, 3))
+            row[nm] = (c, rng.choice((-1, 1))) if rng.random() < 0.1 else c
+        coords[Mode(j, 1)] = row
+    model = FrequencyModel("random-%d" % seed, symbols, coords)
+    return "random-%d" % seed, model, TruncationContext(n, rng.randint(2, 6))
+
+
+CASES = list(fixed_cases()) + [random_case(seed) for seed in range(400)]
+
+
+def outcome(enumerate_fn, ctx, model):
+    try:
+        module = enumerate_fn(ctx, model)
+    except NormalFormError as exc:
+        return type(exc), str(exc)
+    return (
+        module.q_generators,
+        list(module.p_generators.items()),
+        module.summary(),
+        module.module_elements,
+        module.violations,
+    )
+
+
+def error_kind(result):
+    """The error class and the first word of its message, or None."""
+    if isinstance(result[0], type):
+        return result[0].__name__, result[1].split()[0]
+    return None
+
+
+def test_library_matches_parent_certificates():
+    kinds = Counter()
+    for name, model, ctx in CASES:
+        expected = outcome(parent_enumerate, ctx, model)
+        assert outcome(enumerate_resonance, ctx, model) == expected, name
+        kinds[error_kind(expected)] += 1
+    # every certificate failure occurs, so agreement is not vacuous
+    for kind in (
+        ("CutoffTooSmall", "module"),
+        ("CutoffTooSmall", "translate"),
+        ("UniqueFactorizationViolation", "lattice"),
+        ("UniqueFactorizationViolation", "translate"),
+        ("ModelError", "symbol"),
+        None,
+    ):
+        assert kinds[kind] > 0, kind
