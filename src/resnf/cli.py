@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -170,11 +171,17 @@ def _as_rational(value, label: str) -> Fraction:
 def _as_number(value, label: str) -> float:
     if isinstance(value, bool):
         raise ProblemFileError("%s: expected a number, got a boolean" % label)
-    if isinstance(value, (int, float)):
-        return float(value)
     if isinstance(value, str):
-        return float(_as_rational(value, label))
-    raise ProblemFileError("%s: expected a number" % label)
+        value = _as_rational(value, label)
+    elif not isinstance(value, (int, float)):
+        raise ProblemFileError("%s: expected a number" % label)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ProblemFileError("%s: expected a finite number" % label)
+    return number
 
 
 def _as_numbers(value, label: str) -> list[float]:
@@ -497,6 +504,8 @@ def load_problem(
             "fast_path": diosec.get("fast_path", _as_bool, True),
         }
         diosec.finish()
+        if dio["tau"] < 0:
+            raise ProblemFileError("problem.diophantine.tau: must be >= 0")
         if dio["degree_bound"] < 1:
             raise ProblemFileError("problem.diophantine.degree_bound: must be >= 1")
 
@@ -819,6 +828,8 @@ def cmd_diophantine(
     degree: int | None,
     json_path: str | None,
 ) -> int:
+    if tau is not None and not (math.isfinite(tau) and tau >= 0):
+        raise ProblemFileError("--tau: must be a finite number >= 0")
     if degree is not None and degree < 1:
         raise ProblemFileError("--degree: must be >= 1")
     dio = problem.diophantine or {}

@@ -11,6 +11,7 @@ stored sparsely.
 from __future__ import annotations
 
 import math
+from dataclasses import KW_ONLY, dataclass, field, replace
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import NormalFormError
@@ -196,8 +197,12 @@ ZERO_INDEX = MultiIndex()
 FLOAT_ATOL = 1e-12
 
 
+@dataclass(frozen=True, slots=True)
 class TruncationContext:
     """Shared description of the truncation window and the arithmetic mode.
+
+    Frozen: a context is compared and hashed by value, so its fields
+    cannot be reassigned; :meth:`with_arithmetic` gives a changed copy.
 
     Parameters
     ----------
@@ -210,56 +215,43 @@ class TruncationContext:
         Scalar series keep exponents of total degree ``<= degree_cutoff``;
         vector fields keep exponents with ``degree - 1 <= degree_cutoff``
         (the scaling order of the monomial field).
+    momentum_enabled : bool
+        Whether momentum conservation is enforced on all stored objects.
     theta : float
         Exponent of the sub-linear weight used in the smoothing factors,
         strictly between 0 and 1.
-    momentum_enabled : bool
-        Whether momentum conservation is enforced on all stored objects.
     arithmetic : str
         ``"exact"`` (Gaussian-rational coefficients) or ``"float"``.
     """
 
-    __slots__ = (
-        "mode_cutoff",
-        "degree_cutoff",
-        "theta",
-        "momentum_enabled",
-        "arithmetic",
-        "_modes",
-    )
+    mode_cutoff: int
+    degree_cutoff: int
+    _: KW_ONLY
+    momentum_enabled: bool = False
+    theta: float = 0.5
+    arithmetic: str = "exact"
+    _modes: tuple[Mode, ...] = field(init=False, repr=False, compare=False)
 
-    def __init__(
-        self,
-        mode_cutoff: int,
-        degree_cutoff: int,
-        *,
-        momentum_enabled: bool = False,
-        theta: float = 0.5,
-        arithmetic: str = "exact",
-    ):
-        if mode_cutoff < 1:
+    def __post_init__(self):
+        if self.mode_cutoff < 1:
             raise NormalFormError("mode_cutoff must be >= 1")
-        if degree_cutoff < 1:
+        if self.degree_cutoff < 1:
             raise NormalFormError("degree_cutoff must be >= 1")
-        theta = float(theta)
+        theta = float(self.theta)
         if not 0.0 < theta < 1.0:
             raise NormalFormError("theta must lie strictly between 0 and 1")
-        if arithmetic not in ("exact", "float"):
+        if self.arithmetic not in ("exact", "float"):
             raise NormalFormError("arithmetic must be 'exact' or 'float'")
-        self.mode_cutoff = int(mode_cutoff)
-        self.degree_cutoff = int(degree_cutoff)
-        self.theta = theta
-        self.momentum_enabled = bool(momentum_enabled)
-        self.arithmetic = arithmetic
+        cutoff = int(self.mode_cutoff)
+        object.__setattr__(self, "mode_cutoff", cutoff)
+        object.__setattr__(self, "degree_cutoff", int(self.degree_cutoff))
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "momentum_enabled", bool(self.momentum_enabled))
         if self.momentum_enabled:
-            modes = [
-                Mode(j, s)
-                for j in range(-self.mode_cutoff, self.mode_cutoff + 1)
-                for s in (1, -1)
-            ]
+            modes = [Mode(j, s) for j in range(-cutoff, cutoff + 1) for s in (1, -1)]
         else:
-            modes = [Mode(j, 1) for j in range(1, self.mode_cutoff + 1)]
-        self._modes = tuple(sorted(modes, key=mode_key))
+            modes = [Mode(j, 1) for j in range(1, cutoff + 1)]
+        object.__setattr__(self, "_modes", tuple(sorted(modes, key=mode_key)))
 
     # -- structure ----------------------------------------------------
 
@@ -297,43 +289,8 @@ class TruncationContext:
             return c.is_zero
         return abs(c) <= FLOAT_ATOL
 
-    # -- equality -------------------------------------------------------
-
-    def _key(self):
-        return (
-            self.mode_cutoff,
-            self.degree_cutoff,
-            self.theta,
-            self.momentum_enabled,
-            self.arithmetic,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, TruncationContext) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            "TruncationContext(modes<=%d, degree<=%d, theta=%g, momentum=%s, %s)"
-            % (
-                self.mode_cutoff,
-                self.degree_cutoff,
-                self.theta,
-                self.momentum_enabled,
-                self.arithmetic,
-            )
-        )
-
     def with_arithmetic(self, arithmetic: str) -> "TruncationContext":
-        return TruncationContext(
-            self.mode_cutoff,
-            self.degree_cutoff,
-            momentum_enabled=self.momentum_enabled,
-            theta=self.theta,
-            arithmetic=arithmetic,
-        )
+        return replace(self, arithmetic=arithmetic)
 
 
 # -- scalar helpers on indices ------------------------------------------

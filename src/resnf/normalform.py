@@ -325,8 +325,8 @@ def pushforward_exp_reversed(f: VectorField, w: VectorField) -> VectorField:
 
 @dataclass(frozen=True)
 class KamConstants:
-    """Run parameters and the adjustable absolute constants of the
-    smallness diagnostics; none of them affects the exact algebra."""
+    """The absolute constants of the smallness diagnostics, fixed at the
+    values of :data:`KAM`; none of them affects the exact algebra."""
 
     gamma: float = 1.0
     k1: float = 1.0
@@ -337,12 +337,6 @@ class KamConstants:
     rho: float = 0.1
     sigma: float = 1.0
 
-    def __post_init__(self):
-        if self.gamma <= 0 or self.r0 <= 0 or self.sigma <= 0:
-            raise NormalFormError("gamma, r0 and sigma must be positive")
-        if self.rho >= self.r0 / 5:
-            raise NormalFormError("the step requires rho < r0/5")
-
     def rho_n(self, n: int) -> float:
         return self.rho / 10.0 * 2.0 ** -n
 
@@ -350,6 +344,16 @@ class KamConstants:
         if n == 0:
             return self.sigma / 8.0
         return 9.0 * self.sigma / (4.0 * math.pi ** 2 * n * n)
+
+    def radii(self, n: int) -> tuple[float, float]:
+        """The radii ``(r_n, s_n)`` of step ``n``: each earlier step ``i``
+        takes ``5 rho_i`` from ``r0`` and adds ``2 sigma_i`` to ``s0``,
+        summed in step order."""
+        r, s = self.r0, self.s0
+        for i in range(n):
+            r -= 5.0 * self.rho_n(i)
+            s += 2.0 * self.sigma_n(i)
+        return r, s
 
     def log_sup_k(self) -> float:
         """``log K`` of the summability constant: ``K = frak_c * sup_n
@@ -369,6 +373,10 @@ class KamConstants:
 
     def as_dict(self) -> dict:
         return {**asdict(self), "chi": CHI}
+
+
+KAM = KamConstants()
+"""The constants every KAM step and convergence check uses."""
 
 
 @dataclass(frozen=True)
@@ -396,19 +404,12 @@ class KamTrace:
     """Diagnostics of a full normalization run."""
 
     records: tuple[KamStepRecord, ...]
-    constants: KamConstants
     convergence_lhs_log: float | None
     convergence_rhs_log: float | None
     convergence_ok: bool | None
 
     def as_dict(self) -> dict:
-        return {
-            "records": [asdict(r) for r in self.records],
-            "constants": self.constants.as_dict(),
-            "convergence_lhs_log": self.convergence_lhs_log,
-            "convergence_rhs_log": self.convergence_rhs_log,
-            "convergence_ok": self.convergence_ok,
-        }
+        return {**asdict(self), "constants": KAM.as_dict()}
 
 
 @dataclass(frozen=True)
@@ -526,26 +527,22 @@ def _eliminate_orders(
 
 
 def kam_step(
-    dec: DecomposedField,
-    constants: KamConstants | None = None,
-    step_index: int = 0,
-    r_n: float | None = None,
-    s_n: float | None = None,
+    dec: DecomposedField, step_index: int = 0
 ) -> tuple[DecomposedField, VectorField, KamStepRecord]:
     """One main step: solve the triangular homological pair, push the
     field forward along the generator's time-1 flow, redecompose.
 
     Exact postconditions (checked, violations raise NormalFormError):
     ``Z`` unchanged; ``ord(X+) >= 2 ord(X)``.  The analytic smallness
-    check is evaluated in log space and reported, not enforced.
+    check is evaluated in log space and reported, not enforced; the
+    step computes its radii and losses from :data:`KAM` and
+    ``step_index``.
     """
     if dec.x.is_zero:
         raise AlreadyNormal("X = 0: the field is already in normal form")
-    constants = constants or KamConstants()
-    r = constants.r0 if r_n is None else r_n
-    s = constants.s0 if s_n is None else s_n
-    rho = constants.rho_n(step_index)
-    sigma = constants.sigma_n(step_index)
+    r, s = KAM.radii(step_index)
+    rho = KAM.rho_n(step_index)
+    sigma = KAM.sigma_n(step_index)
 
     x0 = _project_class(dec.x, dec.module, 0)
     x1 = _project_class(dec.x, dec.module, 1)
@@ -575,7 +572,7 @@ def kam_step(
             "order doubling failed: ord(X+) = %d < 2 * %d" % (new_ord, old_ord)
         )
 
-    gamma = constants.gamma
+    gamma = KAM.gamma
     norm_x = dec.x.majorant_norm(r, s)
     norm_z = dec.z.majorant_norm(r, s)
     norm_n = dec.n.majorant_norm(r, s)
@@ -584,9 +581,9 @@ def kam_step(
     zn = (norm_z + norm_n) / gamma
     smallness_lhs = 3.0 * math.log1p(zn) + math.log(eps)
     smallness_rhs = (
-        math.log(constants.k1)
+        math.log(KAM.k1)
         + 4.0 * math.log(rho / r)
-        - 2.0 ** 8 * constants.c / sigma ** 6
+        - 2.0 ** 8 * KAM.c / sigma ** 6
     )
     record = KamStepRecord(
         step=step_index,
@@ -612,40 +609,34 @@ def normalize(
     model: FrequencyModel,
     module: ResonanceModule,
     mstar: int | None = None,
-    constants: KamConstants | None = None,
 ) -> tuple[DecomposedField, TransformLog, KamTrace]:
     """Full driver: prenormalize below the cutoff order, then iterate
-    main steps until ``X = 0`` at truncation.
+    main steps until ``X = 0`` at truncation.  Each step takes its
+    smallness schedule from :data:`KAM`.
 
     Termination is guaranteed in at most ``ceil(log2((D+1)/mstar)) + 1``
     steps by order doubling; exceeding the bound raises NormalFormError.
     """
     ctx = w.ctx
     mstar = resolve_mstar(module, mstar)
-    constants = constants or KamConstants()
     out, prelog = prenormalize(w, model, module, mstar)
     dec = decompose(out, model, module, mstar)
 
     max_steps = max(0, math.ceil(math.log2((ctx.degree_cutoff + 1) / mstar))) + 1
     entries = list(prelog.entries)
     records: list[KamStepRecord] = []
-    r_n, s_n = constants.r0, constants.s0
-    step = 0
     while not dec.x.is_zero:
-        if step >= max_steps:
+        if len(records) >= max_steps:
             raise NormalFormError(
                 "iteration exceeded the doubling bound of %d steps" % max_steps
             )
-        dec, f, record = kam_step(dec, constants, step, r_n, s_n)
+        dec, f, record = kam_step(dec, len(records))
         entries.append(("kam", f))
         records.append(record)
-        r_n -= 5.0 * constants.rho_n(step)
-        s_n += 2.0 * constants.sigma_n(step)
-        step += 1
 
     if records:
         eps0, theta0 = records[0].eps, records[0].theta
-        log_k = constants.log_sup_k()
+        log_k = KAM.log_sup_k()
         convergence_lhs = math.log(eps0) if eps0 > 0 else -math.inf
         convergence_rhs = -7.0 * math.log1p(theta0) - log_k
         convergence_ok = convergence_lhs <= convergence_rhs
@@ -653,7 +644,6 @@ def normalize(
         convergence_lhs = convergence_rhs = convergence_ok = None
     trace = KamTrace(
         records=tuple(records),
-        constants=constants,
         convergence_lhs_log=convergence_lhs,
         convergence_rhs_log=convergence_rhs,
         convergence_ok=convergence_ok,

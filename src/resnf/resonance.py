@@ -551,15 +551,9 @@ class DiophantineReport:
 
     def as_dict(self) -> dict:
         return {
-            "tau": self.tau,
-            "gamma_max": self.gamma_max if not self.unconstrained else None,
+            **asdict(self),
+            "gamma_max": None if self.unconstrained else self.gamma_max,
             "worst_p": None if self.worst_p is None else str(self.worst_p),
-            "enumerated_count": self.enumerated_count,
-            "degree_bound": self.degree_bound,
-            "mode_cutoff": self.mode_cutoff,
-            "fast_path_hits": self.fast_path_hits,
-            "fast_path_enabled": self.fast_path_enabled,
-            "unconstrained": self.unconstrained,
         }
 
 

@@ -1,6 +1,7 @@
 """Tests for the JSON-problem-file command-line front end."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -388,6 +389,16 @@ class TestDiophantine:
         assert code == EXIT_INPUT
         assert capsys.readouterr() == ("", "input error: --degree: must be >= 1\n")
 
+    @pytest.mark.parametrize("tau", ["nan", "inf", "1e400", "-3"])
+    def test_tau_flag_must_be_finite_and_nonnegative(self, tmp_path, capsys, tau):
+        path = write(tmp_path, dim6_doc())
+        code = run(["diophantine", path, "--tau", tau, "--degree", "2"])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr() == (
+            "",
+            "input error: --tau: must be a finite number >= 0\n",
+        )
+
     def test_parameters_required_somewhere(self, tmp_path, capsys):
         path = write(tmp_path, dim6_doc())
         assert run(["diophantine", path]) == EXIT_INPUT
@@ -567,6 +578,22 @@ LOADER_REJECTIONS = [
      "problem.diophantine.degree_bound: must be >= 1"),
     ("degree-bound-zero", "dim6", {"diophantine": {"tau": 2, "degree_bound": 0}}, [],
      "problem.diophantine.degree_bound: must be >= 1"),
+    ("tau-negative", "dim6", {"diophantine": {"tau": -3, "degree_bound": 2}}, [],
+     "problem.diophantine.tau: must be >= 0"),
+    ("tau-overflow", "dim6", {"diophantine": {"tau": "1e400", "degree_bound": 2}}, [],
+     "problem.diophantine.tau: expected a finite number"),
+    ("theta-overflow", "dim6", {"truncation.theta": "1e400"}, [],
+     "problem.truncation.theta: expected a finite number"),
+    ("horizon-overflow", "dim6", {"flow": {"horizon": "1e400"}}, [],
+     "problem.flow.horizon: expected a finite number"),
+    ("horizon-integer-overflow", "dim6", {"flow": {"horizon": 10 ** 400}}, [],
+     "problem.flow.horizon: expected a finite number"),
+    ("horizon-nan", "dim6", {"flow": {"horizon": math.nan}}, [],
+     "problem.flow.horizon: expected a finite number"),
+    ("blowup-infinite", "dim6", {"flow": {"blowup": math.inf}}, [],
+     "problem.flow.blowup: expected a finite number"),
+    ("rho-overflow", "dim6", {"flow": {"rho": [0.05, "1e400"]}}, [],
+     "problem.flow.rho[1]: expected a finite number"),
     ("first-sources-then-seed", "dim6",
      {"field": {"terms": DIAGONAL_LINES, "seed": "x"}}, [],
      "problem.field: give exactly one of terms, terms_file, seed or p"),

@@ -1,5 +1,6 @@
 """Unit tests for modes, multi-indices and truncation contexts."""
 
+import dataclasses
 import math
 import random
 
@@ -150,6 +151,28 @@ class TestTruncationContext:
 
         assert exact.is_zero_coeff(GR_ZERO)
         assert not exact.is_zero_coeff(GR_ONE)
+
+    def test_frozen(self):
+        ctx = TruncationContext(2, 3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.theta = 0.25
+        assert ctx.theta == 0.5
+
+    def test_equal_contexts_compare_and_hash_equal(self):
+        a = TruncationContext(2, 3, momentum_enabled=True, theta=0.25)
+        b = TruncationContext(2.0, 3, momentum_enabled=1, theta="0.25")
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != TruncationContext(2, 3, momentum_enabled=True)
+        assert a != a.with_arithmetic("float")
+
+    def test_with_arithmetic_keeps_other_fields(self):
+        ctx = TruncationContext(2, 5, momentum_enabled=True, theta=0.3)
+        floaty = ctx.with_arithmetic("float")
+        assert floaty.arithmetic == "float"
+        assert floaty.with_arithmetic("exact") == ctx
+        for name in ("mode_cutoff", "degree_cutoff", "momentum_enabled", "theta"):
+            assert getattr(floaty, name) == getattr(ctx, name)
+        assert floaty.modes() == ctx.modes()
 
 
 class TestWeights:

@@ -20,6 +20,7 @@ from resnf.errors import (
 from resnf.fields import GaussianRational, VectorField, bracket
 from resnf.indexing import Mode, MultiIndex, TruncationContext
 from resnf.normalform import (
+    KAM,
     DecomposedField,
     KamConstants,
     TransformLog,
@@ -36,6 +37,7 @@ from resnf.normalform import (
     solve_linear_homological,
 )
 from resnf.resonance import FrequencyModel, enumerate_resonance
+from resnf.verify import build_example_dim6
 
 
 def fin(label: int) -> Mode:
@@ -595,12 +597,6 @@ class TestApplyTransform:
 
 
 class TestKamConstants:
-    def test_validation(self):
-        with pytest.raises(NormalFormError, match="rho"):
-            KamConstants(rho=0.5)
-        with pytest.raises(NormalFormError, match="positive"):
-            KamConstants(gamma=0.0)
-
     def test_schedule(self):
         c = KamConstants()
         assert c.rho_n(3) == pytest.approx(c.rho_n(2) / 2)
@@ -619,3 +615,18 @@ class TestKamConstants:
     def test_as_dict(self):
         d = KamConstants().as_dict()
         assert d["gamma"] == 1.0 and d["chi"] == 1.5
+
+    def test_radius_schedule_is_the_running_sum(self):
+        # The radii of step n subtract 5 rho_i and add 2 sigma_i for each
+        # earlier step i, in step order, so every record matches a running
+        # sum bit for bit.
+        w, model = build_example_dim6(seed=5, degree=10)
+        module = enumerate_resonance(w.ctx, model)
+        _, _, trace = normalize(w, model, module)
+        assert len(trace.records) >= 2
+        r, s = KAM.r0, KAM.s0
+        for rec in trace.records:
+            assert (rec.r, rec.s) == (r, s)
+            assert (rec.rho, rec.sigma) == (KAM.rho_n(rec.step), KAM.sigma_n(rec.step))
+            r -= 5.0 * KAM.rho_n(rec.step)
+            s += 2.0 * KAM.sigma_n(rec.step)
