@@ -660,7 +660,7 @@ def cmd_normalize(
     problem: Problem, out_dir: str | None, json_path: str | None
 ) -> int:
     module = enumerate_resonance(problem.ctx, problem.model)
-    dec, log, trace = normalize(problem.field, problem.model, module)
+    dec, log, trace = normalize(problem.field, module)
     stages = [stage for stage, _ in log]
     result = dec.assemble()
     report = {

@@ -588,7 +588,7 @@ def _validate_scalar_key(ctx: TruncationContext, q: MultiIndex) -> None:
 
 def _validate_field_key(ctx: TruncationContext, k: Mode, q: MultiIndex) -> None:
     if not ctx.admits_mode(k):
-        raise NormalFormError("direction %s not admitted by the context" % (k,))
+        raise NormalFormError("direction %s not admitted by the context" % format_mode(k))
     if not q.is_nonnegative:
         raise NormalFormError("field exponent %s must be nonnegative, nonzero" % (q,))
     if not ctx.admits_support(q):

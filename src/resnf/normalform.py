@@ -28,7 +28,7 @@ from .errors import (
 )
 from .fields import VectorField, bracket
 from .indexing import TruncationContext, format_mode
-from .resonance import FrequencyModel, ResonanceModule
+from .resonance import FrequencyModel, ResonanceModule, split_ideals
 
 CHI = 1.5
 """Super-exponential decay rate of the iterative scheme (fixed)."""
@@ -45,17 +45,19 @@ class DecomposedField:
 
     ``Z`` holds the diagonal resonant terms of order 1..mstar-1, ``X``
     the class-0/1 terms of order >= mstar (all non-resonant), ``N`` the
-    class-2 terms of order >= mstar.  The linear part is carried by the
-    model reference, not stored as terms.
+    class-2 terms of order >= mstar.  The model and the cutoff order
+    ``mstar`` are the module's; the linear part is carried by the model,
+    not stored as terms.
     """
 
-    model: FrequencyModel
     module: ResonanceModule
-    ctx: TruncationContext
-    mstar: int
     z: VectorField
     x: VectorField
     n: VectorField
+
+    @property
+    def mstar(self) -> int:
+        return self.module.m_star_minimal
 
     @property
     def is_normal(self) -> bool:
@@ -63,7 +65,7 @@ class DecomposedField:
 
     def assemble(self) -> VectorField:
         """The full field ``D + Z + X + N``."""
-        return self.model.linear_field(self.ctx) + self.z + self.x + self.n
+        return self.module.model.linear_field(self.z.ctx) + self.z + self.x + self.n
 
     def __repr__(self):
         return "DecomposedField(Z:%d, X:%d, N:%d terms, mstar=%d)" % (
@@ -86,13 +88,9 @@ def resolve_mstar(module: ResonanceModule, mstar: int | None) -> int:
     return mstar
 
 
-def decompose(
-    w: VectorField,
-    model: FrequencyModel,
-    module: ResonanceModule,
-    mstar: int | None = None,
-) -> DecomposedField:
-    """Split ``w`` into linear part, ``Z``, ``X`` and ``N``.
+def decompose(w: VectorField, module: ResonanceModule) -> DecomposedField:
+    """Split ``w`` into linear part, ``Z``, ``X`` and ``N``, reading the
+    model and the cutoff order from the module.
 
     Raises HypothesisViolation when the linear part differs from the
     model, when a kernel term below the cutoff order is non-diagonal
@@ -100,7 +98,7 @@ def decompose(
     terms below the cutoff order remain (prenormalize first).
     """
     ctx = w.ctx
-    mstar = resolve_mstar(module, mstar)
+    model, mstar = module.model, module.m_star_minimal
     linear = w.project(lambda k, q: q.degree == 1)
     if not (linear - model.linear_field(ctx)).is_zero:
         raise HypothesisViolation(
@@ -130,10 +128,7 @@ def decompose(
         else:
             x_terms.append((k, q, c))
     return DecomposedField(
-        model,
         module,
-        ctx,
-        mstar,
         VectorField(ctx, z_terms),
         VectorField(ctx, x_terms),
         VectorField(ctx, n_terms),
@@ -204,7 +199,6 @@ def solve_extended_homological(
     klass: int,
     z: VectorField,
     n: VectorField,
-    model: FrequencyModel,
     module: ResonanceModule,
     f0: VectorField | None = None,
 ) -> VectorField:
@@ -221,6 +215,7 @@ def solve_extended_homological(
     if klass not in (0, 1):
         raise ValueError("klass must be 0 or 1")
     ctx = x_i.ctx
+    model = module.model
     _require_diagonal_resonant(z, model)
     if klass == 1 and f0 is not None:
         coupling = _project_class(bracket(f0, z + n), module, 1)
@@ -440,9 +435,6 @@ class TransformLog:
     def fields(self) -> tuple[VectorField, ...]:
         return tuple(f for _, f in self.entries)
 
-    def extend(self, entries: Iterable[tuple[str, VectorField]]) -> "TransformLog":
-        return TransformLog(self.entries + tuple(entries))
-
     def to_lines(self) -> list[str]:
         lines: list[str] = []
         for i, (stage, f) in enumerate(self.entries):
@@ -481,16 +473,12 @@ class TransformLog:
 
 
 def prenormalize(
-    w: VectorField,
-    model: FrequencyModel,
-    module: ResonanceModule,
-    mstar: int | None = None,
+    w: VectorField, module: ResonanceModule
 ) -> tuple[VectorField, TransformLog]:
     """Degree-by-degree elimination of all non-resonant terms of order
-    below the cutoff order; below that order only kernel terms remain."""
-    mstar = resolve_mstar(module, mstar)
-    out, entries = _eliminate_orders(w, model, range(1, mstar), "prenormalize")
-    return out, TransformLog(entries)
+    below the module's cutoff order; below that order only kernel terms
+    remain."""
+    return _eliminate_orders(w, module.model, range(1, module.m_star_minimal))
 
 
 def poincare_dulac(
@@ -499,19 +487,14 @@ def poincare_dulac(
     """Classical full normal form: eliminate every non-resonant term of
     every order in the window.  Serves as an independent reference for
     the iterative driver (both leave the same kernel-diagonal part)."""
-    ctx = w.ctx
-    out, entries = _eliminate_orders(
-        w, model, range(1, ctx.degree_cutoff + 1), "prenormalize"
-    )
-    return out, TransformLog(entries)
+    return _eliminate_orders(w, model, range(1, w.ctx.degree_cutoff + 1))
 
 
 def _eliminate_orders(
     w: VectorField,
     model: FrequencyModel,
     orders: Sequence[int],
-    stage: str,
-) -> tuple[VectorField, list[tuple[str, VectorField]]]:
+) -> tuple[VectorField, TransformLog]:
     out = w
     entries: list[tuple[str, VectorField]] = []
     for d in orders:
@@ -522,8 +505,8 @@ def _eliminate_orders(
             continue
         f = solve_linear_homological(y, model)
         out = pushforward_exp(f, out)
-        entries.append((stage, f))
-    return out, entries
+        entries.append(("prenormalize", f))
+    return out, TransformLog(tuple(entries))
 
 
 def kam_step(
@@ -544,14 +527,11 @@ def kam_step(
     rho = KAM.rho_n(step_index)
     sigma = KAM.sigma_n(step_index)
 
-    x0 = _project_class(dec.x, dec.module, 0)
-    x1 = _project_class(dec.x, dec.module, 1)
-    if not (dec.x - x0 - x1).is_zero:
+    x0, x1, x2 = split_ideals(dec.x, dec.module)
+    if not x2.is_zero:
         raise HypothesisViolation("X has class-2 terms; decompose is stale")
-    f0 = solve_extended_homological(x0, 0, dec.z, dec.n, dec.model, dec.module)
-    f1 = solve_extended_homological(
-        x1, 1, dec.z, dec.n, dec.model, dec.module, f0=f0
-    )
+    f0 = solve_extended_homological(x0, 0, dec.z, dec.n, dec.module)
+    f1 = solve_extended_homological(x1, 1, dec.z, dec.n, dec.module, f0=f0)
     f = f0 + f1
     if f.order() is not None and f.order() < dec.mstar:
         raise NormalFormError(
@@ -561,7 +541,7 @@ def kam_step(
         raise NormalFormError("generator has class-2 terms")
 
     w_plus, series_terms = _lie_sum(f, dec.assemble())
-    dec_plus = decompose(w_plus, dec.model, dec.module, dec.mstar)
+    dec_plus = decompose(w_plus, dec.module)
 
     if not (dec_plus.z - dec.z).is_zero:
         raise NormalFormError("Z changed across a step; main-step structure violated")
@@ -605,24 +585,20 @@ def kam_step(
 
 
 def normalize(
-    w: VectorField,
-    model: FrequencyModel,
-    module: ResonanceModule,
-    mstar: int | None = None,
+    w: VectorField, module: ResonanceModule
 ) -> tuple[DecomposedField, TransformLog, KamTrace]:
     """Full driver: prenormalize below the cutoff order, then iterate
-    main steps until ``X = 0`` at truncation.  Each step takes its
-    smallness schedule from :data:`KAM`.
+    main steps until ``X = 0`` at truncation.  The model and the cutoff
+    order are the module's; each step takes its smallness schedule from
+    :data:`KAM`.
 
     Termination is guaranteed in at most ``ceil(log2((D+1)/mstar)) + 1``
     steps by order doubling; exceeding the bound raises NormalFormError.
     """
-    ctx = w.ctx
-    mstar = resolve_mstar(module, mstar)
-    out, prelog = prenormalize(w, model, module, mstar)
-    dec = decompose(out, model, module, mstar)
+    out, prelog = prenormalize(w, module)
+    dec = decompose(out, module)
 
-    max_steps = max(0, math.ceil(math.log2((ctx.degree_cutoff + 1) / mstar))) + 1
+    max_steps = max(0, math.ceil(math.log2((w.ctx.degree_cutoff + 1) / dec.mstar))) + 1
     entries = list(prelog.entries)
     records: list[KamStepRecord] = []
     while not dec.x.is_zero:

@@ -25,6 +25,7 @@ from .errors import (
     CutoffTooSmall,
     ModelError,
     NormalFormError,
+    ProblemFileError,
     UniqueFactorizationViolation,
 )
 from .fields import GaussianRational, VectorField
@@ -112,7 +113,7 @@ class FrequencyModel:
             vec = {}
             for sym, coeff in row.items():
                 if sym not in index:
-                    raise ModelError("unknown symbol %r for mode %s" % (sym, (k,)))
+                    raise ModelError("unknown symbol %r for mode %s" % (sym, format_mode(k)))
                 g = _as_coeff(coeff)
                 if not g.is_zero:
                     vec[index[sym]] = g
@@ -617,12 +618,27 @@ def diophantine_audit(
                     )
                 if gamma_max < 1.0:
                     continue  # cannot lower a minimum already below 1
-        weighted = value
-        for m, e in p.items():
-            weighted *= (1 + e * e * mode_weight(m) ** 2) ** tau
+        try:
+            weighted = value
+            for m, e in p.items():
+                weighted *= (1 + e * e * mode_weight(m) ** 2) ** tau
+        except OverflowError:
+            # a weight beyond the float range; the product may lie within it
+            log_weighted = math.log(value) + tau * sum(
+                math.log(1 + e * e * mode_weight(m) ** 2) for m, e in p.items()
+            )
+            try:
+                weighted = math.exp(log_weighted)
+            except OverflowError:
+                continue
         if weighted < gamma_max:
             gamma_max = weighted
             worst = p
+    if count and worst is None:
+        raise ProblemFileError(
+            "diophantine: tau = %g overflows every weight up to degree %d; "
+            "lower tau or the degree bound" % (tau, degree_bound)
+        )
     return DiophantineReport(
         tau=float(tau),
         gamma_max=gamma_max,

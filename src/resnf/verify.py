@@ -42,19 +42,23 @@ DEFAULT_ZETA2 = Fraction(1351, 780)
 _HALF_PI = 1.5707963267948966
 _PI = 3.141592653589793
 
-#: Pairwise-coprime denominators for the site-dependent potential
-#: shifts; window coefficients stay far below the smallest denominator,
-#: ruling out accidental cancellations among the shifted squares.
-_POTENTIAL_PRIMES = (11, 13, 17, 19, 23, 29, 31, 37, 41)
-
 
 def potential_shift(j: int) -> Fraction:
     """Site-dependent potential stand-in: ``3/4`` at ``j = 0`` (keeping
-    ``|V_0 - 1| <= 1/2``), distinct reciprocal primes elsewhere."""
+    ``|V_0 - 1| <= 1/2``), elsewhere the reciprocal of the ``order``-th
+    prime from 11 on, the sites taken in the order ``1, -1, 2, -2, ...``.
+    Window coefficients stay far below the smallest denominator, so the
+    pairwise-coprime denominators rule out accidental cancellations among
+    the shifted squares."""
     if j == 0:
         return Fraction(3, 4)
     order = 2 * abs(j) - (1 if j > 0 else 0)
-    return Fraction(1, _POTENTIAL_PRIMES[order - 1])
+    prime = 7
+    while order:
+        prime += 2
+        if all(prime % d for d in range(3, math.isqrt(prime) + 1, 2)):
+            order -= 1
+    return Fraction(1, prime)
 
 
 def default_potential(cutoff: int) -> dict[int, Fraction]:

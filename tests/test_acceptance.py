@@ -267,7 +267,7 @@ def test_criterion_4_normalization_matches_oracle(six_setup, criteria):
     problems = []
     for seed in range(1, 21):
         w, model = build_example_dim6(seed=seed, degree=8)
-        dec, _, trace = normalize(w, model, module)
+        dec, _, trace = normalize(w, module)
         if len(trace.records) > 3:
             problems.append(
                 "seed %d: %d steps (bound 3)" % (seed, len(trace.records))
@@ -326,7 +326,7 @@ def test_criterion_5_conjugacy_scaling(criteria):
         w, model = build_example_dim6(seed=seed, degree=5)
         if module is None:
             module = enumerate_resonance(w.ctx, model)
-        dec, log, _ = normalize(w, model, module)
+        dec, log, _ = normalize(w, module)
         spec = SigmaSpec.from_module(module)
         rng = random.Random(1)
         unit = [
@@ -585,10 +585,10 @@ def test_criterion_9_determinism_and_round_trip(six_setup, criteria, tmp_path):
     if len(blobs) == 2 and blobs[0] != blobs[1]:
         problems.append("verify reports differ across thread counts")
 
-    w, model = build_example_dim6(seed=7)
+    w, _ = build_example_dim6(seed=7)
     if VectorField.from_lines(ctx, w.to_lines()) != w:
         problems.append("field serialization did not round-trip")
-    _, log, _ = normalize(w, model, module)
+    _, log, _ = normalize(w, module)
     again = TransformLog.from_lines(ctx, log.to_lines())
     if [stage for stage, _ in again] != [stage for stage, _ in log] or any(
         not (a - b).is_zero

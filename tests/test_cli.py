@@ -247,6 +247,29 @@ class TestAnalyze:
         assert res["delta_equals_m"] is True
         assert "0-^1 0+^1" in res["q_generators"]
 
+    @pytest.mark.parametrize(
+        "model",
+        [
+            {"builder": "nls"},
+            {"builder": "hyperbolic"},
+            {"builder": "nls", "potential": {"5": "1/7", "-5": "1/9"}},
+        ],
+        ids=["nls", "hyperbolic", "explicit-potential"],
+    )
+    def test_lattice_beyond_four_sites(self, tmp_path, capsys, model):
+        doc = nls_doc(model=model)
+        doc["truncation"]["mode_cutoff"] = 5
+        if model["builder"] == "hyperbolic":
+            del doc["field"]
+        report_path = tmp_path / "report.json"
+        assert run(["analyze", write(tmp_path, doc), "--json", str(report_path)]) == EXIT_OK
+        capsys.readouterr()
+        res = json.loads(report_path.read_text())["resonance"]
+        assert sorted(res["q_generators"]) == sorted(
+            "%d-^1 %d+^1" % (j, j) for j in range(-5, 6)
+        )
+        assert res["resonant_pair_count"] == 264
+
     def test_divisor_scan_in_analyze(self, tmp_path, capsys):
         doc = dim6_doc(diophantine={"tau": 2.0, "degree_bound": 5})
         report_path = tmp_path / "report.json"
@@ -358,6 +381,14 @@ class TestVerify:
         assert code == EXIT_INPUT
         assert "normalize --out" in capsys.readouterr().err
 
+    def test_artifacts_of_another_model_name_the_direction(self, workspace, tmp_path, capsys):
+        _, problem, _ = workspace
+        out = str(tmp_path / "nls-out")
+        assert run(["normalize", write(tmp_path, nls_doc()), "--out", out]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["verify", problem, "--transform", out]) == EXIT_INPUT
+        assert "direction 0- not admitted by the context" in capsys.readouterr().err
+
 
 class TestDiophantine:
     def test_flags_override_problem_section(self, tmp_path, capsys):
@@ -398,6 +429,32 @@ class TestDiophantine:
             "",
             "input error: --tau: must be a finite number >= 0\n",
         )
+
+    def test_large_tau_keeps_a_finite_minimum(self, tmp_path, capsys):
+        path = write(tmp_path, dim6_doc())
+        report_path = tmp_path / "report.json"
+        code = run(
+            ["diophantine", path, "--tau", "150", "--degree", "2", "--json", str(report_path)]
+        )
+        assert code == EXIT_OK
+        capsys.readouterr()
+        dio = json.loads(report_path.read_text())["diophantine"]
+        assert dio["worst_p"] == "1+^-1"
+        assert dio["gamma_max"] == pytest.approx(2.8545e45, rel=1e-4)
+
+    @pytest.mark.parametrize("where", ["flag", "problem"])
+    def test_tau_overflowing_every_weight(self, tmp_path, capsys, where):
+        message = (
+            "input error: diophantine: tau = 2000 overflows every weight up to "
+            "degree 2; lower tau or the degree bound\n"
+        )
+        if where == "flag":
+            argv = ["diophantine", write(tmp_path, dim6_doc()), "--tau", "2000", "--degree", "2"]
+        else:
+            doc = dim6_doc(diophantine={"tau": 2000, "degree_bound": 2})
+            argv = ["analyze", write(tmp_path, doc)]
+        assert run(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == message
 
     def test_parameters_required_somewhere(self, tmp_path, capsys):
         path = write(tmp_path, dim6_doc())

@@ -33,6 +33,7 @@ from resnf.normalform import (
     prenormalize,
     pushforward_exp,
     pushforward_exp_reversed,
+    resolve_mstar,
     solve_extended_homological,
     solve_linear_homological,
 )
@@ -111,7 +112,7 @@ class TestDecompose:
     def test_splits_named_parts(self, six_setup):
         ctx, model, module = six_setup
         d, z, x0, x1, n = sample_field(ctx, model)
-        dec = decompose(d + z + x0 + x1 + n, model, module)
+        dec = decompose(d + z + x0 + x1 + n, module)
         assert dec.z == z
         assert dec.x == x0 + x1
         assert dec.n == n
@@ -122,22 +123,22 @@ class TestDecompose:
         ctx, model, module = six_setup
         d, z, x0, x1, n = sample_field(ctx, model)
         w = d + z + x0 + x1 + n
-        assert decompose(w, model, module).assemble() == w
+        assert decompose(w, module).assemble() == w
 
     def test_linear_part_must_match(self, six_setup):
         ctx, model, module = six_setup
         d, z, _, _, _ = sample_field(ctx, model)
         with pytest.raises(HypothesisViolation, match="linear part"):
-            decompose(d.scale(2) + z, model, module)
+            decompose(d.scale(2) + z, module)
         with pytest.raises(HypothesisViolation, match="linear part"):
-            decompose(z, model, module)
+            decompose(z, module)
 
     def test_nonresonant_below_cutoff_rejected(self, six_setup):
         ctx, model, module = six_setup
         d = model.linear_field(ctx)
         w = d + VectorField.monomial(ctx, fin(2), E1 + E1, 1)
         with pytest.raises(HypothesisViolation, match="prenormalize"):
-            decompose(w, model, module)
+            decompose(w, module)
 
     def test_kernel_below_cutoff_must_be_diagonal(self, six_setup):
         # x2^2 x3 x4 d/dx1 has order 3 < mstar and zero divisor but no
@@ -148,25 +149,25 @@ class TestDecompose:
         d = model.linear_field(ctx)
         w = d + VectorField.monomial(ctx, fin(1), E2 + E2 + Q1, 1)
         with pytest.raises(HypothesisViolation, match="diagonal"):
-            decompose(w, model, module)
+            decompose(w, module)
 
     def test_translate_term_rejected(self, six_setup):
         ctx, model, module = six_setup
         d = model.linear_field(ctx)
         w = d + VectorField.monomial(ctx, fin(1), E2 + E2, 1)
         with pytest.raises(HypothesisViolation, match="diagonal"):
-            decompose(w, model, module)
+            decompose(w, module)
 
     def test_mstar_below_minimal_rejected(self, six_setup):
-        ctx, model, module = six_setup
+        _, _, module = six_setup
         with pytest.raises(HypothesisViolation, match="minimal"):
-            decompose(model.linear_field(ctx), model, module, mstar=3)
+            resolve_mstar(module, 3)
 
     def test_class_two_kernel_goes_to_n(self, six_setup):
         ctx, model, module = six_setup
         d = model.linear_field(ctx)
         term = VectorField.monomial(ctx, fin(2), Q1 + Q2 + E2, 1)
-        dec = decompose(d + term, model, module)
+        dec = decompose(d + term, module)
         assert dec.n == term
         assert dec.z.is_zero and dec.x.is_zero
         assert dec.is_normal
@@ -200,7 +201,7 @@ class TestExtendedHomological:
         d, z, x0, x1, n = sample_field(ctx, model)
         rng = random.Random(7)
         y0 = x0 + random_class_field(ctx, model, module, rng, 0, 5)
-        f0 = solve_extended_homological(y0, 0, z, n, model, module)
+        f0 = solve_extended_homological(y0, 0, z, n, module)
         lhs = bracket(f0, d + z).project(lambda k, q: module.classify(q) == 0)
         assert lhs == -y0
 
@@ -210,8 +211,8 @@ class TestExtendedHomological:
         rng = random.Random(11)
         y0 = x0 + random_class_field(ctx, model, module, rng, 0, 4)
         y1 = x1 + random_class_field(ctx, model, module, rng, 1, 4)
-        f0 = solve_extended_homological(y0, 0, z, n, model, module)
-        f1 = solve_extended_homological(y1, 1, z, n, model, module, f0=f0)
+        f0 = solve_extended_homological(y0, 0, z, n, module)
+        f1 = solve_extended_homological(y1, 1, z, n, module, f0=f0)
         lhs = (bracket(f1, d + z) + bracket(f0, z + n)).project(
             lambda k, q: module.classify(q) == 1
         )
@@ -262,7 +263,7 @@ class TestExtendedHomological:
         _, _, x0, _, n = sample_field(ctx, model)
         bad_z = VectorField.monomial(ctx, fin(2), E1 + E2, 1)
         with pytest.raises(HypothesisViolation, match="diagonal"):
-            solve_extended_homological(x0, 0, bad_z, n, model, module)
+            solve_extended_homological(x0, 0, bad_z, n, module)
 
 
 class TestWindowEdge:
@@ -280,7 +281,7 @@ class TestWindowEdge:
             ctx, nine, MultiIndex({one: 9}), 1
         )
         with pytest.raises(CutoffTooSmall, match="1\\+\\^9.*raise the degree cutoff"):
-            normalize(w, model, module)
+            normalize(w, module)
 
     def test_resonant_term_inside_window_keeps_range_error(self, six_setup):
         ctx, model, module = six_setup
@@ -288,7 +289,7 @@ class TestWindowEdge:
         y = VectorField.monomial(ctx, fin(1), Q1 + E1, 1)
         assert module.classify(Q1 + E1) == 1
         with pytest.raises(ResonantTermInRange, match="disagree"):
-            solve_extended_homological(y, 1, zero, zero, model, module)
+            solve_extended_homological(y, 1, zero, zero, module)
 
 
 class TestLieSeries:
@@ -358,7 +359,7 @@ class TestKamStep:
     def test_step_doubles_and_preserves_z(self, six_setup):
         ctx, model, module = six_setup
         d, z, x0, x1, n = sample_field(ctx, model)
-        dec = decompose(d + z + x0 + x1 + n, model, module)
+        dec = decompose(d + z + x0 + x1 + n, module)
         dec1, f, record = kam_step(dec)
         assert dec1.z == z
         assert record.ord_x == 4
@@ -373,7 +374,7 @@ class TestKamStep:
     def test_already_normal_raises(self, six_setup):
         ctx, model, module = six_setup
         d, z, _, _, n = sample_field(ctx, model)
-        dec = decompose(d + z + n, model, module)
+        dec = decompose(d + z + n, module)
         with pytest.raises(AlreadyNormal):
             kam_step(dec)
 
@@ -383,7 +384,7 @@ class TestPrenormalize:
         ctx, model, module = six_setup
         d = model.linear_field(ctx)
         w = d + VectorField.monomial(ctx, fin(2), E1 + E1, Fraction(1, 2))
-        out, log = prenormalize(w, model, module)
+        out, log = prenormalize(w, module)
         low = out.project(
             lambda k, q: 1 <= q.degree - 1 < 4 and not model.is_resonant_pair(q, k)
         )
@@ -394,7 +395,7 @@ class TestPrenormalize:
     def test_noop_when_clean(self, six_setup):
         ctx, model, module = six_setup
         d, z, x0, _, _ = sample_field(ctx, model)
-        out, log = prenormalize(d + z + x0, model, module)
+        out, log = prenormalize(d + z + x0, module)
         assert out == d + z + x0
         assert len(log) == 0
 
@@ -406,7 +407,7 @@ def run(six_setup):
     d, z, x0, x1, n = sample_field(ctx, model)
     low = VectorField.monomial(ctx, fin(2), E1 + E1, Fraction(1, 2))
     w = d + low + z + x0 + x1 + n
-    dec, log, trace = normalize(w, model, module)
+    dec, log, trace = normalize(w, module)
     return w, dec, log, trace
 
 
@@ -452,7 +453,7 @@ class TestNormalize:
     def test_no_steps_when_already_normal(self, six_setup):
         ctx, model, module = six_setup
         d, z, _, _, n = sample_field(ctx, model)
-        dec, log, trace = normalize(d + z + n, model, module)
+        dec, log, trace = normalize(d + z + n, module)
         assert dec.x.is_zero and len(log) == 0 and not trace.records
         assert trace.convergence_ok is None
 
@@ -483,7 +484,7 @@ class TestNormalize:
             + MultiIndex.unit(Mode(0, -1))
         )
         w = d + VectorField.monomial(ctx, Mode(0, 1), q, GaussianRational(0, 1))
-        dec, log, trace = normalize(w, model, module)
+        dec, log, trace = normalize(w, module)
         assert dec.x.is_zero
         for k, qq, _ in dec.assemble().terms():
             assert qq.momentum_sum == k.sigma * k.j
@@ -501,7 +502,7 @@ class TestTransformLog:
     def test_serialization_round_trip(self, six_setup):
         ctx, model, module = six_setup
         d, z, x0, x1, n = sample_field(ctx, model)
-        _, log, _ = normalize(d + z + x0 + x1 + n, model, module)
+        _, log, _ = normalize(d + z + x0 + x1 + n, module)
         assert len(log) >= 1
         again = TransformLog.from_lines(ctx, log.to_lines())
         assert len(again) == len(log)
@@ -622,7 +623,7 @@ class TestKamConstants:
         # sum bit for bit.
         w, model = build_example_dim6(seed=5, degree=10)
         module = enumerate_resonance(w.ctx, model)
-        _, _, trace = normalize(w, model, module)
+        _, _, trace = normalize(w, module)
         assert len(trace.records) >= 2
         r, s = KAM.r0, KAM.s0
         for rec in trace.records:

@@ -65,6 +65,12 @@ class TestFrequencyModel:
                 "bad", [("a", Fraction(1))], {fin(1): {"nope": 1}}
             )
 
+    def test_unknown_symbol_message_names_the_mode(self):
+        with pytest.raises(ModelError, match=r"unknown symbol 'nope' for mode 1\+$"):
+            FrequencyModel(
+                "bad", [("a", Fraction(1))], {fin(1): {"nope": 1}}
+            )
+
     def test_validate_missing_mode(self, ctx6):
         with pytest.raises(ModelError, match="no eigenvalue"):
             dim4_model().validate(ctx6)

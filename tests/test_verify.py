@@ -23,6 +23,7 @@ from resnf.verify import (
     check_tangent_sigma,
     conjugacy_error,
     compile_field,
+    default_potential,
     dim6_frequency_model,
     hyperbolic_frequency_model,
     integrate_flow,
@@ -51,9 +52,9 @@ def six_setup():
 
 @pytest.fixture(scope="module")
 def normalized_example(six_setup):
-    ctx, model, module = six_setup
-    w, built_model = build_example_dim6(seed=3)
-    dec, log, trace = normalize(w, built_model, module)
+    _, _, module = six_setup
+    w, _ = build_example_dim6(seed=3)
+    dec, log, trace = normalize(w, module)
     return w, dec, log
 
 
@@ -250,8 +251,8 @@ class TestBuildDim6:
         from resnf.normalform import decompose
 
         ctx, _, module = six_setup
-        w, model = build_example_dim6(seed=seed)
-        dec = decompose(w, model, module)
+        w, _ = build_example_dim6(seed=seed)
+        dec = decompose(w, module)
         assert not dec.x.is_zero
         assert dec.x.order() >= 4
 
@@ -304,6 +305,20 @@ class TestBuildNls:
             build_example_nls(2, cutoff=1, degree=3)
         with pytest.raises(ValueError, match="p must"):
             build_example_nls(0)
+
+
+class TestPotential:
+    def test_shifts_up_to_four_sites(self):
+        table = {
+            -4: Fraction(1, 37), -3: Fraction(1, 29), -2: Fraction(1, 19),
+            -1: Fraction(1, 13), 0: Fraction(3, 4), 1: Fraction(1, 11),
+            2: Fraction(1, 17), 3: Fraction(1, 23), 4: Fraction(1, 31),
+        }
+        assert default_potential(4) == table
+
+    def test_shifts_stay_distinct_beyond_four_sites(self):
+        shifts = default_potential(12).values()
+        assert len(set(shifts)) == 25
 
 
 class TestBuildHyperbolic:
