@@ -151,21 +151,25 @@ def _as_str(value, label: str) -> str:
 
 def _as_rational(value, label: str) -> Fraction:
     """Exact numbers are integers or ``"p/q"`` strings; floats are
-    rejected rather than silently approximated."""
+    rejected rather than silently approximated, and so are rationals
+    beyond the float range, which the float lane could not hold."""
     if isinstance(value, bool):
         raise ProblemFileError("%s: expected a rational, got a boolean" % label)
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ProblemFileError(
-                "%s: cannot parse rational %r" % (label, value)
-            ) from None
-    raise ProblemFileError(
-        "%s: rationals must be integers or 'p/q' strings" % label
-    )
+    if not isinstance(value, (int, str)):
+        raise ProblemFileError(
+            "%s: rationals must be integers or 'p/q' strings" % label
+        )
+    try:
+        number = Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ProblemFileError(
+            "%s: cannot parse rational %r" % (label, value)
+        ) from None
+    try:
+        float(number)
+    except OverflowError:
+        raise ProblemFileError("%s: expected a finite number" % label) from None
+    return number
 
 
 def _as_number(value, label: str) -> float:
@@ -309,7 +313,7 @@ def load_problem(
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ProblemFileError("cannot read %s: %s" % (path, exc)) from exc
     try:
         data = json.loads(text)
@@ -433,7 +437,7 @@ def load_problem(
         try:
             with open(full, "r", encoding="utf-8") as fh:
                 terms_lines = fh.read().splitlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ProblemFileError(
                 "%s: cannot read %s: %s" % (fieldsec.label("terms_file"), ref, exc)
             ) from exc
@@ -737,7 +741,7 @@ def cmd_verify(
             normal_form = VectorField.from_lines(ctx, fh.read().splitlines())
         with open(log_path, "r", encoding="utf-8") as fh:
             log = TransformLog.from_lines(ctx, fh.read().splitlines())
-    except (OSError, NormalFormError) as exc:
+    except (OSError, UnicodeDecodeError, NormalFormError) as exc:
         raise ProblemFileError(
             "cannot load artifacts from %s: %s" % (transform_dir, exc)
         ) from exc

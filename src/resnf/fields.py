@@ -461,12 +461,7 @@ class VectorField:
 
     def project_degree(self, d: int) -> "VectorField":
         """Terms of scaling order exactly ``d`` (that is ``|q| = d + 1``)."""
-        store = {}
-        for k, comp in self._terms.items():
-            kept = {q: c for q, c in comp.items() if q.degree == d + 1}
-            if kept:
-                store[k] = kept
-        return VectorField._raw(self.ctx, store)
+        return self.project(lambda k, q: q.degree == d + 1)
 
     def project(self, keep: Callable[[Mode, MultiIndex], bool]) -> "VectorField":
         store = {}
@@ -589,7 +584,7 @@ def _validate_scalar_key(ctx: TruncationContext, q: MultiIndex) -> None:
 def _validate_field_key(ctx: TruncationContext, k: Mode, q: MultiIndex) -> None:
     if not ctx.admits_mode(k):
         raise NormalFormError("direction %s not admitted by the context" % format_mode(k))
-    if not q.is_nonnegative:
+    if q.is_zero or not q.is_nonnegative:
         raise NormalFormError("field exponent %s must be nonnegative, nonzero" % (q,))
     if not ctx.admits_support(q):
         raise NormalFormError("exponent %s leaves the mode cutoff" % (q,))

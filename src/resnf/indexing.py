@@ -231,6 +231,7 @@ class TruncationContext:
     theta: float = 0.5
     arithmetic: str = "exact"
     _modes: tuple[Mode, ...] = field(init=False, repr=False, compare=False)
+    _mode_set: frozenset[Mode] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode_cutoff < 1:
@@ -252,6 +253,7 @@ class TruncationContext:
         else:
             modes = [Mode(j, 1) for j in range(1, cutoff + 1)]
         object.__setattr__(self, "_modes", tuple(sorted(modes, key=mode_key)))
+        object.__setattr__(self, "_mode_set", frozenset(modes))
 
     # -- structure ----------------------------------------------------
 
@@ -263,14 +265,10 @@ class TruncationContext:
         return {m: i for i, m in enumerate(self._modes)}
 
     def admits_mode(self, k: Mode) -> bool:
-        if abs(k.j) > self.mode_cutoff or k.sigma not in (1, -1):
-            return False
-        if not self.momentum_enabled and (k.j < 1 or k.sigma != 1):
-            return False
-        return True
+        return k in self._mode_set
 
     def admits_support(self, q: MultiIndex) -> bool:
-        return all(self.admits_mode(m) for m in q.modes())
+        return self._mode_set.issuperset(q.modes())
 
     def allows_scalar_key(self, q: MultiIndex) -> bool:
         return q.degree <= self.degree_cutoff

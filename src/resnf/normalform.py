@@ -99,7 +99,7 @@ def decompose(w: VectorField, module: ResonanceModule) -> DecomposedField:
     """
     ctx = w.ctx
     model, mstar = module.model, module.m_star_minimal
-    linear = w.project(lambda k, q: q.degree == 1)
+    linear = w.project_degree(0)
     if not (linear - model.linear_field(ctx)).is_zero:
         raise HypothesisViolation(
             "linear part differs from the diagonal part of model %s"
@@ -141,10 +141,6 @@ def _require_diagonal_resonant(z: VectorField, model: FrequencyModel) -> None:
             raise HypothesisViolation(
                 "Z term x^%s d/dx_%s is not diagonal resonant" % (q, format_mode(k))
             )
-
-
-def _project_class(field: VectorField, module: ResonanceModule, klass: int) -> VectorField:
-    return field.project(lambda k, q: module.classify(q) == klass)
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +214,16 @@ def solve_extended_homological(
     model = module.model
     _require_diagonal_resonant(z, model)
     if klass == 1 and f0 is not None:
-        coupling = _project_class(bracket(f0, z + n), module, 1)
+        coupling = split_ideals(bracket(f0, z + n), module)[1]
     else:
         coupling = VectorField.zero(ctx)
     y = -x_i - coupling
     a_y = _a_inverse(y, model)
-    f = a_y - _a_inverse(_project_class(bracket(a_y, z), module, klass), model)
+    f = a_y - _a_inverse(split_ideals(bracket(a_y, z), module)[klass], model)
 
-    residual = _project_class(
-        bracket(f, model.linear_field(ctx) + z), module, klass
-    ) + x_i + coupling
+    residual = split_ideals(
+        bracket(f, model.linear_field(ctx) + z), module
+    )[klass] + x_i + coupling
     if not residual.is_zero:
         raise NormalFormError(
             "homological residual is nonzero (nilpotency of the extended "
@@ -537,7 +533,7 @@ def kam_step(
         raise NormalFormError(
             "generator order %d below the cutoff order %d" % (f.order(), dec.mstar)
         )
-    if not _project_class(f, dec.module, 2).is_zero:
+    if not split_ideals(f, dec.module)[2].is_zero:
         raise NormalFormError("generator has class-2 terms")
 
     w_plus, series_terms = _lie_sum(f, dec.assemble())

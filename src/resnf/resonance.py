@@ -299,7 +299,6 @@ class ResonanceModule:
         "m_star_minimal",
         "violations",
         "resonant_pair_count",
-        "_pair_sums",
     )
 
     def __init__(
@@ -322,11 +321,6 @@ class ResonanceModule:
             default=0,
         )
         self.m_star_bound = 2 * self.M + self.M1
-        sums = set()
-        for i, a in enumerate(q_generators):
-            for b in q_generators[i:]:
-                sums.add(a + b)
-        self._pair_sums = tuple(sorted(sums, key=lambda s: s.sort_key()))
         # Resonant field exponents not absorbed by two generators; their
         # maximal scaling order determines the minimal valid cutoff.
         violations = [
@@ -340,13 +334,14 @@ class ResonanceModule:
     def classify(self, q: MultiIndex) -> int:
         """Ideal class of a nonnegative exponent: 2 if two generators
         (repetition allowed) fit inside ``q``, 1 if one does, else 0."""
-        for s in self._pair_sums:
-            if q.contains(s):
-                return 2
+        klass = 0
         for g in self.q_generators:
             if q.contains(g):
-                return 1
-        return 0
+                rest = q - g
+                if any(rest.contains(h) for h in self.q_generators):
+                    return 2
+                klass = 1
+        return klass
 
     def summary(self) -> dict:
         return {

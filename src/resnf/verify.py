@@ -230,14 +230,17 @@ def integrate_flow(
     config: FlowConfig = FlowConfig(),
 ) -> Trajectory:
     """Fixed-step RK4 flow of ``w`` from ``x0`` over ``[0, t]``; stops
-    early with the divergence flag set once the state norm passes the
-    blow-up bound."""
+    early with the divergence flag set once a step overflows or some
+    coordinate leaves the blow-up bound (NaN never stays inside it)."""
     evaluate = compile_field(w)
     h = t / config.steps
     x = [complex(v) for v in x0]
     for _ in range(config.steps):
-        x = _rk4(evaluate, x, h)
-        if max(abs(v) for v in x) > config.blowup:
+        try:
+            x = _rk4(evaluate, x, h)
+        except OverflowError:
+            return Trajectory(tuple(x), True)
+        if not all(abs(v) <= config.blowup for v in x):
             return Trajectory(tuple(x), True)
     return Trajectory(tuple(x), False)
 
@@ -268,16 +271,20 @@ def conjugacy_error(
     The recorded transform carries normal-form coordinates to the
     original ones, so for ``xi`` on the invariant set (where the
     normalized field restricts to its diagonal part) the two paths
-    agree up to the truncation error.
+    agree up to the truncation error.  A flow that diverges, the
+    transform's included, raises NormalFormError.
     """
     ctx = w0.ctx
-    start = apply_transform(log, xi, "forward", steps=config.steps)
-    run = integrate_flow(w0, start, t, config)
-    if run.diverged:
+    try:
+        start = apply_transform(log, xi, "forward", steps=config.steps)
+        run = integrate_flow(w0, start, t, config)
+        carried = None if run.diverged else apply_transform(
+            log, linear_flow(model, ctx, xi, t), "forward", steps=config.steps
+        )
+    except OverflowError:
+        carried = None
+    if carried is None:
         raise NormalFormError("flow diverged before reaching the horizon")
-    carried = apply_transform(
-        log, linear_flow(model, ctx, xi, t), "forward", steps=config.steps
-    )
     return max(abs(a - b) for a, b in zip(run.final, carried))
 
 

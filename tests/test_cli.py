@@ -84,6 +84,19 @@ def workspace(tmp_path_factory):
     return root, str(problem), str(out)
 
 
+def edited_artifacts(workspace, tmp_path, name, edit):
+    """A copy of the workspace artifacts with the bytes of ``name`` edited."""
+    _, problem, out = workspace
+    copy = tmp_path / "out"
+    copy.mkdir()
+    for entry in os.listdir(out):
+        data = Path(out, entry).read_bytes()
+        if entry == name:
+            data = edit(data)
+        (copy / entry).write_bytes(data)
+    return problem, str(copy)
+
+
 class TestProblemFiles:
     def test_unknown_top_level_key(self, tmp_path, capsys):
         path = write(tmp_path, dim6_doc(surprise=1))
@@ -621,6 +634,8 @@ LOADER_REJECTIONS = [
      "--seed: this problem does not build its field from a seed"),
     ("terms-line", "dim6", {"field": {"terms": ["1+ | 1+^1"]}}, [],
      "problem.field.terms: term line must have three '|' fields: '1+ | 1+^1'"),
+    ("terms-constant", "dim6", {"field": {"terms": ["1+ | - | 1/1 0/1"]}}, [],
+     "problem.field.terms: field exponent - must be nonnegative, nonzero"),
     ("nls-window", "nls", {"field": {"p": 0}}, [],
      "problem.field.p: p must be >= 1"),
     ("rho-type", "dim6", {"flow": {"rho": []}}, [],
@@ -651,6 +666,10 @@ LOADER_REJECTIONS = [
      "problem.flow.blowup: expected a finite number"),
     ("rho-overflow", "dim6", {"flow": {"rho": [0.05, "1e400"]}}, [],
      "problem.flow.rho[1]: expected a finite number"),
+    ("rational-overflow", "custom", {"model.symbols.a": 10 ** 400}, [],
+     "problem.model.symbols.a: expected a finite number"),
+    ("rational-exponent-overflow", "dim6", {"model.zeta1": "1e400"}, [],
+     "problem.model.zeta1: expected a finite number"),
     ("first-sources-then-seed", "dim6",
      {"field": {"terms": DIAGONAL_LINES, "seed": "x"}}, [],
      "problem.field: give exactly one of terms, terms_file, seed or p"),
@@ -736,37 +755,56 @@ class TestMalformedTokens:
         assert captured.err == ""
         assert "tangency: ok" in captured.out
 
-    def _artifacts(self, workspace, tmp_path, name, edit):
-        _, problem, out = workspace
-        copy = tmp_path / "out"
-        copy.mkdir()
-        for entry in os.listdir(out):
-            text = Path(out, entry).read_text(encoding="utf-8")
-            if entry == name:
-                text = edit(text)
-            (copy / entry).write_text(text, encoding="utf-8")
-        return problem, str(copy)
-
     def test_verify_generator_header(self, workspace, tmp_path, capsys):
-        problem, out = self._artifacts(
+        problem, out = edited_artifacts(
             workspace,
             tmp_path,
             "transform_log.txt",
-            lambda text: text.replace("| stage kam", "| stage", 1),
+            lambda data: data.replace(b"| stage kam", b"| stage", 1),
         )
         assert run(["verify", problem, "--transform", out]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "malformed generator header '# generator 0 | stage'" in err
 
     def test_verify_normal_form_exponent(self, workspace, tmp_path, capsys):
-        problem, out = self._artifacts(
+        problem, out = edited_artifacts(
             workspace,
             tmp_path,
             "normal_form.txt",
-            lambda text: text.replace("^1", "^x", 1),
+            lambda data: data.replace(b"^1", b"^x", 1),
         )
         assert run(["verify", problem, "--transform", out]) == EXIT_INPUT
         assert "cannot parse exponent token" in capsys.readouterr().err
+
+
+class TestUndecodableBytes:
+    """Bytes that are not UTF-8 make a file unreadable: exit 1 with the
+    decode error, on each of the three paths that read text files."""
+
+    DECODE = "'utf-8' codec can't decode byte 0xff in position %d: invalid start byte"
+
+    def test_problem_file(self, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert run(["analyze", str(path)]) == EXIT_INPUT
+        assert capsys.readouterr().err == "input error: cannot read %s: %s\n" % (
+            path, self.DECODE % 0)
+
+    def test_terms_file(self, tmp_path, capsys):
+        (tmp_path / "field.txt").write_bytes(b"1+ | 1+^1 | 2/1 0/1\n\xff\n")
+        path = write(tmp_path, dim6_doc(field={"terms_file": "field.txt"}))
+        assert run(["analyze", path]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "input error: problem.field.terms_file: cannot read field.txt: %s\n"
+            % (self.DECODE % 20))
+
+    def test_verify_artifact(self, workspace, tmp_path, capsys):
+        problem, out = edited_artifacts(
+            workspace, tmp_path, "normal_form.txt", lambda data: b"\xff" + data
+        )
+        assert run(["verify", problem, "--transform", out]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            "input error: cannot load artifacts from %s: %s\n" % (out, self.DECODE % 0))
 
 
 class TestExitCodes:
@@ -845,6 +883,19 @@ class TestExitCodes:
         doc["truncation"]["degree_cutoff"] = 1
         assert run(["analyze", write(tmp_path, doc)]) == EXIT_OK
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "flow",
+        [{"horizon": 1e150}, {"horizon": 1e200}, {"rho": [1e150]}],
+        ids=["horizon-1e150", "horizon-1e200", "rho-1e150"],
+    )
+    def test_overflowing_flow_is_divergence(self, workspace, tmp_path, capsys, flow):
+        _, _, out = workspace
+        path = write(tmp_path, dim6_doc(field={"seed": 3}, flow=flow))
+        assert run(["verify", path, "--transform", out]) == EXIT_MODEL
+        assert capsys.readouterr().err == (
+            "model error: flow diverged before reaching the horizon\n"
+        )
 
     def test_problem_file_error_is_input_error(self, tmp_path):
         with pytest.raises(ProblemFileError):

@@ -167,7 +167,7 @@ class TestVectorFieldBasics:
     def test_validation(self, ctx6):
         with pytest.raises(NormalFormError):
             VectorField(ctx6, [(Mode(9, 1), MultiIndex.unit(fin(1)), 1)])
-        with pytest.raises(NormalFormError):
+        with pytest.raises(NormalFormError, match="exponent - must be nonnegative, nonzero"):
             VectorField(ctx6, [(fin(1), ZERO_INDEX, 1)])
         with pytest.raises(NormalFormError):
             VectorField(ctx6, [(fin(1), mi((1, 1, 10)), 1)])

@@ -166,6 +166,11 @@ class TestIntegrateFlow:
         norm = max(abs(v) for v in run.final)
         assert math.isfinite(norm) and norm > 10.0
 
+    def test_nan_state_is_divergence(self, six_setup):
+        ctx, model, _ = six_setup
+        run = integrate_flow(model.linear_field(ctx), [0.1, math.nan, 0, 0, 0, 0], 1.0)
+        assert run.diverged
+
     def test_compile_field_matches_evaluate(self, six_setup):
         ctx, model, _ = six_setup
         rng = random.Random(4)
