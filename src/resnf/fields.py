@@ -89,6 +89,9 @@ class GaussianRational:
         )
 
     def __hash__(self):
+        # equal to an int or Fraction when real, so hash like one
+        if not self.im:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __complex__(self):
@@ -616,10 +619,10 @@ def _lie_into(ctx, out: dict, xterms: dict, fdict: dict, cutoff: int) -> None:
             if not e:
                 continue
             base = qf.add_unit(k, -1)
+            room = cutoff - base.degree
             for qx, cx in comp.items():
-                q_new = qx + base
-                if q_new.degree <= cutoff:
-                    _accumulate(ctx, out, q_new, cx * cf * e)
+                if qx.degree <= room:
+                    _accumulate(ctx, out, qx + base, cx * cf * e)
 
 
 def _split_term_line(line: str) -> tuple[str, str, str]:

@@ -60,10 +60,12 @@ class MultiIndex:
 
     Entries may be negative (used for resonance combinations); monomial
     exponents of series and fields are validated to be nonnegative where
-    they are consumed.  Instances are immutable and hashable.
+    they are consumed.  Instances are immutable and hashable.  The signed
+    total ``degree`` (the plain sum of the entries) is stored at
+    construction.
     """
 
-    __slots__ = ("_pairs", "_hash")
+    __slots__ = ("_pairs", "_hash", "degree")
 
     def __init__(self, entries: Iterable[tuple[Mode, int]] | dict[Mode, int] = ()):
         if isinstance(entries, dict):
@@ -81,18 +83,21 @@ class MultiIndex:
         )
         object.__setattr__(self, "_pairs", pairs)
         object.__setattr__(self, "_hash", hash(pairs))
+        object.__setattr__(self, "degree", sum(e for _, e in pairs))
 
     @classmethod
     def unit(cls, mode: Mode) -> "MultiIndex":
         return cls(((mode, 1),))
 
     @classmethod
-    def _from_sorted(cls, pairs: tuple[tuple[Mode, int], ...]) -> "MultiIndex":
+    def _from_sorted(cls, pairs: tuple[tuple[Mode, int], ...], degree: int) -> "MultiIndex":
         """Trusted constructor: ``pairs`` already canonical (sorted by
-        mode key, no zero exponents, no duplicates)."""
+        mode key, no zero exponents, no duplicates) and ``degree`` their
+        sum of entries."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "_pairs", pairs)
         object.__setattr__(obj, "_hash", hash(pairs))
+        object.__setattr__(obj, "degree", degree)
         return obj
 
     # -- basic queries ------------------------------------------------
@@ -108,11 +113,6 @@ class MultiIndex:
             if m == mode:
                 return e
         return 0
-
-    @property
-    def degree(self) -> int:
-        """Signed total degree, i.e. the plain sum of the entries."""
-        return sum(e for _, e in self._pairs)
 
     @property
     def l1(self) -> int:
@@ -150,7 +150,10 @@ class MultiIndex:
 
     def contains(self, other: "MultiIndex") -> bool:
         """True if ``self - other`` has no negative entry."""
-        return (self - other).is_nonnegative
+        mine = dict(self._pairs)
+        if any(mine.pop(m, 0) < e for m, e in other._pairs):
+            return False
+        return all(e > 0 for e in mine.values())
 
     # -- hashing / ordering -------------------------------------------
 
@@ -161,7 +164,7 @@ class MultiIndex:
         return self._hash
 
     def sort_key(self):
-        """Deterministic total order: degree first, then entries."""
+        """Deterministic total order: ``l1`` norm first, then entries."""
         return (self.l1, tuple((mode_key(m), e) for m, e in self._pairs))
 
     # -- text form ----------------------------------------------------
@@ -351,7 +354,7 @@ def iter_indices(
     def rec(pos: int, remaining: int, acc: list[tuple[Mode, int]]):
         if pos == n:
             if max_degree - remaining >= min_degree:
-                yield MultiIndex._from_sorted(tuple(acc))
+                yield MultiIndex._from_sorted(tuple(acc), max_degree - remaining)
             return
         for e in range(remaining + 1):
             if e:

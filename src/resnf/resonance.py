@@ -382,10 +382,10 @@ def split_ideals(
     x: VectorField, module: ResonanceModule
 ) -> tuple[VectorField, VectorField, VectorField]:
     """Split a field into its class-0, class-1 and class-2 parts."""
-    x0 = x.project(lambda k, q: module.classify(q) == 0)
-    x1 = x.project(lambda k, q: module.classify(q) == 1)
-    x2 = x.project(lambda k, q: module.classify(q) == 2)
-    return x0, x1, x2
+    stores = ({}, {}, {})
+    for k, q, c in x._iter_terms():
+        stores[module.classify(q)].setdefault(k, {})[q] = c
+    return tuple(VectorField._raw(x.ctx, store) for store in stores)
 
 
 def enumerate_resonance(ctx: TruncationContext, model: FrequencyModel) -> ResonanceModule:

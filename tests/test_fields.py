@@ -58,6 +58,15 @@ class TestGaussianRational:
         assert GaussianRational(3, 1) != 3
         assert GaussianRational(0).is_zero
 
+    @pytest.mark.parametrize("value", [0, 1, -3, Fraction(1, 2), Fraction(-7, 3)])
+    def test_real_values_hash_like_the_number_they_equal(self, value):
+        g = GaussianRational(value)
+        assert g == value and hash(g) == hash(value)
+        assert len({g, value}) == 1
+        assert {value: "a"}[g] == "a"
+        assert {g: "b"}[value] == "b"
+        assert GaussianRational(value, 1) not in {value}
+
 
 class TestCoercion:
     def test_exact_rejects_floats(self, ctx6):
