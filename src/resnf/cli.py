@@ -52,6 +52,8 @@ from .resonance import (
     enumerate_resonance,
 )
 from .verify import (
+    DEFAULT_ZETA1,
+    DEFAULT_ZETA2,
     FlowConfig,
     SigmaSpec,
     build_example_dim6,
@@ -213,9 +215,9 @@ _BUILDERS = {
 #: The flow section in reading order: (key, converter, default).  An absent
 #: or null ``rho`` reads as ``[0.05, 0.025, 0.0125]``.
 _FLOW = (
-    ("steps", _as_int, 256),
+    ("steps", _as_int, FlowConfig.steps),
     ("horizon", _as_number, 1.0),
-    ("blowup", _as_number, 10.0),
+    ("blowup", _as_number, FlowConfig.blowup),
     ("rho", _as_numbers, None),
     ("seed", _as_int, 0),
 )
@@ -225,7 +227,6 @@ _FLOW = (
 class Problem:
     """A parsed problem file plus any command-line overrides."""
 
-    path: str
     name: str
     builder: str
     model: FrequencyModel
@@ -257,7 +258,7 @@ def _parse_potential(modelsec: _Section, cutoff: int):
     return potential
 
 
-def _parse_custom_model(modelsec: _Section) -> FrequencyModel:
+def _parse_custom_model(modelsec: _Section) -> tuple[FrequencyModel, dict]:
     name = modelsec.get("name", _as_str, "custom")
     symtable = modelsec.take("symbols")
     symlabel = modelsec.label("symbols")
@@ -273,6 +274,7 @@ def _parse_custom_model(modelsec: _Section) -> FrequencyModel:
     if not isinstance(modemaps, dict) or not modemaps:
         raise ProblemFileError("%s: expected a non-empty object" % modelabel)
     coords = {}
+    labels = {}
     for token, coordmap in modemaps.items():
         try:
             k = parse_mode(token)
@@ -300,7 +302,8 @@ def _parse_custom_model(modelsec: _Section) -> FrequencyModel:
             else:
                 vec[sym] = _as_int(raw, entry)
         coords[k] = vec
-    return FrequencyModel(name, symbols, coords)
+        labels[k] = "%s.%s" % (modelabel, token)
+    return FrequencyModel(name, symbols, coords), labels
 
 
 def load_problem(
@@ -356,11 +359,11 @@ def load_problem(
     elliptic: tuple[int, ...] = ()
     if builder == "dim6":
         zeta = (
-            modelsec.get("zeta1", _as_rational, "1393/985"),
-            modelsec.get("zeta2", _as_rational, "1351/780"),
+            modelsec.get("zeta1", _as_rational, str(DEFAULT_ZETA1)),
+            modelsec.get("zeta2", _as_rational, str(DEFAULT_ZETA2)),
         )
     elif builder == "custom":
-        model = _parse_custom_model(modelsec)
+        model, labels = _parse_custom_model(modelsec)
     else:
         potential = _parse_potential(modelsec, mode_cutoff)
     if builder == "hyperbolic":
@@ -407,6 +410,10 @@ def load_problem(
         )
     except NormalFormError as exc:
         raise ProblemFileError("problem.truncation: %s" % exc) from exc
+    if builder == "custom":
+        for k, entry in labels.items():
+            if not ctx.admits_mode(k):
+                raise ProblemFileError("%s: mode outside the truncation context" % entry)
 
     fieldsec = root.child("field")
     if fieldsec is None and not rules.seeded:
@@ -505,7 +512,6 @@ def load_problem(
         dio = {
             "tau": diosec.get("tau", _as_number),
             "degree_bound": diosec.get("degree_bound", _as_int),
-            "fast_path": diosec.get("fast_path", _as_bool, True),
         }
         diosec.finish()
         if dio["tau"] < 0:
@@ -528,7 +534,6 @@ def load_problem(
 
     root.finish()
     return Problem(
-        path=path,
         name=name,
         builder=builder,
         model=model,
@@ -635,14 +640,10 @@ def cmd_analyze(problem: Problem, json_path: str | None) -> int:
         "problem": _problem_block(problem),
         "resonance": _resonance_block(module),
     }
-    if problem.diophantine is not None:
-        dio = problem.diophantine
+    dio = problem.diophantine
+    if dio is not None:
         report["diophantine"] = diophantine_audit(
-            problem.model,
-            problem.ctx,
-            dio["tau"],
-            dio["degree_bound"],
-            use_fast_path=dio["fast_path"],
+            problem.model, problem.ctx, dio["tau"], dio["degree_bound"]
         ).as_dict()
     print(
         "model %s | %d modes, window degree %d | %s arithmetic"
@@ -774,11 +775,10 @@ def cmd_verify(
         )
 
     def slope(key: str) -> float | None:
-        rhos = [row["rho"] for row in rows]
-        errors = [row[key] for row in rows]
-        if len(set(rhos)) < 2 or min(errors) <= 0.0:
+        try:
+            return loglog_slope([r["rho"] for r in rows], [r[key] for r in rows])
+        except ValueError:
             return None
-        return loglog_slope(rhos, errors)
 
     report = {
         "command": "verify",
@@ -846,13 +846,7 @@ def cmd_diophantine(
             "diophantine parameters missing: give --tau and --degree or a "
             "diophantine section in the problem file"
         )
-    rep = diophantine_audit(
-        problem.model,
-        problem.ctx,
-        tau,
-        degree,
-        use_fast_path=dio.get("fast_path", True),
-    )
+    rep = diophantine_audit(problem.model, problem.ctx, tau, degree)
     report = {
         "command": "diophantine",
         "schema_version": SCHEMA_VERSION,

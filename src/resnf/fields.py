@@ -484,10 +484,10 @@ class VectorField:
     # -- norms ------------------------------------------------------------
 
     def majorant_norm(self, r: float, s: float) -> float:
-        """Certified upper bound of the majorant operator norm on the ball
-        of radius ``r`` with smoothing parameter ``s``: absolute
-        coefficients summed against the monomial weights, l1 in the
-        exponent and l2 across directions."""
+        """Estimate, rounded to nearest and not outward, of the majorant
+        operator norm on the ball of radius ``r`` with smoothing parameter
+        ``s``: absolute coefficients summed against the monomial weights,
+        l1 in the exponent and l2 across directions."""
         theta = self.ctx.theta
         upper_sq = 0.0
         for k, comp in self._terms.items():
@@ -500,14 +500,13 @@ class VectorField:
 
     # -- numerics ----------------------------------------------------------
 
-    def evaluate(self, x, positions: dict[Mode, int] | None = None) -> list[complex]:
+    def evaluate(self, x) -> list[complex]:
         """Evaluate at a coordinate vector aligned with ``ctx.modes()``.
 
         The pipeline's flows use ``normalform.compile_field``; this
         term-by-term evaluator is the reference the tests compare it
         against."""
-        if positions is None:
-            positions = self.ctx.mode_positions()
+        positions = self.ctx.mode_positions()
         out = [0j] * len(positions)
         for k, comp in self._terms.items():
             acc = 0j

@@ -347,20 +347,28 @@ def iter_indices(
     modes: tuple[Mode, ...], max_degree: int, min_degree: int = 0
 ) -> Iterator[MultiIndex]:
     """All nonnegative multi-indices over ``modes`` with total degree in
-    ``[min_degree, max_degree]``, in a deterministic order."""
+    ``[min_degree, max_degree]``, lexicographic with the first mode most
+    significant; ``where`` holds the positions of the nonzero exponents
+    and ``pairs`` their ``(mode, exponent)`` pairs, built once per change."""
     ordered = tuple(sorted(modes, key=mode_key))
-    n = len(ordered)
-
-    def rec(pos: int, remaining: int, acc: list[tuple[Mode, int]]):
-        if pos == n:
-            if max_degree - remaining >= min_degree:
-                yield MultiIndex._from_sorted(tuple(acc), max_degree - remaining)
+    last = len(ordered) - 1
+    where: list[int] = []
+    pairs: list[tuple[Mode, int]] = []
+    degree = 0
+    while True:
+        if degree >= min_degree:
+            yield MultiIndex._from_sorted(tuple(pairs), degree)
+        if degree < max_degree and last >= 0:
+            pos = last
+        elif where and where[-1]:
+            # the degree is full: drop the last nonzero exponent, carry left
+            pos = where.pop() - 1
+            degree -= pairs.pop()[1]
+        else:
             return
-        for e in range(remaining + 1):
-            if e:
-                yield from rec(pos + 1, remaining - e, acc + [(ordered[pos], e)])
-            else:
-                yield from rec(pos + 1, remaining, acc)
-
-    yield from rec(0, max_degree, [])
-
+        if where and where[-1] == pos:
+            pairs[-1] = (ordered[pos], pairs[-1][1] + 1)
+        else:
+            where.append(pos)
+            pairs.append((ordered[pos], 1))
+        degree += 1

@@ -255,8 +255,7 @@ def lie_series_terms(f: VectorField, w: VectorField) -> list[VectorField]:
     k = 0
     while True:
         k += 1
-        factor = Fraction(1, k) if ctx.exact else 1.0 / k
-        current = bracket(f, current).scale(factor)
+        current = bracket(f, current).scale(Fraction(1, k))
         if current.is_zero:
             break
         if k > bound:

@@ -420,7 +420,7 @@ def enumerate_resonance(ctx: TruncationContext, model: FrequencyModel) -> Resona
     # the value of ``lambda . q`` less that of the eigenvalue key.
     table = model._table
     exactly = model.exact_capable
-    tol = 1e-9 * model._unit
+    tol = None if exactly else 1e-9 * model._unit  # an exact _unit may pass the float range
     scaled = {k: model._scaled(table[k]) for k in modes}
     mom_of = {k: mode_momentum(k) for k in modes}
 

@@ -165,12 +165,10 @@ class SigmaSpec:
             out[positions[m]] = 0j
         return tuple(out)
 
-    def contains(
-        self, point: Sequence[complex], ctx: TruncationContext, atol: float = 0.0
-    ) -> bool:
+    def contains(self, point: Sequence[complex], ctx: TruncationContext) -> bool:
         positions = ctx.mode_positions()
         return all(
-            any(abs(point[positions[m]]) <= atol for m in g.modes())
+            any(not point[positions[m]] for m in g.modes())
             for g in self.generators
         )
 
@@ -289,7 +287,8 @@ def conjugacy_error(
 
 
 def loglog_slope(scales: Sequence[float], errors: Sequence[float]) -> float:
-    """Least-squares slope of ``log(error)`` against ``log(scale)``."""
+    """Least-squares slope of ``log(error)`` against ``log(scale)``; a
+    zero error makes ``math.log`` raise ValueError."""
     if len(scales) != len(errors) or len(scales) < 2:
         raise ValueError("need at least two (scale, error) pairs")
     xs = [math.log(s) for s in scales]

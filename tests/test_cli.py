@@ -283,6 +283,14 @@ class TestAnalyze:
         )
         assert res["resonant_pair_count"] == 264
 
+    def test_exact_model_beyond_the_float_range(self, tmp_path, capsys):
+        """At 65 sites the default potential's common denominator passes
+        the float range; the exact walk never converts it to a float."""
+        doc = hyperbolic_doc()
+        doc["truncation"].update(mode_cutoff=65, degree_cutoff=1)
+        assert run(["analyze", write(tmp_path, doc)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
     def test_divisor_scan_in_analyze(self, tmp_path, capsys):
         doc = dim6_doc(diophantine={"tau": 2.0, "degree_bound": 5})
         report_path = tmp_path / "report.json"
@@ -679,6 +687,21 @@ LOADER_REJECTIONS = [
      "without momentum bookkeeping"),
     ("first-zeta-then-unknown", "dim6", {"model.extra": 1, "model.zeta1": 1.5}, [],
      "problem.model.zeta1: rationals must be integers or 'p/q' strings"),
+    ("diophantine-fast-path", "dim6",
+     {"diophantine": {"tau": 2, "degree_bound": 2, "fast_path": False}}, [],
+     "problem.diophantine: unknown key(s): fast_path"),
+    ("mode-beyond-cutoff", "custom", {"model.modes.3+": {"a": 5}}, [],
+     "problem.model.modes.3+: mode outside the truncation context"),
+    ("mode-minus-sign-finite", "custom", {"model.modes.-1-": {"a": 5}}, [],
+     "problem.model.modes.-1-: mode outside the truncation context"),
+    ("mode-beyond-cutoff-momentum", "custom",
+     {"truncation.momentum": True, "truncation.mode_cutoff": 1,
+      "model.symbols.b": "1393/985",
+      "model.modes": {"0+": {"a": 1}, "0-": {"a": -1}, "1+": {"b": 1},
+                      "1-": {"b": -1}, "-1+": {"b": 1}, "-1-": {"b": -1},
+                      "-3-": {"a": 5}},
+      "field.terms": ["0+ | 0+^1 | 1/1 0/1"]}, [],
+     "problem.model.modes.-3-: mode outside the truncation context"),
     ("first-steps-then-seed", "dim6",
      {"flow": {"steps": "x", "seed": "y", "extra": 1}}, [],
      "problem.flow.steps: expected an integer"),
