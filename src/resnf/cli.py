@@ -45,7 +45,7 @@ from .errors import (
 )
 from .fields import VectorField
 from .indexing import TruncationContext, parse_mode
-from .normalform import TransformLog, normalize
+from .normalform import TransformLog, compile_field, normalize
 from .resonance import (
     FrequencyModel,
     diophantine_audit,
@@ -525,6 +525,10 @@ def load_problem(
     flowsec.finish()
     if flow["steps"] < 1:
         raise ProblemFileError("problem.flow.steps: must be >= 1")
+    try:
+        float(flow["steps"])  # the step size is horizon / steps
+    except OverflowError:
+        raise ProblemFileError("problem.flow.steps: beyond the float range") from None
     if flow["horizon"] < 0:
         raise ProblemFileError("problem.flow.horizon: must be >= 0")
     if flow["blowup"] <= 0 or any(r <= 0 for r in flow["rho"]):
@@ -758,6 +762,7 @@ def cmd_verify(
         rng.uniform(0.5, 1.0) + 1j * rng.uniform(0.5, 1.0)
         for _ in range(len(ctx.modes()))
     ]
+    w0 = compile_field(problem.field)
     rows = []
     for rho in flow["rho"]:
         raw = [rho * u for u in unit]
@@ -766,10 +771,10 @@ def cmd_verify(
             {
                 "rho": rho,
                 "on_sigma_error": conjugacy_error(
-                    problem.field, log, problem.model, on, flow["horizon"], config
+                    w0, log, problem.model, on, flow["horizon"], config
                 ),
                 "off_sigma_error": conjugacy_error(
-                    problem.field, log, problem.model, raw, flow["horizon"], config
+                    w0, log, problem.model, raw, flow["horizon"], config
                 ),
             }
         )

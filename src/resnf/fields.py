@@ -503,9 +503,9 @@ class VectorField:
     def evaluate(self, x) -> list[complex]:
         """Evaluate at a coordinate vector aligned with ``ctx.modes()``.
 
-        The pipeline's flows use ``normalform.compile_field``; this
-        term-by-term evaluator is the reference the tests compare it
-        against."""
+        The pipeline's flows run the code ``normalform.compile_field``
+        generates; this term-by-term evaluator is a reference the tests
+        compare one generated RK4 step against."""
         positions = self.ctx.mode_positions()
         out = [0j] * len(positions)
         for k, comp in self._terms.items():

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -430,6 +431,12 @@ class TransformLog:
     def fields(self) -> tuple[VectorField, ...]:
         return tuple(f for _, f in self.entries)
 
+    @cached_property
+    def flows(self) -> tuple[FieldFlow, ...]:
+        """The generators compiled by ``compile_field``, in entry order;
+        compiled on first use and kept with the log."""
+        return tuple(compile_field(f) for f in self.fields())
+
     def to_lines(self) -> list[str]:
         lines: list[str] = []
         for i, (stage, f) in enumerate(self.entries):
@@ -623,46 +630,120 @@ def normalize(
 
 
 # ---------------------------------------------------------------------------
-# numeric flows: compiled evaluator, RK4 step, transform evaluation
+# numeric flows: each field compiled to one fused RK4 loop; the transform
 # ---------------------------------------------------------------------------
 
+#: Terms per statement of a generated sum.  One left-associated chain per
+#: component would nest the generated syntax tree as deep as it is long.
+_SUM_CHUNK = 32
 
-def compile_field(w: VectorField) -> Callable[[Sequence[complex]], list[complex]]:
-    """Flatten the field into position-indexed rows for fast repeated
-    evaluation inside integrator loops."""
+
+@dataclass(frozen=True)
+class FieldFlow:
+    """A field compiled by ``compile_field`` into one fixed-step RK4 loop.
+
+    ``run(x, h, n, blowup)`` takes ``n`` steps of size ``h`` from the
+    coordinates ``x`` (aligned with ``ctx.modes()``) and returns the final
+    state and a divergence flag.  With ``blowup`` None it only steps, and
+    an ``OverflowError`` propagates.  With a bound it stops after the
+    first step that leaves it (NaN never stays inside), and an
+    ``OverflowError`` ends the run at the state before the failing step.
+    """
+
+    ctx: TruncationContext
+    run: Callable[..., tuple[tuple[complex, ...], bool]]
+
+
+def _term_source(coeff: str, factors: Sequence[tuple[int, int]], var: str) -> str:
+    """Source of the term ``coeff * b1**e1 * b2**e2 ...`` over the bases
+    ``<var><position>``.
+
+    A zero base makes the term exactly ``0j``.  The powers of the bases
+    before the first zero one are still taken: a power whose result is
+    infinite raises ``OverflowError``, and that ends the step."""
+    if not factors:
+        return coeff
+    bases = ["%s%d" % (var, pos) for pos, _ in factors]
+    powers = ["%s**%d" % (b, e) for b, (_, e) in zip(bases, factors)]
+    # cases[j]: the first zero base is bases[j]
+    cases = ["0j"] + [
+        "(%s, 0j)[%d]" % (", ".join(powers[:j]), j) for j in range(1, len(factors))
+    ]
+    zero = cases[-1]
+    for j in range(len(factors) - 2, -1, -1):
+        zero = "%s if not %s else %s" % (cases[j], bases[j], zero)
+    product = "*".join([coeff] + powers)
+    return "(%s if %s else %s)" % (product, " and ".join(bases), zero)
+
+
+def compile_field(w: VectorField) -> FieldFlow:
+    """Generate and compile the fixed-step RK4 loop of ``w``'s float twin.
+
+    The generated code performs the float operations of a term-by-term
+    evaluator and a four-stage RK4 step in the same order, so its results
+    are bitwise theirs (``tests/test_flow_oracle.py`` keeps that
+    reference): each component is ``0j`` plus its terms in ``terms()``
+    order, each term is a left-associated product, and the new state is
+    assigned at the end of the step."""
     f = w.as_float()
     positions = f.ctx.mode_positions()
-    rows = [
-        (positions[k], complex(c), tuple((positions[m], e) for m, e in q.items()))
-        for k, q, c in f.terms()
-    ]
     width = len(positions)
+    coeffs: list[complex] = []
+    rows: list[list[tuple[str, tuple[tuple[int, int], ...]]]] = [[] for _ in range(width)]
+    for k, q, c in f.terms():
+        factors = tuple((positions[m], e) for m, e in q.items())
+        rows[positions[k]].append(("c%d" % len(coeffs), factors))
+        coeffs.append(complex(c))
 
-    def evaluate(x: Sequence[complex]) -> list[complex]:
-        out = [0j] * width
-        for target, coeff, mono in rows:
-            val = coeff
-            for pos, e in mono:
-                base = x[pos]
-                if not base:
-                    val = 0j
-                    break
-                val *= base ** e
-            out[target] += val
-        return out
+    def each(template: str) -> list[str]:
+        return [template.format(i=i) for i in range(width)]
 
-    return evaluate
+    def state(template: str) -> str:
+        return "(%s,)" % ", ".join(each(template))
 
+    def slope(k: str, var: str) -> list[str]:
+        lines = []
+        for i, row in enumerate(rows):
+            terms = [_term_source(c, factors, var) for c, factors in row]
+            lines.append("%s%d = %s" % (k, i, " + ".join(["0j"] + terms[:_SUM_CHUNK])))
+            for at in range(_SUM_CHUNK, len(terms), _SUM_CHUNK):
+                chunk = terms[at : at + _SUM_CHUNK]
+                lines.append("%s%d = %s" % (k, i, " + ".join(["%s%d" % (k, i)] + chunk)))
+        return lines
 
-def _rk4(evaluate, x, h):
-    k1 = evaluate(x)
-    k2 = evaluate([xi + 0.5 * h * ki for xi, ki in zip(x, k1)])
-    k3 = evaluate([xi + 0.5 * h * ki for xi, ki in zip(x, k2)])
-    k4 = evaluate([xi + h * ki for xi, ki in zip(x, k3)])
-    return [
-        xi + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-        for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+    step = (
+        slope("k1_", "x")
+        + each("y{i} = x{i} + hh * k1_{i}")
+        + slope("k2_", "y")
+        + each("y{i} = x{i} + hh * k2_{i}")
+        + slope("k3_", "y")
+        + each("y{i} = x{i} + h * k3_{i}")
+        + slope("k4_", "y")
+    )
+    update = "x{i} + h6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
+    inside = " and ".join(each("abs(x{i}) <= blowup"))
+    lines = ["def run(x, h, n, blowup):"]
+    if coeffs:
+        lines.append("    %s, = coeffs" % ", ".join("c%d" % j for j in range(len(coeffs))))
+    lines += [
+        "    %s = x" % state("x{i}"),
+        "    hh = 0.5 * h",
+        "    h6 = h / 6.0",
+        "    for _ in range(n):",
+        "        try:",
+        *("            " + line for line in step),
+        "        except OverflowError:",
+        "            if blowup is None:",
+        "                raise",
+        "            return %s, True" % state("x{i}"),
+        "        %s = %s" % (state("x{i}"), state(update)),
+        "        if blowup is not None and not (%s):" % inside,
+        "            return %s, True" % state("x{i}"),
+        "    return %s, False" % state("x{i}"),
     ]
+    namespace = {"coeffs": tuple(coeffs)}
+    exec(compile("\n".join(lines), "<compiled field>", "exec"), namespace)
+    return FieldFlow(w.ctx, namespace["run"])
 
 
 def apply_transform(
@@ -680,27 +761,26 @@ def apply_transform(
     field's flow.  ``inverse`` composes the time -1 flows in entry
     order and undoes ``forward``.  Each flow is integrated with
     ``steps`` fixed RK4 steps; accuracy is the caller's concern (more
-    steps, smaller points).
+    steps, smaller points).  A step that overflows raises
+    ``OverflowError``.
     """
     if direction not in ("forward", "inverse"):
         raise ValueError("direction must be 'forward' or 'inverse'")
-    state = [complex(v) for v in point]
+    state = tuple(complex(v) for v in point)
     if not log.entries:
-        return tuple(state)
-    fields = log.fields()
-    width = len(fields[0].ctx.modes())
+        return state
+    width = len(log.entries[0][1].ctx.modes())
     if len(state) != width:
         raise ValueError(
             "point has %d coordinates; context has %d modes" % (len(state), width)
         )
+    flows = log.flows
     if direction == "forward":
-        fields = fields[::-1]
+        flows = flows[::-1]
         time = 1.0
     else:
         time = -1.0
     h = time / steps
-    for f in fields:
-        evaluate = compile_field(f)
-        for _ in range(steps):
-            state = _rk4(evaluate, state, h)
-    return tuple(state)
+    for flow in flows:
+        state, _ = flow.run(state, h, steps, None)
+    return state

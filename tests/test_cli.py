@@ -650,6 +650,8 @@ LOADER_REJECTIONS = [
      "problem.flow.rho: expected a non-empty array"),
     ("steps-range", "dim6", {"flow": {"steps": 0}}, [],
      "problem.flow.steps: must be >= 1"),
+    ("steps-overflow", "dim6", {"flow": {"steps": 10 ** 400}}, [],
+     "problem.flow.steps: beyond the float range"),
     ("horizon-range", "dim6", {"flow": {"horizon": -1}}, [],
      "problem.flow.horizon: must be >= 0"),
     ("blowup-range", "dim6", {"flow": {"blowup": 0}}, [],

@@ -1,0 +1,351 @@
+"""Differential oracle for the compiled RK4 flows.
+
+``compile_field`` generates one Python function per field that runs the
+whole fixed-step RK4 loop over local variables.  The interpreted lane it
+replaced is kept here as the reference: a row-table evaluator, a
+four-stage step over lists, and the ``integrate_flow`` and
+``apply_transform`` loops around them.  The two must agree bit for bit
+(signed zeros and NaN included), stop at the same step with the same
+divergence flag, and raise ``OverflowError`` in the same cases.
+"""
+
+import itertools
+import math
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from resnf.fields import VectorField
+from resnf.indexing import MultiIndex, TruncationContext, iter_indices
+from resnf.normalform import (
+    _SUM_CHUNK,
+    TransformLog,
+    apply_transform,
+    compile_field,
+    normalize,
+)
+from resnf.resonance import enumerate_resonance
+from resnf.verify import (
+    FlowConfig,
+    SigmaSpec,
+    Trajectory,
+    build_example_dim6,
+    build_example_hyperbolic,
+    dim6_frequency_model,
+    integrate_flow,
+)
+
+# ---------------------------------------------------------------------------
+# the interpreted flow lane, as it was
+# ---------------------------------------------------------------------------
+
+
+def oracle_compile_field(w):
+    f = w.as_float()
+    positions = f.ctx.mode_positions()
+    rows = [
+        (positions[k], complex(c), tuple((positions[m], e) for m, e in q.items()))
+        for k, q, c in f.terms()
+    ]
+    width = len(positions)
+
+    def evaluate(x):
+        out = [0j] * width
+        for target, coeff, mono in rows:
+            val = coeff
+            for pos, e in mono:
+                base = x[pos]
+                if not base:
+                    val = 0j
+                    break
+                val *= base ** e
+            out[target] += val
+        return out
+
+    return evaluate
+
+
+def oracle_rk4(evaluate, x, h):
+    k1 = evaluate(x)
+    k2 = evaluate([xi + 0.5 * h * ki for xi, ki in zip(x, k1)])
+    k3 = evaluate([xi + 0.5 * h * ki for xi, ki in zip(x, k2)])
+    k4 = evaluate([xi + h * ki for xi, ki in zip(x, k3)])
+    return [
+        xi + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+        for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+    ]
+
+
+def oracle_integrate_flow(w, x0, t, config):
+    evaluate = oracle_compile_field(w)
+    h = t / config.steps
+    x = [complex(v) for v in x0]
+    for _ in range(config.steps):
+        try:
+            x = oracle_rk4(evaluate, x, h)
+        except OverflowError:
+            return Trajectory(tuple(x), True)
+        if not all(abs(v) <= config.blowup for v in x):
+            return Trajectory(tuple(x), True)
+    return Trajectory(tuple(x), False)
+
+
+def oracle_apply_transform(log, point, direction, steps):
+    state = [complex(v) for v in point]
+    fields = log.fields()
+    if direction == "forward":
+        fields = fields[::-1]
+        time = 1.0
+    else:
+        time = -1.0
+    h = time / steps
+    for f in fields:
+        evaluate = oracle_compile_field(f)
+        for _ in range(steps):
+            state = oracle_rk4(evaluate, state, h)
+    return tuple(state)
+
+
+# ---------------------------------------------------------------------------
+# comparison
+# ---------------------------------------------------------------------------
+
+
+def same_float(a: float, b: float) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def same_state(a, b) -> bool:
+    return len(a) == len(b) and all(
+        same_float(u.real, v.real) and same_float(u.imag, v.imag) for u, v in zip(a, b)
+    )
+
+
+def outcome(fn, *args):
+    """``("ok", value)`` or ``("raised", exception type)``."""
+    try:
+        return "ok", fn(*args)
+    except OverflowError as exc:
+        return "raised", type(exc)
+
+
+def assert_same_trajectory(got, want):
+    assert got[0] == want[0], (got, want)
+    if got[0] == "raised":
+        assert got[1] is want[1]
+        return
+    assert got[1].diverged == want[1].diverged
+    assert same_state(got[1].final, want[1].final), (got[1].final, want[1].final)
+
+
+def assert_same_point(got, want):
+    assert got[0] == want[0], (got, want)
+    if got[0] == "raised":
+        assert got[1] is want[1]
+    else:
+        assert same_state(got[1], want[1]), (got[1], want[1])
+
+
+# ---------------------------------------------------------------------------
+# random fields on the dim6 and hyperbolic windows
+# ---------------------------------------------------------------------------
+
+DIM6 = TruncationContext(6, 5, momentum_enabled=False, arithmetic="float")
+HYPERBOLIC = TruncationContext(2, 5, momentum_enabled=True, arithmetic="float")
+
+
+def _pool(ctx):
+    """Every admissible ``(direction, exponent)`` pair of the window."""
+    modes = ctx.modes()
+    return [
+        (k, q)
+        for q in iter_indices(modes, ctx.degree_cutoff + 1, 1)
+        for k in modes
+        if not ctx.momentum_enabled or q.momentum_sum == k.sigma * k.j
+    ]
+
+
+POOLS = {"dim6": (DIM6, _pool(DIM6)), "hyperbolic": (HYPERBOLIC, _pool(HYPERBOLIC))}
+
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan]
+
+parts = st.one_of(
+    st.sampled_from(SPECIAL),
+    st.builds(
+        lambda m, s: m * s,
+        st.floats(-2.0, 2.0, allow_nan=False),
+        st.sampled_from([1e-3, 0.05, 1.0, 3.0, 1e80, 1e160]),
+    ),
+)
+coordinates = st.one_of(
+    st.just(0j),
+    st.builds(complex, parts, parts),
+    st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+)
+# real coefficients (an exact field's float twin) and signed-zero parts
+coefficients = st.one_of(
+    st.builds(complex, st.floats(-3.0, 3.0)),
+    st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    st.builds(
+        complex,
+        st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5]),
+        st.sampled_from([0.0, -0.0, 2.5]),
+    ),
+)
+steps = st.sampled_from([1, 3, 40])
+times = st.sampled_from([1.0, -1.0, 0.3, -0.7, 2.0])
+
+
+@st.composite
+def random_field(draw, window):
+    """A diagonal part, or none, plus up to ten terms of random support."""
+    ctx, pool = POOLS[window]
+    terms = []
+    if draw(st.booleans()):
+        terms = [(k, MultiIndex.unit(k), draw(coefficients)) for k in ctx.modes()]
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=0, max_size=10))
+    terms += [(*pool[i], draw(coefficients)) for i in picks]
+    return VectorField(ctx, terms)
+
+
+@st.composite
+def field_and_state(draw):
+    window = draw(st.sampled_from(sorted(POOLS)))
+    field = draw(random_field(window))
+    width = len(field.ctx.modes())
+    state = draw(st.lists(coordinates, min_size=width, max_size=width))
+    return field, state
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_and_state(), times, steps, st.sampled_from([10.0, 0.5, 1e300]))
+def test_integrate_flow_matches_oracle(case, t, n, blowup):
+    field, state = case
+    config = FlowConfig(steps=n, blowup=blowup)
+    assert_same_trajectory(
+        outcome(integrate_flow, field, state, t, config),
+        outcome(oracle_integrate_flow, field, state, t, config),
+    )
+
+
+@st.composite
+def log_and_point(draw):
+    window = draw(st.sampled_from(sorted(POOLS)))
+    fields = draw(st.lists(random_field(window), min_size=1, max_size=3))
+    log = TransformLog(tuple(("kam", f) for f in fields))
+    width = len(fields[0].ctx.modes())
+    point = draw(st.lists(coordinates, min_size=width, max_size=width))
+    return log, point
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_and_point(), st.sampled_from(["forward", "inverse"]), steps)
+def test_apply_transform_matches_oracle(case, direction, n):
+    log, point = case
+    assert_same_point(
+        outcome(apply_transform, log, point, direction, n),
+        outcome(oracle_apply_transform, log, point, direction, n),
+    )
+
+
+def test_power_before_a_zero_base_still_overflows():
+    """A term stops at its first zero base, after the powers before it:
+    ``x1**3`` overflows below, so the step fails even though ``x2`` is 0;
+    with the zero base first, the huge power is never taken."""
+    modes = DIM6.modes()
+    field = VectorField(DIM6, [(modes[0], MultiIndex({modes[0]: 3, modes[1]: 1}), 1.0)])
+    log = TransformLog((("kam", field),))
+    config = FlowConfig(steps=3, blowup=1e300)
+    for state, overflows in (
+        ([1e200, 0j, 0j, 0j, 0j, 0j], True),
+        ([0j, 1e200, 0j, 0j, 0j, 0j], False),
+    ):
+        want = oracle_integrate_flow(field, state, 1.0, config)
+        got = integrate_flow(field, state, 1.0, config)
+        assert got.diverged is want.diverged is overflows
+        assert same_state(got.final, want.final)
+        point = outcome(apply_transform, log, state, "forward", 3)
+        assert_same_point(point, outcome(oracle_apply_transform, log, state, "forward", 3))
+        assert point[0] == ("raised" if overflows else "ok")
+
+
+@pytest.mark.parametrize("t", [1.0, -1.0])
+def test_signed_zero_parts_on_the_diagonal(t):
+    """A one-term component keeps the sign of a zero part of its term
+    unless the sum starts at ``0j``, as the evaluator's sums do."""
+    field = dim6_frequency_model().linear_field(DIM6.with_arithmetic("exact"))
+    config = FlowConfig(steps=3)
+    for re, im in itertools.product([-0.0, 0.0, 0.5, -0.5], repeat=2):
+        state = [complex(re, im)] * len(DIM6.modes())
+        assert_same_trajectory(
+            outcome(integrate_flow, field, state, t, config),
+            outcome(oracle_integrate_flow, field, state, t, config),
+        )
+
+
+@pytest.mark.parametrize("window", sorted(POOLS))
+def test_long_components_match_oracle(window):
+    """Every admissible term of one direction: a component far longer
+    than one generated sum statement, and a zero base at each position."""
+    ctx, pool = POOLS[window]
+    rng = random.Random(7)
+    first = ctx.modes()[0]
+    field = VectorField(
+        ctx,
+        [(k, q, complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for k, q in pool if k == first],
+    )
+    assert field.term_count() > 20 * _SUM_CHUNK
+    flow = compile_field(field)
+    config = FlowConfig(steps=3)
+    width = len(ctx.modes())
+    for zero in range(width + 1):
+        state = [
+            0j if i == zero else complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
+            for i in range(width)
+        ]
+        assert_same_trajectory(
+            outcome(integrate_flow, flow, state, 0.5, config),
+            outcome(oracle_integrate_flow, field, state, 0.5, config),
+        )
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's fields and a hyperbolic one, on and off the invariant set
+# ---------------------------------------------------------------------------
+
+
+def _normalized(build):
+    w, model = build()
+    module = enumerate_resonance(w.ctx, model)
+    _, log, _ = normalize(w, module)
+    return w, log, SigmaSpec.from_module(module)
+
+
+EXAMPLES = {
+    "dim6-11": lambda: build_example_dim6(seed=11, degree=5),
+    "dim6-143": lambda: build_example_dim6(seed=143, degree=5),
+    "hyperbolic-4": lambda: build_example_hyperbolic(seed=4, elliptic_sites=[0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_example_flows_match_oracle(name):
+    w, log, spec = _normalized(EXAMPLES[name])
+    width = len(w.ctx.modes())
+    raw = [(0.5 + 0.1 * i) * 0.05 + 0.03j * (i - 2) for i in range(width)]
+    config = FlowConfig(steps=64)
+    for point in (raw, spec.restrict(raw, w.ctx)):
+        for t in (1.0, -1.0):
+            assert_same_trajectory(
+                outcome(integrate_flow, w, point, t, config),
+                outcome(oracle_integrate_flow, w, point, t, config),
+            )
+        for direction in ("forward", "inverse"):
+            assert_same_point(
+                outcome(apply_transform, log, point, direction, 64),
+                outcome(oracle_apply_transform, log, point, direction, 64),
+            )

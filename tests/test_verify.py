@@ -177,10 +177,21 @@ class TestIntegrateFlow:
         w = model.linear_field(ctx) + VectorField.monomial(
             ctx, fin(3), E1 + E2 + E3, Fraction(2, 7)
         )
-        fn = compile_field(w)
+        flow = compile_field(w)
         x = [rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1) for _ in range(6)]
-        direct = w.as_float().evaluate(x)
-        assert max(abs(a - b) for a, b in zip(fn(x), direct)) < 1e-14
+        h = 0.01
+        # one RK4 step written over the term-by-term evaluator; at most two
+        # terms per component, so the summation order cannot matter
+        f = w.as_float().evaluate
+        k1 = f(x)
+        k2 = f([xi + 0.5 * h * ki for xi, ki in zip(x, k1)])
+        k3 = f([xi + 0.5 * h * ki for xi, ki in zip(x, k2)])
+        k4 = f([xi + h * ki for xi, ki in zip(x, k3)])
+        direct = tuple(
+            xi + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+            for xi, a, b, c, d in zip(x, k1, k2, k3, k4)
+        )
+        assert flow.run(tuple(x), h, 1, None) == (direct, False)
 
     def test_config_validation(self):
         with pytest.raises(NormalFormError):
