@@ -343,32 +343,60 @@ def norm_weight(q: MultiIndex, k: Mode, r: float, s: float, theta: float) -> flo
     return value
 
 
-def iter_indices(
-    modes: tuple[Mode, ...], max_degree: int, min_degree: int = 0
-) -> Iterator[MultiIndex]:
-    """All nonnegative multi-indices over ``modes`` with total degree in
-    ``[min_degree, max_degree]``, lexicographic with the first mode most
-    significant; ``where`` holds the positions of the nonzero exponents
-    and ``pairs`` their ``(mode, exponent)`` pairs, built once per change."""
+def walk(
+    modes: tuple[Mode, ...],
+    max_degree: int,
+    min_degree: int = 0,
+    rows: dict[Mode, tuple] | None = None,
+) -> Iterator[tuple[list[tuple[Mode, int]], int, tuple]]:
+    """The window odometer: every nonnegative multi-index over ``modes``
+    with total degree in ``[min_degree, max_degree]``, lexicographic with
+    the first mode most significant, as ``(pairs, degree, sums)``.
+
+    ``pairs`` is the walk's own list of ``(mode, exponent)`` pairs in
+    canonical order, changed in place by the next step: copy it to keep
+    it.  ``sums`` is the sum of ``rows[m]`` over the index's units, three
+    components added one by one (zeros without ``rows``).  ``where`` holds
+    the positions of the nonzero exponents and ``stack`` the sums of each
+    prefix of them, so a step adds one mode's row to the sums of the
+    prefix it keeps, in walk order, and never subtracts."""
     ordered = tuple(sorted(modes, key=mode_key))
     last = len(ordered) - 1
+    zero = (0, 0, 0)
+    rowlist = [zero if rows is None else rows[m] for m in ordered]
     where: list[int] = []
     pairs: list[tuple[Mode, int]] = []
+    stack = [zero]
+    sums = zero
     degree = 0
     while True:
         if degree >= min_degree:
-            yield MultiIndex._from_sorted(tuple(pairs), degree)
+            yield pairs, degree, sums
         if degree < max_degree and last >= 0:
             pos = last
         elif where and where[-1]:
             # the degree is full: drop the last nonzero exponent, carry left
             pos = where.pop() - 1
             degree -= pairs.pop()[1]
+            stack.pop()
         else:
             return
+        a, b, c = stack[-1]
+        x, y, z = rowlist[pos]
+        sums = (a + x, b + y, c + z)
         if where and where[-1] == pos:
             pairs[-1] = (ordered[pos], pairs[-1][1] + 1)
+            stack[-1] = sums
         else:
             where.append(pos)
             pairs.append((ordered[pos], 1))
+            stack.append(sums)
         degree += 1
+
+
+def iter_indices(
+    modes: tuple[Mode, ...], max_degree: int, min_degree: int = 0
+) -> Iterator[MultiIndex]:
+    """The indices of :func:`walk` as ``MultiIndex`` objects."""
+    for pairs, degree, _ in walk(modes, max_degree, min_degree):
+        yield MultiIndex._from_sorted(tuple(pairs), degree)

@@ -39,6 +39,7 @@ from .indexing import (
     mode_momentum,
     mode_weight,
     smoothing_gap,
+    walk,
 )
 
 Key = dict[int, tuple[int, int]]
@@ -191,15 +192,38 @@ class FrequencyModel:
                     del acc[i]
         return acc
 
-    def _scaled(self, key: Key) -> tuple:
+    def _scaled(self, key: Key, weights: Sequence | None = None) -> tuple:
         """``value(key) * _unit`` as an ``(re, im)`` pair; integers for
-        exact-capable models, so zero tests need no rational arithmetic."""
-        weights = self._weights
+        exact-capable models, so zero tests need no rational arithmetic.
+        Other ``weights`` stand in for ``_weights``."""
+        weights = self._weights if weights is None else weights
         re = im = 0
         for i, (a, b) in key.items():
             re += a * weights[i]
             im += b * weights[i]
         return re, im
+
+    def walk_rows(self, modes: Sequence[Mode], terms: int, momentum: bool) -> "WalkRows":
+        """The rows :func:`~resnf.indexing.walk` sums over ``modes`` to
+        carry each index's key, value and momentum, for combinations of at
+        most ``terms`` eigenvalues (counted with multiplicity and sign)."""
+        # the symbol values read exactly, a float as the binary fraction it
+        # is, over their common denominator (``_weights`` when exact-capable)
+        values = [Fraction(v) for v in self.symbol_values]
+        scale = math.lcm(*(v.denominator for v in values))
+        weights = [int(v * scale) for v in values]
+        table = self._table
+        scaled = {k: self._scaled(table[k], weights) for k in modes}
+        width = max((abs(c) for k in modes for pair in table[k].values() for c in pair), default=0)
+        height = max((abs(c) for pair in scaled.values() for c in pair), default=0)
+        codes = WalkRows(2 * terms * width + 1, 2 * terms * height + 1, scale, {})
+        for k in modes:
+            codes.rows[k] = (
+                codes.pack_key(table[k]),
+                codes.pack_value(scaled[k]),
+                mode_momentum(k) if momentum else 0,
+            )
+        return codes
 
     def value(self, key: Key, exact: bool):
         """``sum_i key_i * symbol_i`` over the common denominator: a
@@ -262,6 +286,48 @@ class FrequencyModel:
             len(self._table),
             len(self.symbol_names),
         )
+
+
+@dataclass(frozen=True)
+class WalkRows:
+    """Per mode, ``(packed key, packed value, momentum)`` of its eigenvalue.
+
+    A key packs as ``sum(re_i * B**(2i) + im_i * B**(2i+1))`` over its
+    entries ``i -> (re_i, im_i)``, with ``B = key_base``.  ``B`` exceeds
+    twice the largest ``|coordinate|`` that a combination of ``terms``
+    eigenvalues can reach, such as ``key(q) - row(k)`` for ``|q| <= terms
+    - 1``; a packed sum is zero only when every such balanced base-``B``
+    digit is, so packed equality of those keys is exactly dict-key
+    equality.  A value is ``sum_i key_i * symbol_i`` times ``value_scale``,
+    the common denominator of the symbol values read exactly: an integer
+    pair ``(re, im)`` (``_scaled`` of an exact-capable model), packed as
+    ``re + im * value_base`` with ``value_base`` chosen by the same rule.
+    """
+
+    key_base: int
+    value_base: int
+    value_scale: int
+    rows: dict[Mode, tuple]
+
+    def pack_key(self, key: Key) -> int:
+        base = self.key_base
+        return sum(re * base ** (2 * i) + im * base ** (2 * i + 1) for i, (re, im) in key.items())
+
+    def pack_value(self, pair: tuple[int, int]) -> int:
+        re, im = pair
+        return re + im * self.value_base
+
+    def unpack_value(self, code: int) -> tuple[int, int]:
+        half = self.value_base // 2
+        im, re = divmod(code + half, self.value_base)
+        return re - half, im
+
+    def within(self, code: int, bound: float) -> bool:
+        """Whether the packed value's modulus is at most ``bound *
+        value_scale``, decided in integers."""
+        re, im = self.unpack_value(code)
+        n, d = bound.as_integer_ratio()
+        return (re * re + im * im) * d * d <= (n * self.value_scale) ** 2
 
 
 def _as_coeff(value) -> GaussianRational:
@@ -412,45 +478,52 @@ def enumerate_resonance(ctx: TruncationContext, model: FrequencyModel) -> Resona
     model.validate(ctx)
     D = ctx.degree_cutoff
     modes = ctx.modes()
-    momentum_on = ctx.momentum_enabled
 
-    # Values are compared as ``value * unit`` pairs (``_scaled``): integer
-    # pairs for exact-capable models, float pairs against a tolerance
-    # otherwise.  The value of the divisor key ``lambda . (q - e_k)`` is
-    # the value of ``lambda . q`` less that of the eigenvalue key.
-    table = model._table
+    # The walk carries each index's packed key, its packed value (exact,
+    # compared against a tolerance for a model with float values) and its
+    # momentum.  The divisor key ``lambda . (q - e_k)`` is empty iff the key
+    # of ``q`` equals the eigenvalue key of ``k``, and its value vanishes
+    # iff the two values agree; only directions of the same momentum are
+    # divisors.
+    codes = model.walk_rows(modes, D + 2, ctx.momentum_enabled)
     exactly = model.exact_capable
     tol = None if exactly else 1e-9 * model._unit  # an exact _unit may pass the float range
-    scaled = {k: model._scaled(table[k]) for k in modes}
-    mom_of = {k: mode_momentum(k) for k in modes}
+    # per momentum, the directions by packed key and by packed value (a
+    # tolerance cannot be hashed: float values are scanned), in modes order
+    buckets: dict[int, tuple[dict, dict | list]] = {}
+    for k in modes:
+        kcode, vcode, mom = codes.rows[k]
+        by_key, by_value = buckets.setdefault(mom, ({}, {} if exactly else []))
+        by_key[kcode] = by_key.get(kcode, ()) + (k,)
+        if exactly:
+            by_value[vcode] = by_value.get(vcode, ()) + (k,)
+        else:
+            by_value.append((k, vcode))
 
     module_elements: list[MultiIndex] = []
     resonant_pairs: list[tuple[MultiIndex, Mode]] = []
-    for q in iter_indices(modes, D + 1, min_degree=1):
-        combo = model.key(q)
-        vre, vim = model._scaled(combo)
+    for pairs, degree, (key, value, mom) in walk(modes, D + 1, 1, codes.rows):
+        value_zero = not value if exactly else codes.within(value, tol)
+        if (not key) != value_zero:
+            _require_coherent(model, _index(pairs, degree), None, not key, value_zero)
+        if degree <= D and not key and not mom:
+            module_elements.append(_index(pairs, degree))
+        bucket = buckets.get(mom)
+        if bucket is None:
+            continue  # no direction has this momentum
+        by_key, by_value = bucket
+        # the directions whose divisor key, and whose divisor value, vanish
+        resonant = by_key.get(key, ())
         if exactly:
-            value_zero_q = not vre and not vim
+            vanishing = by_value.get(value, ())
         else:
-            value_zero_q = abs(complex(vre, vim)) <= tol
-        _require_coherent(model, q, None, not combo, value_zero_q)
-        in_window = q.degree <= D
-        momentum_q = q.momentum_sum if momentum_on else 0
-        if in_window and not combo and momentum_q == 0:
-            module_elements.append(q)
-        for k in modes:
-            if momentum_on and momentum_q != mom_of[k]:
-                continue
-            # the divisor key of (q, k) is empty iff the two keys agree
-            symbolic_zero = combo == table[k]
-            kre, kim = scaled[k]
-            if exactly:
-                value_zero = vre == kre and vim == kim
-            else:
-                value_zero = abs(complex(vre - kre, vim - kim)) <= tol
-            _require_coherent(model, q, k, symbolic_zero, value_zero)
-            if symbolic_zero and in_window:
-                resonant_pairs.append((q, k))
+            vanishing = tuple(k for k, v in by_value if codes.within(value - v, tol))
+        if resonant != vanishing:
+            k = next(k for k in modes if (k in resonant) != (k in vanishing))
+            _require_coherent(model, _index(pairs, degree), k, k in resonant, k in vanishing)
+        if resonant and degree <= D:
+            q = _index(pairs, degree)
+            resonant_pairs.extend((q, k) for k in resonant)
 
     module_elements.sort(key=lambda e: (e.degree, e.sort_key()))
     element_set = frozenset(module_elements)
@@ -504,6 +577,11 @@ def enumerate_resonance(ctx: TruncationContext, model: FrequencyModel) -> Resona
     )
 
 
+def _index(pairs, degree: int) -> MultiIndex:
+    """The ``MultiIndex`` of a walked index (``pairs`` is the walk's own list)."""
+    return MultiIndex._from_sorted(tuple(pairs), degree)
+
+
 def _require_coherent(model, q, k, symbolic_zero: bool, numeric_zero: bool) -> None:
     if symbolic_zero != numeric_zero:
         where = "lambda . %s" % (q,)
@@ -553,17 +631,26 @@ class DiophantineReport:
         }
 
 
-def _signed_candidates(modes, degree_bound: int):
-    """Signed vectors with entries >= -1, at most one negative entry,
-    l1 norm <= bound: exactly the translates ``q - e_k`` reachable from
-    nonnegative exponents."""
-    for base in iter_indices(modes, degree_bound):
-        if not base.is_zero:
-            yield base
-        if base.degree + 1 <= degree_bound:
-            for k in modes:
-                if base.get(k) == 0:
-                    yield base.add_unit(k, -1)
+def _divisor_candidates(model: FrequencyModel, ctx: TruncationContext, degree_bound: int):
+    """The non-resonant, momentum-free signed vectors with entries >= -1,
+    at most one negative entry and l1 norm <= bound: exactly the
+    translates ``q - e_k`` reachable from nonnegative exponents.  Each
+    walked base comes first, then ``base - e_k`` for each direction
+    ``k`` outside its support, in modes order; momentum and resonance are
+    read off the walk's carried sums, so only the vectors kept are built."""
+    modes = ctx.modes()
+    codes = model.walk_rows(modes, degree_bound, ctx.momentum_enabled)
+    by_momentum: dict[int, list[tuple[Mode, int]]] = {}
+    for k in modes:
+        kcode, _, mom = codes.rows[k]
+        by_momentum.setdefault(mom, []).append((k, kcode))
+    for pairs, degree, (key, _, mom) in walk(modes, degree_bound, 0, codes.rows):
+        if degree and key and not mom:
+            yield _index(pairs, degree)
+        if degree < degree_bound:
+            for k, kcode in by_momentum.get(mom, ()):
+                if kcode != key and all(m != k for m, _ in pairs):
+                    yield MultiIndex(pairs + [(k, -1)])
 
 
 def diophantine_audit(
@@ -586,19 +673,13 @@ def diophantine_audit(
     """
     model.validate(ctx)
     modes = ctx.modes()
-    momentum_on = ctx.momentum_enabled
-
     fvalues = {k: model.eigenvalue_complex(k) for k in modes}
     asymptotics = {k: model.asymptotic_eigenvalue(k) for k in modes}
     gamma_max = math.inf
     worst: MultiIndex | None = None
     count = 0
     fast_hits = 0
-    for p in _signed_candidates(modes, degree_bound):
-        if momentum_on and p.momentum_sum != 0:
-            continue
-        if not model.key(p):
-            continue
+    for p in _divisor_candidates(model, ctx, degree_bound):
         count += 1
         value = abs(sum(fvalues[k] * e for k, e in p.items()))
         if use_fast_path:

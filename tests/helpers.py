@@ -1,4 +1,4 @@
-"""Frequency models shared by the test modules.
+"""Frequency models and a command runner shared by the test modules.
 
 Rational stand-ins replace the irrational frequency parameters so the
 whole pipeline runs in exact arithmetic; the stand-ins are convergents
@@ -8,8 +8,14 @@ models themselves live in ``resnf.verify``; this module pins the test
 aliases and the four-variable variant used only by the tests.
 """
 
+import os
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import resnf
 from resnf.indexing import Mode
 from resnf.resonance import FrequencyModel
 from resnf.verify import (
@@ -32,6 +38,7 @@ __all__ = [
     "dim4_model",
     "nls_model",
     "hyperbolic_model",
+    "module_cli",
 ]
 
 
@@ -60,3 +67,21 @@ def nls_model(cutoff: int) -> FrequencyModel:
 def hyperbolic_model(cutoff: int) -> FrequencyModel:
     """Real gauge-paired twin of :func:`nls_model`."""
     return hyperbolic_frequency_model(cutoff)
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def module_cli(*argv) -> subprocess.CompletedProcess:
+    """``resnf`` in a child process, which a run without end can neither
+    hold up (a 30 s timeout) nor let fill memory (2 GB of address space)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(resnf.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "resnf.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=_cap_memory,
+    )

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import module_cli
 import resnf
 from resnf.cli import (
     EXIT_HYPOTHESIS,
@@ -548,6 +549,11 @@ LOADER_BASES = {
     "custom": custom_doc,
 }
 
+WINDOW_MESSAGE = (
+    "problem.truncation: mode_cutoff and degree_cutoff give a resonance "
+    "window of more than 1000000000 indices"
+)
+
 # (id, base problem, edits by dotted key path, extra argv, stderr message).
 # One case per reachable rejection in the loader, then cases with two
 # faults in one file that pin which check fires first.
@@ -707,14 +713,34 @@ LOADER_REJECTIONS = [
     ("first-steps-then-seed", "dim6",
      {"flow": {"steps": "x", "seed": "y", "extra": 1}}, [],
      "problem.flow.steps: expected an integer"),
+    ("window-degree-cutoff", "dim6", {"truncation.degree_cutoff": 10 ** 400}, [],
+     WINDOW_MESSAGE),
+    ("window-mode-cutoff", "nls", {"truncation.mode_cutoff": 10 ** 400}, [],
+     WINDOW_MESSAGE),
+    ("window-nls-degree-cutoff", "nls", {"truncation.degree_cutoff": 10 ** 400}, [],
+     WINDOW_MESSAGE),
+    ("window-custom-mode-cutoff", "custom", {"truncation.mode_cutoff": 10 ** 400}, [],
+     WINDOW_MESSAGE),
+    # 26 modes: degree cutoff 10 walks 854,992,152 indices, 11 walks 2,707,475,148
+    ("window-past-limit", "nls",
+     {"truncation.mode_cutoff": 6, "truncation.degree_cutoff": 11}, [],
+     WINDOW_MESSAGE),
+    ("window-degree-bound", "dim6",
+     {"diophantine": {"tau": 2, "degree_bound": 10 ** 400}}, [],
+     "problem.diophantine.degree_bound: the divisor audit over 6 modes walks "
+     "more than 1000000000 indices"),
 ]
+
+# Rows whose input, were it accepted, would walk without end: they run in a
+# child process under a timeout, so such a run fails instead of hanging.
+UNBOUNDED_IF_ACCEPTED = {case[0] for case in LOADER_REJECTIONS if case[0].startswith("window-")}
 
 
 @pytest.mark.parametrize(
-    "base, edits, argv, message",
-    [pytest.param(*case[1:], id=case[0]) for case in LOADER_REJECTIONS],
+    "name, base, edits, argv, message",
+    [pytest.param(*case, id=case[0]) for case in LOADER_REJECTIONS],
 )
-def test_loader_rejection(tmp_path, capsys, base, edits, argv, message):
+def test_loader_rejection(tmp_path, capsys, name, base, edits, argv, message):
     path = tmp_path / "problem.json"
     if base is not None:
         doc = LOADER_BASES[base]()
@@ -730,9 +756,14 @@ def test_loader_rejection(tmp_path, capsys, base, edits, argv, message):
         path.write_text(json.dumps(doc), encoding="utf-8")
     elif edits is not None:
         path.write_text(edits, encoding="utf-8")
-    assert run(["analyze", str(path), *argv]) == EXIT_INPUT
+    if name in UNBOUNDED_IF_ACCEPTED:
+        done = module_cli("analyze", str(path), *argv)
+        code, err = done.returncode, done.stderr
+    else:
+        code, err = run(["analyze", str(path), *argv]), capsys.readouterr().err
+    assert code == EXIT_INPUT
     expected = message.format(path=path, dir=tmp_path)
-    assert capsys.readouterr().err == "input error: %s\n" % expected
+    assert err == "input error: %s\n" % expected
 
 
 class TestMalformedTokens:
@@ -927,21 +958,49 @@ class TestExitCodes:
             load_problem(str(tmp_path / "absent.json"))
 
 
-def _module_cli(*argv):
-    env = dict(os.environ, PYTHONPATH=str(Path(resnf.__file__).parents[1]))
-    return subprocess.run(
-        [sys.executable, "-m", "resnf.cli", *argv],
-        env=env,
-        capture_output=True,
-        text=True,
+def test_thousand_mode_model_finishes(tmp_path):
+    """1,000 modes at degree cutoff 1 walk 501,500 indices; each one's
+    resonant directions are looked up, not found by a scan of all 1,000."""
+    doc = {
+        "schema_version": 1,
+        "model": {
+            "name": "ladder",
+            "symbols": {"a": 1},
+            "modes": {"%d+" % j: {"a": j} for j in range(1, 1001)},
+        },
+        "truncation": {"mode_cutoff": 1000, "degree_cutoff": 1},
+        "field": {"terms": ["1+ | 1+^1 | 1/1 0/1"]},
+    }
+    done = module_cli("analyze", write(tmp_path, doc))
+    assert done.returncode == EXIT_OK
+    assert done.stdout.endswith("0 module elements, 1000 resonant pairs\n")
+
+
+def test_degree_flag_past_the_walk_limit(tmp_path):
+    done = module_cli(
+        "diophantine", write(tmp_path, dim6_doc()), "--tau", "2", "--degree", "1" + "0" * 400
+    )
+    assert done.returncode == EXIT_INPUT
+    assert done.stderr == (
+        "input error: --degree: the divisor audit over 6 modes walks more than "
+        "1000000000 indices\n"
     )
 
 
+@pytest.mark.parametrize("degree", (8, 10))
+def test_n6_lattice_windows_load(tmp_path, degree):
+    """The 26-mode lattice (N=6) stays inside the limit up to degree cutoff
+    10 (854,992,152 indices); ``window-past-limit`` is the next one."""
+    doc = nls_doc()
+    doc["truncation"].update(mode_cutoff=6, degree_cutoff=degree)
+    assert load_problem(write(tmp_path, doc)).ctx.degree_cutoff == degree
+
+
 def test_console_entry_point(tmp_path):
-    done = _module_cli("analyze", write(tmp_path, dim6_doc(), "good.json"))
+    done = module_cli("analyze", write(tmp_path, dim6_doc(), "good.json"))
     assert done.returncode == EXIT_OK
     assert done.stdout.startswith("model dim6 | 6 modes")
-    done = _module_cli("analyze", write(tmp_path, dim6_doc(surprise=1), "bad.json"))
+    done = module_cli("analyze", write(tmp_path, dim6_doc(surprise=1), "bad.json"))
     assert done.returncode == EXIT_INPUT
     assert done.stderr == "input error: problem: unknown key(s): surprise\n"
 

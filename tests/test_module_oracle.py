@@ -20,6 +20,7 @@ from resnf.errors import (
     NormalFormError,
     UniqueFactorizationViolation,
 )
+from resnf.fields import GaussianRational
 from resnf.indexing import (
     Mode,
     MultiIndex,
@@ -256,7 +257,80 @@ def random_case(seed):
     return "random-%d" % seed, model, TruncationContext(n, rng.randint(2, 6))
 
 
-CASES = list(fixed_cases()) + [random_case(seed) for seed in range(400)]
+def _resonant_row(rng, coords, j):
+    """The coordinates of ``lambda_a + lambda_b`` or of ``-lambda_a`` for
+    two earlier modes ``a, b``, so that mode ``j`` resonates."""
+    a, b = rng.sample(range(1, j), 2)
+    if rng.random() < 0.5:
+        return {nm: -c for nm, c in coords[Mode(a, 1)].items()}
+    row = dict(coords[Mode(a, 1)])
+    for nm, c in coords[Mode(b, 1)].items():
+        row[nm] = row[nm] + c if nm in row else c
+    return {nm: c for nm, c in row.items() if not c.is_zero}
+
+
+def _seeded_model(seed, label, values, draw):
+    """2-5 modes whose coordinates come from ``draw(rng)``, about half of
+    them from :func:`_resonant_row`, over the symbols ``values``."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 5)
+    names = ("a", "b", "c")[: rng.randint(1, 3)]
+    symbols = list(zip(names, values(rng, len(names))))
+    coords = {}
+    for j in range(1, n + 1):
+        row = _resonant_row(rng, coords, j) if j > 2 and rng.random() < 0.5 else {}
+        if not row:
+            row = {nm: draw(rng) for nm in rng.sample(names, rng.randint(1, len(names)))}
+        coords[Mode(j, 1)] = row
+    name = "%s-%d" % (label, seed)
+    return name, FrequencyModel(name, symbols, coords), TruncationContext(n, rng.randint(2, 5))
+
+
+def _float_values(rng, count):
+    """Irrational-looking symbol values; sometimes the second repeats the
+    first to a relative 1e-10, inside the audit tolerance of 1e-9 for
+    coordinates up to 3, or 1e-8, outside it."""
+    values = [rng.uniform(0.5, 3.0) for _ in range(count)]
+    if count > 1 and rng.random() < 0.4:
+        values[1] = values[0] * (1 + rng.choice((1e-10, 1e-8)))
+    return values
+
+
+def _small_coordinate(rng):
+    c = rng.choice((-2, -1, 1, 2, 3))
+    return GaussianRational(c, rng.choice((-1, 1)) if rng.random() < 0.2 else 0)
+
+
+def _large_values(rng, count):
+    return [Fraction(rng.randint(1, 10 ** 4), rng.randint(1, 97)) for _ in range(count)]
+
+
+def _large_coordinate(rng):
+    """Up to about 10**6 over denominators up to 7, complex half the time."""
+    re = Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 7))
+    return GaussianRational(re, rng.randint(-10 ** 6, 10 ** 6) if rng.random() < 0.5 else 0)
+
+
+def random_float_case(seed):
+    """A seeded float-valued model: small integer or Gaussian coordinates,
+    built-in resonances, and near-equal symbol values."""
+    return _seeded_model(seed, "float", _float_values, _small_coordinate)
+
+
+def random_large_case(seed):
+    """A seeded exact model with large, complex and rational coordinates,
+    so the packed key and value bases are large, and built-in resonances."""
+    return _seeded_model(seed, "large", _large_values, _large_coordinate)
+
+
+FLOAT_CASES = [random_float_case(seed) for seed in range(80)]
+LARGE_CASES = [random_large_case(seed) for seed in range(60)]
+CASES = (
+    list(fixed_cases())
+    + [random_case(seed) for seed in range(400)]
+    + FLOAT_CASES
+    + LARGE_CASES
+)
 
 
 def outcome(enumerate_fn, ctx, model):
@@ -296,3 +370,17 @@ def test_library_matches_parent_certificates():
         None,
     ):
         assert kinds[kind] > 0, kind
+
+
+def test_new_cases_reach_every_lookup_path():
+    """The float and large exact cases resonate, and the float ones both
+    pass and fail the value-coherence audit."""
+    for cases in (FLOAT_CASES, LARGE_CASES):
+        outcomes = [outcome(parent_enumerate, ctx, model) for _, model, ctx in cases]
+        summaries = [r[2] for r in outcomes if not error_kind(r)]
+        assert any(summary["resonant_pair_count"] for summary in summaries)
+        assert any(summary["module_count"] for summary in summaries)
+    float_kinds = Counter(
+        error_kind(outcome(parent_enumerate, ctx, model)) for _, model, ctx in FLOAT_CASES
+    )
+    assert float_kinds[None] > 0 and float_kinds["ModelError", "symbol"] > 0

@@ -8,11 +8,13 @@ run:
   a fixed pool, or dropped, then ``analyze``;
 - ``verify`` against artifacts normalized once, with a flow horizon and
   a radius far outside the convergence region;
-- corrupted bytes in a problem file, a ``terms_file`` and an artifact.
+- corrupted bytes in a problem file, a ``terms_file`` and an artifact;
+- every window size (mode or degree cutoff, degree bound, step count) of
+  every base replaced by ``10**400``, which the loader must reject with
+  exit 1 instead of starting a walk without end.
 
-Replacing a window size (mode or degree cutoff, degree bound, step
-count) by ``10**400`` is left out: the run is then valid but unbounded,
-not an escape.
+The seeded draw leaves the window sizes at ``10**400`` out, since the
+window cases cover them; the draw and the ids it gives stay fixed.
 """
 
 import json
@@ -20,7 +22,8 @@ import random
 
 import pytest
 
-from resnf.cli import EXIT_HYPOTHESIS, EXIT_OK, run
+from helpers import module_cli
+from resnf.cli import EXIT_HYPOTHESIS, EXIT_INPUT, EXIT_OK, run
 
 SEED = 20261018
 _DROP = object()
@@ -126,6 +129,12 @@ def _cases():
         for i, m in enumerate(_mutation_cases(rng, 45))
     ]
     cases += [
+        pytest.param("window", (base, path), id="window-%s-%s" % (base, ".".join(path)))
+        for base in sorted(BASES)
+        for path in _paths(BASES[base])
+        if path[-1] in WORK_SIZES
+    ]
+    cases += [
         pytest.param("flow", (h, r), id="flow-h%g-rho%g" % (h, r))
         for h in HUGE
         for r in HUGE
@@ -156,6 +165,13 @@ def test_nothing_escapes(kind, case, artifacts, tmp_path, capsys):
     if kind == "mutation":
         problem.write_text(json.dumps(_mutated(*case)), encoding="utf-8")
         argv = ["analyze", str(problem)]
+    elif kind == "window":
+        # in a child process: a window the loader let through would not end
+        problem.write_text(json.dumps(_mutated(*case, 10 ** 400)), encoding="utf-8")
+        done = module_cli("analyze", str(problem))
+        assert done.returncode == EXIT_INPUT
+        assert done.stderr.startswith("input error: ")
+        return
     elif kind == "flow":
         horizon, rho = case
         doc = _mutated("dim6", ("flow",), {"horizon": horizon, "rho": [rho]})
