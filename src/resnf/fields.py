@@ -55,6 +55,11 @@ class GaussianRational:
         if isinstance(other, (int, Fraction)):
             return GaussianRational(self.re * other, self.im * other)
         other = _as_gaussian(other)
+        # a real factor scales both parts: two products instead of four
+        if not other.im:
+            return GaussianRational(self.re * other.re, self.im * other.re)
+        if not self.im:
+            return GaussianRational(self.re * other.re, self.re * other.im)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -437,28 +442,36 @@ class VectorField:
         """Derivative of the scalar ``f`` along the field:
         ``sum_k X^(k) * df/dx_k``, truncated at the scalar cutoff."""
         _same_ctx(self.ctx, f.ctx)
-        store: dict[MultiIndex, object] = {}
-        _lie_into(self.ctx, store, self._terms, f._terms, self.ctx.degree_cutoff)
-        return ScalarSeries._raw(self.ctx, store)
+        layout = _layout(self.ctx)
+        xs, fs = _pack_field(layout, self._terms), _pack(layout, f._terms)
+        store: dict[int, object] = {}
+        _lie_into(self.ctx, layout, store, xs, fs, self.ctx.degree_cutoff)
+        return ScalarSeries._raw(self.ctx, _unpack(layout, store, {}))
 
     def bracket(self, other: "VectorField") -> "VectorField":
         """Lie bracket ``[X, Y]^(j) = X(Y^(j)) - Y(X^(j))``, truncated at
         the field cutoff."""
         _same_ctx(self.ctx, other.ctx)
-        cutoff = self.ctx.degree_cutoff + 1
-        store: dict[Mode, dict[MultiIndex, object]] = {}
-        for j, comp in other._terms.items():
-            target: dict[MultiIndex, object] = {}
-            _lie_into(self.ctx, target, self._terms, comp, cutoff)
+        ctx = self.ctx
+        cutoff = ctx.degree_cutoff + 1
+        layout = _layout(ctx)
+        xs, ys = _pack_field(layout, self._terms), _pack_field(layout, other._terms)
+        store: dict[Mode, dict[int, object]] = {}
+        for j, comp in ys.items():
+            target: dict[int, object] = {}
+            _lie_into(ctx, layout, target, xs, comp, cutoff)
             if target:
                 store[j] = target
-        for j, comp in self._terms.items():
+        for j, comp in xs.items():
             target = store.setdefault(j, {})
-            neg = {q: -c for q, c in comp.items()}
-            _lie_into(self.ctx, target, other._terms, neg, cutoff)
+            neg = [(key, degree, -c) for key, degree, c in comp]
+            _lie_into(ctx, layout, target, ys, neg, cutoff)
             if not target:
                 store.pop(j, None)
-        return VectorField._raw(self.ctx, store)
+        built: dict[int, MultiIndex] = {}
+        return VectorField._raw(
+            ctx, {j: _unpack(layout, target, built) for j, target in store.items()}
+        )
 
     # -- projections ----------------------------------------------------
 
@@ -609,19 +622,81 @@ def _accumulate(ctx, store: dict, key, value) -> None:
         store[key] = acc
 
 
-def _lie_into(ctx, out: dict, xterms: dict, fdict: dict, cutoff: int) -> None:
-    """Accumulate ``sum_k X^(k) * d f / dx_k`` into ``out`` (exponent map),
-    dropping products above ``cutoff``."""
+# The Lie kernel packs each exponent as one integer: the entry of the i-th
+# mode of ``ctx.modes()`` is its base-``radix`` digit i.  Field exponents
+# reach degree ``degree_cutoff + 1`` and series keys ``degree_cutoff``, so
+# ``radix = degree_cutoff + 2`` exceeds every entry of an operand and of a
+# kept product, and a product exponent ``qx + qf - e_k`` is one integer sum.
+
+
+def _layout(ctx: TruncationContext) -> tuple[int, tuple[Mode, ...], dict[Mode, int]]:
+    """``(radix, modes, weight of each mode)`` of the packed exponents."""
+    radix = ctx.degree_cutoff + 2
+    modes = ctx.modes()
+    return radix, modes, {m: radix**i for i, m in enumerate(modes)}
+
+
+def _pack(layout, terms: dict) -> list[tuple[int, int, object]]:
+    """``(packed exponent, degree, coefficient)`` of each term, in order."""
+    weights = layout[2]
+    return [
+        (sum(e * weights[m] for m, e in q.items()), q.degree, c)
+        for q, c in terms.items()
+    ]
+
+
+def _pack_field(layout, terms: dict) -> dict[Mode, list]:
+    return {k: _pack(layout, comp) for k, comp in terms.items()}
+
+
+def _unpack(layout, packed: dict[int, object], built: dict[int, MultiIndex]) -> dict:
+    """The exponent map of ``packed``, in its order; ``built`` caches one
+    ``MultiIndex`` per packed exponent."""
+    radix, modes, _ = layout
+    out = {}
+    for key, c in packed.items():
+        q = built.get(key)
+        if q is None:
+            pairs = []
+            degree = i = 0
+            rest = key
+            while rest:
+                rest, e = divmod(rest, radix)
+                if e:
+                    pairs.append((modes[i], e))
+                    degree += e
+                i += 1
+            q = built[key] = MultiIndex._from_sorted(tuple(pairs), degree)
+        out[q] = c
+    return out
+
+
+def _lie_into(ctx, layout, out: dict, xterms: dict, fterms: list, cutoff: int) -> None:
+    """Accumulate ``sum_k X^(k) * d f / dx_k`` into ``out`` (packed
+    exponent map), skipping products above ``cutoff``.  ``xterms`` and
+    ``fterms`` are packed by :func:`_pack_field` and :func:`_pack` on
+    ``layout``."""
+    radix, _, weights = layout
+    is_zero = ctx.is_zero_coeff
     for k, comp in xterms.items():
-        for qf, cf in fdict.items():
-            e = qf.get(k)
+        w = weights[k]
+        for qf, df, cf in fterms:
+            e = qf // w % radix
             if not e:
                 continue
-            base = qf.add_unit(k, -1)
-            room = cutoff - base.degree
-            for qx, cx in comp.items():
-                if qx.degree <= room:
-                    _accumulate(ctx, out, qx + base, cx * cf * e)
+            base = qf - w
+            room = cutoff + 1 - df
+            for qx, dx, cx in comp:
+                if dx <= room:
+                    key = qx + base
+                    value = cx * cf * e
+                    prev = out.get(key)
+                    if prev is not None:
+                        value = prev + value
+                    if is_zero(value):
+                        out.pop(key, None)
+                    else:
+                        out[key] = value
 
 
 def _split_term_line(line: str) -> tuple[str, str, str]:

@@ -1,13 +1,30 @@
 """Differential oracles for the exact-lane field kernel.
 
-The kernel now avoids exponents it would throw away: ``MultiIndex``
-stores its ``degree`` at construction, ``_lie_into`` forms a product
-``qx + base`` only when ``qx.degree`` fits in the room that ``base``
-leaves under the cutoff, ``contains`` compares entries without building
-``self - other``, and ``split_ideals`` classifies each term once.  The
-earlier forms are kept here and compared with the library on random
-signed indices and random fields, in exact and float arithmetic; the
-results must be equal term for term and in the same insertion order.
+The kernel avoids work it would throw away: ``MultiIndex`` stores its
+``degree`` at construction, ``contains`` compares entries without
+building ``self - other``, ``split_ideals`` classifies each term once,
+and the Lie kernel behind ``bracket`` and ``lie_derivative`` packs each
+exponent as one integer, forms a product only when it fits under the
+cutoff, and builds one ``MultiIndex`` per distinct output exponent.
+``GaussianRational`` multiplies by a real factor in two products.
+
+The earlier forms are kept here as oracles and compared with the library:
+
+- ``parent_degree``, the summed ``degree``, and ``parent_contains``, the
+  allocating ``contains``, on random signed indices;
+- ``parent_lie_into``, the form-then-filter kernel over ``MultiIndex``
+  keys, and the earlier ``bracket`` and ``lie_derivative`` bodies that
+  call it (``parent_bracket``, ``parent_lie_derivative``), on random exact
+  and float fields, finite and with momentum, and on hand-built fields
+  whose products land on the cutoff, one above it, or hold a single mode
+  at exponent ``degree_cutoff + 1``; results must be equal term for term
+  and in the same insertion order;
+- ``parent_mul``, the four-product Gaussian multiply, on exact rationals
+  with either factor, both or neither real or zero;
+- ``parent_split_ideals``, one projection per class.
+
+The Lie algebra laws and the agreement of the exact and float lanes are
+checked on random fields over a momentum-enabled context.
 """
 
 import functools
@@ -37,8 +54,9 @@ def parent_contains(a, b):
 
 
 def parent_lie_into(ctx, out, xterms, fdict, cutoff, tally=None):
-    """The earlier ``_lie_into``: form every product, then drop those
-    above ``cutoff``.  ``tally`` counts the kept and dropped products."""
+    """The earlier ``_lie_into``: form every product over ``MultiIndex``
+    keys, then drop those above ``cutoff``.  ``tally`` counts the kept and
+    dropped products."""
     for k, comp in xterms.items():
         for qf, cf in fdict.items():
             e = qf.get(k)
@@ -54,19 +72,42 @@ def parent_lie_into(ctx, out, xterms, fdict, cutoff, tally=None):
                     fields._accumulate(ctx, out, q_new, cx * cf * e)
 
 
+def parent_bracket(x, y, tally=None):
+    """The earlier ``VectorField.bracket`` body on ``parent_lie_into``."""
+    cutoff = x.ctx.degree_cutoff + 1
+    store = {}
+    for j, comp in y._terms.items():
+        target = {}
+        parent_lie_into(x.ctx, target, x._terms, comp, cutoff, tally)
+        if target:
+            store[j] = target
+    for j, comp in x._terms.items():
+        target = store.setdefault(j, {})
+        neg = {q: -c for q, c in comp.items()}
+        parent_lie_into(x.ctx, target, y._terms, neg, cutoff, tally)
+        if not target:
+            store.pop(j, None)
+    return VectorField._raw(x.ctx, store)
+
+
+def parent_lie_derivative(x, f, tally=None):
+    """The earlier ``VectorField.lie_derivative`` body."""
+    store = {}
+    parent_lie_into(x.ctx, store, x._terms, f._terms, x.ctx.degree_cutoff, tally)
+    return ScalarSeries._raw(x.ctx, store)
+
+
+def parent_mul(a, b):
+    """The earlier ``GaussianRational`` product: always four products."""
+    return GaussianRational(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+
+
 def parent_split_ideals(x, module):
     """The earlier ``split_ideals``: one projection per class."""
     x0 = x.project(lambda k, q: module.classify(q) == 0)
     x1 = x.project(lambda k, q: module.classify(q) == 1)
     x2 = x.project(lambda k, q: module.classify(q) == 2)
     return x0, x1, x2
-
-
-def with_parent_kernel(fn, tally=None):
-    """Run ``fn()`` with the earlier ``_lie_into`` patched in."""
-    parent = functools.partial(parent_lie_into, tally=tally)
-    with mock.patch.object(fields, "_lie_into", parent):
-        return fn()
 
 
 def layout(obj):
@@ -196,8 +237,7 @@ def test_bracket_matches_form_then_filter(data):
     ctx = data.draw(context())
     x = VectorField(ctx, data.draw(field_terms(ctx)))
     y = VectorField(ctx, data.draw(field_terms(ctx)))
-    got = x.bracket(y)
-    assert layout(got) == layout(with_parent_kernel(lambda: x.bracket(y)))
+    assert layout(x.bracket(y)) == layout(parent_bracket(x, y))
 
 
 @settings(max_examples=200, deadline=None)
@@ -206,8 +246,7 @@ def test_lie_derivative_matches_form_then_filter(data):
     ctx = data.draw(context())
     x = VectorField(ctx, data.draw(field_terms(ctx)))
     f = ScalarSeries(ctx, data.draw(series_terms(ctx)))
-    got = x.lie_derivative(f)
-    assert layout(got) == layout(with_parent_kernel(lambda: x.lie_derivative(f)))
+    assert layout(x.lie_derivative(f)) == layout(parent_lie_derivative(x, f))
 
 
 def _random_field(ctx, rng, nterms):
@@ -232,9 +271,159 @@ def test_room_check_both_keeps_and_skips(name, arithmetic):
     tally = {True: 0, False: 0}
     for _ in range(6):
         x, y = _random_field(ctx, rng, 8), _random_field(ctx, rng, 8)
-        for op in (lambda: x.bracket(y), lambda: x.bracket(x.bracket(y))):
-            assert layout(op()) == layout(with_parent_kernel(op, tally))
+        xy = x.bracket(y)
+        assert layout(xy) == layout(parent_bracket(x, y, tally))
+        assert layout(x.bracket(xy)) == layout(parent_bracket(x, xy, tally))
     assert tally[True] > 0 and tally[False] > 0, tally
+
+
+# ---------------------------------------------------------------------------
+# packed exponents at the edge of the window
+# ---------------------------------------------------------------------------
+
+
+def index(*powers):
+    """``MultiIndex`` from ``(j, sigma, exponent)`` triples."""
+    return MultiIndex((Mode(j, sigma), e) for j, sigma, e in powers)
+
+
+@pytest.mark.parametrize("arithmetic", ARITHMETIC)
+def test_single_mode_at_the_field_cutoff(arithmetic):
+    # degree cutoff 4: field exponents reach degree 5, so x_1^5 puts the
+    # largest entry a field holds into one mode's digit
+    ctx = TruncationContext(3, 4, arithmetic=arithmetic)
+    m1, m2, m3 = ctx.modes()
+    top = index((1, 1, 5))
+    x = VectorField(ctx, [(m2, top, 1), (m1, index((1, 1, 1), (3, 1, 1)), 2)])
+    y = VectorField(ctx, [(m1, top, 3), (m3, index((2, 1, 1)), 1)])
+    got = x.bracket(y)
+    assert layout(got) == layout(parent_bracket(x, y))
+    want = VectorField(ctx, [(m3, top, 1), (m1, index((1, 1, 1), (2, 1, 1)), -2)])
+    assert got == want
+    assert layout(y.bracket(x)) == layout(parent_bracket(y, x))
+    assert y.bracket(x) == -want
+    # the field operand of lie_derivative reaches degree cutoff + 1 too
+    f = ScalarSeries(ctx, [(index((2, 1, 1)), 1), (index((1, 1, 4)), 1)])
+    xf = VectorField(
+        ctx, [(m2, top, 1), (m2, index((1, 1, 3)), 1), (m1, index((1, 1, 1)), 1)]
+    )
+    got = xf.lie_derivative(f)
+    assert layout(got) == layout(parent_lie_derivative(xf, f))
+    assert got == ScalarSeries(ctx, [(index((1, 1, 3)), 1), (index((1, 1, 4)), 4)])
+
+
+@pytest.mark.parametrize("arithmetic", ARITHMETIC)
+def test_momentum_products_on_and_above_the_cutoff(arithmetic):
+    # labels -1, 0, 1 with both signs; scalar cutoff 4, field cutoff 5
+    ctx = TruncationContext(1, 4, momentum_enabled=True, arithmetic=arithmetic)
+    on_cutoff = index((0, 1, 1), (-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1))
+    x = VectorField(
+        ctx,
+        [
+            (Mode(-1, 1), index((1, 1, 1), (1, -1, 1), (-1, 1, 1)), 2),
+            (Mode(-1, 1), index((1, 1, 1), (1, -1, 1), (-1, 1, 1), (0, 1, 1)), 1),
+        ],
+    )
+    y = VectorField(ctx, [(Mode(0, 1), index((-1, 1, 1), (-1, -1, 1), (0, 1, 1)), 3)])
+    tally = {True: 0, False: 0}
+    got = x.bracket(y)
+    assert layout(got) == layout(parent_bracket(x, y, tally))
+    # one product lands on degree 5 and is kept, two land on 6 and drop
+    assert tally == {True: 1, False: 2}
+    assert on_cutoff.degree == ctx.degree_cutoff + 1
+    assert got == VectorField(ctx, [(Mode(0, 1), on_cutoff, 6)])
+    assert layout(y.bracket(x)) == layout(parent_bracket(y, x))
+
+    f = ScalarSeries(ctx, [(index((-1, 1, 1), (-1, -1, 1)), 1)])
+    tally = {True: 0, False: 0}
+    got = x.lie_derivative(f)
+    assert layout(got) == layout(parent_lie_derivative(x, f, tally))
+    assert tally == {True: 1, False: 1}
+    on_scalar_cutoff = index((-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1))
+    assert got == ScalarSeries(ctx, [(on_scalar_cutoff, 2)])
+
+
+# ---------------------------------------------------------------------------
+# GaussianRational: the real-factor product against four products
+# ---------------------------------------------------------------------------
+
+NONZERO = st.fractions(min_value=-50, max_value=50, max_denominator=40).filter(bool)
+KINDS = ("zero", "real", "imaginary", "complex")
+
+
+def gaussian(kind):
+    if kind == "zero":
+        return st.just(GaussianRational())
+    if kind == "real":
+        return st.builds(GaussianRational, NONZERO)
+    if kind == "imaginary":
+        return st.builds(GaussianRational, st.just(0), NONZERO)
+    return st.builds(GaussianRational, NONZERO, NONZERO)
+
+
+def assert_same_product(a, b):
+    got, want = a * b, parent_mul(a, b)
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    assert (got.re, got.im) == (want.re, want.im), (a, b)
+
+
+@pytest.mark.parametrize("right", KINDS)
+@pytest.mark.parametrize("left", KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_product_matches_four_products(left, right, data):
+    a, b = data.draw(gaussian(left)), data.draw(gaussian(right))
+    assert_same_product(a, b)
+    assert_same_product(b, a)
+
+
+# ---------------------------------------------------------------------------
+# Lie algebra laws and lane agreement over a momentum context
+# ---------------------------------------------------------------------------
+
+NLS = TruncationContext(2, 4, momentum_enabled=True)
+INTEGER_PARTS = st.integers(-3, 3)
+
+
+@st.composite
+def integer_field(draw, ctx, max_terms=4, max_degree=3):
+    """A momentum-conserving field of one to ``max_terms`` terms with
+    integer coefficient parts, so that float arithmetic on it is exact.
+    Degrees stay low enough that nested brackets often land in the
+    window."""
+    modes = ctx.modes()
+    terms = []
+    for _ in range(draw(st.integers(1, max_terms))):
+        q = MultiIndex(
+            (draw(st.sampled_from(modes)), 1)
+            for _ in range(draw(st.integers(1, max_degree)))
+        )
+        ks = [k for k in modes if k.sigma * k.j == q.momentum_sum]
+        if ks:
+            re = draw(INTEGER_PARTS.filter(bool))
+            c = GaussianRational(re, draw(INTEGER_PARTS))
+            terms.append((draw(st.sampled_from(ks)), q, c))
+    return VectorField(ctx, terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_antisymmetry_and_jacobi_with_momentum(data):
+    x, y, z = (data.draw(integer_field(NLS)) for _ in range(3))
+    assert (x.bracket(y) + y.bracket(x)).is_zero
+    jacobi = x.bracket(y.bracket(z)) + y.bracket(z.bracket(x)) + z.bracket(x.bracket(y))
+    assert jacobi.is_zero
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_float_lane_matches_exact_lane(data):
+    # degrees up to the field cutoff, so products also land above it
+    x, y = (data.draw(integer_field(NLS, 6, NLS.degree_cutoff + 1)) for _ in range(2))
+    exact = x.bracket(y)
+    got = x.as_float().bracket(y.as_float())
+    assert got == exact.as_float()
+    assert layout(got) == layout(exact.as_float())
 
 
 # ---------------------------------------------------------------------------
