@@ -595,6 +595,31 @@ def _write_atomic(path: str, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _check_output(option: str, path: str | None, directory: bool = False) -> None:
+    """Reject, before any work, an output path that the write at the end
+    would fail on: an empty path, a report whose directory does not exist
+    or that is a directory, or an ``--out`` directory that is an existing
+    file or lies under one.  ``--out`` creates missing parent directories."""
+    if path is None:
+        return
+    if not path:
+        raise ProblemFileError("%s: the path is empty" % option)
+    if os.path.isdir(path):
+        if directory:
+            return
+        raise ProblemFileError("%s: %s is a directory" % (option, path))
+    if directory and os.path.lexists(path):
+        raise ProblemFileError("%s: %s exists and is not a directory" % (option, path))
+    parent = os.path.dirname(os.path.abspath(path))
+    while directory and not os.path.lexists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        why = "is not a directory" if os.path.lexists(parent) else "does not exist"
+        raise ProblemFileError(
+            "%s: cannot write %s: %s %s" % (option, path, parent, why)
+        )
+
+
 def _json_text(data: dict) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
@@ -1001,6 +1026,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         if args.threads < 1:
             raise ProblemFileError("--threads: must be >= 1")
+        _check_output("--json", args.json)
+        _check_output("--csv", getattr(args, "csv", None))
+        _check_output("--out", getattr(args, "out", None), directory=True)
         problem = load_problem(
             args.problem, arithmetic=args.arithmetic, seed=args.seed
         )

@@ -442,35 +442,21 @@ class VectorField:
         """Derivative of the scalar ``f`` along the field:
         ``sum_k X^(k) * df/dx_k``, truncated at the scalar cutoff."""
         _same_ctx(self.ctx, f.ctx)
-        layout = _layout(self.ctx)
-        xs, fs = _pack_field(layout, self._terms), _pack(layout, f._terms)
+        packing, built = _Packing(self.ctx), {}
         store: dict[int, object] = {}
-        _lie_into(self.ctx, layout, store, xs, fs, self.ctx.degree_cutoff)
-        return ScalarSeries._raw(self.ctx, _unpack(layout, store, {}))
+        xs, fs = packing.field(self._terms, built), packing.pack(f._terms, built)
+        packing.lie_into(store, xs, fs, self.ctx.degree_cutoff)
+        return ScalarSeries._raw(self.ctx, packing.unpack(store, built))
 
     def bracket(self, other: "VectorField") -> "VectorField":
         """Lie bracket ``[X, Y]^(j) = X(Y^(j)) - Y(X^(j))``, truncated at
         the field cutoff."""
         _same_ctx(self.ctx, other.ctx)
-        ctx = self.ctx
-        cutoff = ctx.degree_cutoff + 1
-        layout = _layout(ctx)
-        xs, ys = _pack_field(layout, self._terms), _pack_field(layout, other._terms)
-        store: dict[Mode, dict[int, object]] = {}
-        for j, comp in ys.items():
-            target: dict[int, object] = {}
-            _lie_into(ctx, layout, target, xs, comp, cutoff)
-            if target:
-                store[j] = target
-        for j, comp in xs.items():
-            target = store.setdefault(j, {})
-            neg = [(key, degree, -c) for key, degree, c in comp]
-            _lie_into(ctx, layout, target, ys, neg, cutoff)
-            if not target:
-                store.pop(j, None)
-        built: dict[int, MultiIndex] = {}
+        packing, built = _Packing(self.ctx), {}
+        xs, ys = packing.field(self._terms, built), packing.field(other._terms, built)
+        store = packing.bracket(xs, ys, packing.negate(xs), self.ctx.degree_cutoff + 1)
         return VectorField._raw(
-            ctx, {j: _unpack(layout, target, built) for j, target in store.items()}
+            self.ctx, {j: packing.unpack(t, built) for j, t in store.items()}
         )
 
     # -- projections ----------------------------------------------------
@@ -622,72 +608,145 @@ def _accumulate(ctx, store: dict, key, value) -> None:
         store[key] = acc
 
 
-# The Lie kernel packs each exponent as one integer: the entry of the i-th
-# mode of ``ctx.modes()`` is its base-``radix`` digit i.  Field exponents
-# reach degree ``degree_cutoff + 1`` and series keys ``degree_cutoff``, so
-# ``radix = degree_cutoff + 2`` exceeds every entry of an operand and of a
-# kept product, and a product exponent ``qx + qf - e_k`` is one integer sum.
+# The Lie kernel runs on packed terms.  A packed exponent is one integer:
+# the entry of the i-th mode of ``ctx.modes()`` is its base-``radix`` digit
+# i, and the degree is the digit above them all (weight ``top``).  Field
+# exponents reach degree ``degree_cutoff + 1`` and series keys
+# ``degree_cutoff``, so ``radix = degree_cutoff + 2`` exceeds every entry of
+# an operand and of a kept product.  A product exponent ``qx + qf - e_k``,
+# its degree included, is then one integer sum, and ``degree <= room`` is
+# ``key < (room + 1) * top``.
+#
+# An exact coefficient is packed as Gaussian-integer numerators over the
+# term's own denominator, ``(re + i*im) / den``, never reduced on the way: a
+# product multiplies the denominators, a sum adds the numerators when the
+# denominators agree and cross-multiplies otherwise.  ``Fraction`` reduces
+# once per output term, at unpack.  One denominator per operand (their lcm)
+# would make every numerator as large as the product of the operand's
+# distinct denominators.  Float coefficients stay complex.
+#
+# Accumulation pops a key whose sum is zero, so a key that cancels and comes
+# back is re-inserted at the end: output dicts keep the insertion order of
+# the ``GaussianRational`` form, which fixes the order float sums (the
+# float lane, ``majorant_norm``) later run in.
 
 
-def _layout(ctx: TruncationContext) -> tuple[int, tuple[Mode, ...], dict[Mode, int]]:
-    """``(radix, modes, weight of each mode)`` of the packed exponents."""
-    radix = ctx.degree_cutoff + 2
-    modes = ctx.modes()
-    return radix, modes, {m: radix**i for i, m in enumerate(modes)}
+def _add(prev: tuple, re: int, im: int, den: int) -> tuple | None:
+    """``prev + (re + i*im) / den`` on packed exact coefficients, or None
+    when the sum is zero.  Without a gcd: a denominator that divides the
+    other is scaled up to it, and two that do not are multiplied."""
+    pr, pi, pd = prev
+    if pd == den:
+        re += pr
+        im += pi
+    elif not den % pd:
+        m = den // pd
+        re += pr * m
+        im += pi * m
+    elif not pd % den:
+        m = pd // den
+        re, im, den = re * m + pr, im * m + pi, pd
+    else:
+        re, im, den = re * pd + pr * den, im * pd + pi * den, den * pd
+    return (re, im, den) if re or im else None
 
 
-def _pack(layout, terms: dict) -> list[tuple[int, int, object]]:
-    """``(packed exponent, degree, coefficient)`` of each term, in order."""
-    weights = layout[2]
-    return [
-        (sum(e * weights[m] for m, e in q.items()), q.degree, c)
-        for q, c in terms.items()
-    ]
+class _Packing:
+    """Packed exponents and coefficients over one context."""
 
+    __slots__ = ("exact", "radix", "modes", "weights", "top", "is_zero")
 
-def _pack_field(layout, terms: dict) -> dict[Mode, list]:
-    return {k: _pack(layout, comp) for k, comp in terms.items()}
+    def __init__(self, ctx: TruncationContext):
+        self.exact = ctx.exact
+        self.radix = radix = ctx.degree_cutoff + 2
+        self.modes = modes = ctx.modes()
+        self.weights = {m: radix**i for i, m in enumerate(modes)}
+        self.top = radix ** len(modes)
+        self.is_zero = ctx.is_zero_coeff
 
+    def pack(self, terms: dict, built: dict[int, MultiIndex]) -> list[tuple]:
+        """``(key, re, im, den)`` (exact) or ``(key, c)`` (float) of each
+        term, in order; ``built`` records each key's ``MultiIndex``."""
+        weights, top, exact = self.weights, self.top, self.exact
+        out = []
+        for q, c in terms.items():
+            key = q.degree * top
+            for m, e in q.items():
+                key += e * weights[m]
+            built[key] = q
+            if exact:
+                re, b = c.re.numerator, c.re.denominator
+                im, d = c.im.numerator, c.im.denominator
+                out.append((key, re, im, b) if b == d else (key, re * d, im * b, b * d))
+            else:
+                out.append((key, c))
+        return out
 
-def _unpack(layout, packed: dict[int, object], built: dict[int, MultiIndex]) -> dict:
-    """The exponent map of ``packed``, in its order; ``built`` caches one
-    ``MultiIndex`` per packed exponent."""
-    radix, modes, _ = layout
-    out = {}
-    for key, c in packed.items():
-        q = built.get(key)
-        if q is None:
-            pairs = []
-            degree = i = 0
-            rest = key
-            while rest:
-                rest, e = divmod(rest, radix)
-                if e:
-                    pairs.append((modes[i], e))
-                    degree += e
-                i += 1
-            q = built[key] = MultiIndex._from_sorted(tuple(pairs), degree)
-        out[q] = c
-    return out
+    def field(self, terms: dict, built: dict[int, MultiIndex]) -> dict[Mode, list]:
+        return {k: self.pack(comp, built) for k, comp in terms.items()}
 
+    def negate(self, packed: dict[Mode, list]) -> dict[Mode, list]:
+        if self.exact:
+            return {
+                k: [(key, -re, -im, den) for key, re, im, den in comp]
+                for k, comp in packed.items()
+            }
+        return {k: [(key, -c) for key, c in comp] for k, comp in packed.items()}
 
-def _lie_into(ctx, layout, out: dict, xterms: dict, fterms: list, cutoff: int) -> None:
-    """Accumulate ``sum_k X^(k) * d f / dx_k`` into ``out`` (packed
-    exponent map), skipping products above ``cutoff``.  ``xterms`` and
-    ``fterms`` are packed by :func:`_pack_field` and :func:`_pack` on
-    ``layout``."""
-    radix, _, weights = layout
-    is_zero = ctx.is_zero_coeff
-    for k, comp in xterms.items():
-        w = weights[k]
-        for qf, df, cf in fterms:
-            e = qf // w % radix
-            if not e:
-                continue
-            base = qf - w
-            room = cutoff + 1 - df
-            for qx, dx, cx in comp:
-                if dx <= room:
+    def unpack(self, packed: dict, built: dict[int, MultiIndex]) -> dict:
+        """The exponent map of ``packed`` (key to exact ``(re, im, den)``
+        or complex), in its order; ``built`` caches one ``MultiIndex`` per
+        packed exponent."""
+        radix, modes, top, exact = self.radix, self.modes, self.top, self.exact
+        out = {}
+        for key, c in packed.items():
+            q = built.get(key)
+            if q is None:
+                pairs = []
+                i = 0
+                rest = key % top
+                while rest:
+                    rest, e = divmod(rest, radix)
+                    if e:
+                        pairs.append((modes[i], e))
+                    i += 1
+                q = built[key] = MultiIndex._from_sorted(tuple(pairs), key // top)
+            if exact:
+                re, im, den = c
+                c = GaussianRational(Fraction(re, den), Fraction(im, den))
+            out[q] = c
+        return out
+
+    def _fitting(self, xterms: dict[Mode, list], fterms: list, cutoff: int):
+        """For each direction ``k`` of X and each f term with ``x_k`` in
+        it: the X^(k) terms whose product with it stays within ``cutoff``
+        (in stored order; each component is filtered once per distinct f
+        degree), the key offset ``-e_k`` of the product, the exponent of
+        ``x_k`` and the f term."""
+        radix, weights, top = self.radix, self.weights, self.top
+        for k, comp in xterms.items():
+            w = weights[k]
+            shift = w + top
+            fits: dict[int, list] = {}
+            for term in fterms:
+                qf = term[0]
+                e = qf // w % radix
+                if not e:
+                    continue
+                limit = (cutoff + 2 - qf // top) * top
+                xs = fits.get(limit)
+                if xs is None:
+                    xs = fits[limit] = [t for t in comp if t[0] < limit]
+                if xs:
+                    yield xs, qf - shift, e, term
+
+    def lie_into(self, out: dict, xterms: dict[Mode, list], fterms: list, cutoff: int):
+        """Accumulate ``sum_k X^(k) * d f / dx_k`` into ``out`` (packed
+        key to coefficient), skipping products above ``cutoff``."""
+        if not self.exact:
+            is_zero = self.is_zero
+            for xs, base, e, (_, cf) in self._fitting(xterms, fterms, cutoff):
+                for qx, cx in xs:
                     key = qx + base
                     value = cx * cf * e
                     prev = out.get(key)
@@ -697,6 +756,98 @@ def _lie_into(ctx, layout, out: dict, xterms: dict, fterms: list, cutoff: int) -
                         out.pop(key, None)
                     else:
                         out[key] = value
+            return
+        for xs, base, e, (_, fr, fi, fd) in self._fitting(xterms, fterms, cutoff):
+            fr *= e
+            fi *= e
+            for qx, xr, xi, xd in xs:
+                key = qx + base
+                # a real factor scales both parts: two products, not four
+                if not fi:
+                    re, im = xr * fr, xi * fr
+                elif not xi:
+                    re, im = xr * fr, xr * fi
+                else:
+                    re, im = xr * fr - xi * fi, xr * fi + xi * fr
+                prev = out.get(key)
+                if prev is None:
+                    out[key] = re, im, xd * fd
+                elif total := _add(prev, re, im, xd * fd):
+                    out[key] = total
+                else:
+                    del out[key]
+
+    def bracket(self, xs: dict, ys: dict, neg_xs: dict, cutoff: int) -> dict:
+        """``[X, Y]`` on packed operands (``neg_xs`` is ``-X``): direction
+        to packed key to coefficient."""
+        store: dict[Mode, dict] = {}
+        for j, comp in ys.items():
+            target: dict = {}
+            self.lie_into(target, xs, comp, cutoff)
+            if target:
+                store[j] = target
+        for j, comp in neg_xs.items():
+            target = store.setdefault(j, {})
+            self.lie_into(target, ys, comp, cutoff)
+            if not target:
+                del store[j]
+        return store
+
+
+def lie_exp(f: VectorField, w: VectorField, bound: int) -> tuple[VectorField, int]:
+    """``exp(ad_F) W`` over an exact context, and the number of its
+    nonzero terms ``ad_F^k(W)/k!`` after ``W``; more than ``bound`` of them
+    raise ``NormalFormError``.
+
+    F and W are packed once; each term stays packed, ``1/k`` folds into its
+    denominators, and the running sum is unpacked once.  The sum keeps the
+    insertion order of ``W + t_1 + t_2 + ...`` summed with ``__add__``: a
+    key that cancels is removed, and a direction left empty is dropped."""
+    _same_ctx(f.ctx, w.ctx)
+    ctx = w.ctx
+    packing = _Packing(ctx)
+    built: dict[int, MultiIndex] = {}
+    fs = packing.field(f._terms, built)
+    neg_fs = packing.negate(fs)
+    current = packing.field(w._terms, built)
+    total = {
+        j: {key: (re, im, den) for key, re, im, den in comp}
+        for j, comp in current.items()
+    }
+    cutoff = ctx.degree_cutoff + 1
+    k = 0
+    while True:
+        store = packing.bracket(fs, current, neg_fs, cutoff)
+        if not store:
+            break
+        k += 1
+        if k > bound:
+            raise NormalFormError(
+                "Lie series exceeded the degree bound %d; generator order "
+                "bookkeeping is inconsistent" % bound
+            )
+        current = {}
+        for j, terms in store.items():
+            comp = current[j] = [
+                (key, re, im, den * k) for key, (re, im, den) in terms.items()
+            ]
+            target = total.setdefault(j, {})
+            for key, re, im, den in comp:
+                prev = target.get(key)
+                if prev is None:
+                    target[key] = re, im, den
+                elif value := _add(prev, re, im, den):
+                    target[key] = value
+                else:
+                    del target[key]
+            if not target:
+                del total[j]
+    if not k:
+        return w, 0
+    return (
+        VectorField._raw(ctx, {j: packing.unpack(t, built) for j, t in total.items()}),
+        k,
+    )
 
 
 def _split_term_line(line: str) -> tuple[str, str, str]:

@@ -27,7 +27,7 @@ from .errors import (
     ProblemFileError,
     ResonantTermInRange,
 )
-from .fields import VectorField, bracket
+from .fields import VectorField, bracket, lie_exp
 from .indexing import TruncationContext, format_mode
 from .resonance import FrequencyModel, ResonanceModule, split_ideals
 
@@ -238,19 +238,24 @@ def solve_extended_homological(
 # ---------------------------------------------------------------------------
 
 
-def lie_series_terms(f: VectorField, w: VectorField) -> list[VectorField]:
-    """The terms ``ad_F^k(W)/k!`` of the exponential Lie series, up to
-    and excluding the first zero term; exact at truncation."""
-    ctx = w.ctx
-    if f.is_zero:
-        return [w]
+def _series_bound(f: VectorField) -> int:
+    """The most nonzero terms ``ad_F^k(W)/k!`` a series can have at
+    truncation; ``f`` is nonzero."""
     order = f.order()
     if order == 0:
         raise NonterminatingSeries(
             "generator has an order-0 part; the Lie series need not "
             "terminate at truncation"
         )
-    bound = math.ceil((ctx.degree_cutoff + 1) / order)
+    return math.ceil((f.ctx.degree_cutoff + 1) / order)
+
+
+def lie_series_terms(f: VectorField, w: VectorField) -> list[VectorField]:
+    """The terms ``ad_F^k(W)/k!`` of the exponential Lie series, up to
+    and excluding the first zero term; exact at truncation."""
+    if f.is_zero:
+        return [w]
+    bound = _series_bound(f)
     terms = [w]
     current = w
     k = 0
@@ -276,7 +281,13 @@ def pushforward_exp(f: VectorField, w: VectorField) -> VectorField:
 
 def _lie_sum(f: VectorField, w: VectorField) -> tuple[VectorField, int]:
     """The sum of :func:`pushforward_exp` and the number of its bracket
-    terms (the series length less the leading ``w``)."""
+    terms (the series length less the leading ``w``).  The exact lane sums
+    on packed terms (:func:`~resnf.fields.lie_exp`); the float lane adds
+    the terms of :func:`lie_series_terms`."""
+    if f.is_zero:
+        return w, 0
+    if w.ctx.exact:
+        return lie_exp(f, w, _series_bound(f))
     terms = lie_series_terms(f, w)
     out = terms[0]
     for t in terms[1:]:

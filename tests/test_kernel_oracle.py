@@ -4,27 +4,39 @@ The kernel avoids work it would throw away: ``MultiIndex`` stores its
 ``degree`` at construction, ``contains`` compares entries without
 building ``self - other``, ``split_ideals`` classifies each term once,
 and the Lie kernel behind ``bracket`` and ``lie_derivative`` packs each
-exponent as one integer, forms a product only when it fits under the
-cutoff, and builds one ``MultiIndex`` per distinct output exponent.
-``GaussianRational`` multiplies by a real factor in two products.
+exponent as one integer, pairs each f term only with the X terms that fit
+under the cutoff with it, and builds one ``MultiIndex`` per distinct
+output exponent.  In the exact lane it multiplies and adds Gaussian-integer
+numerators over per-term denominators and reduces once, at unpack; the
+exact Lie series behind ``pushforward_exp`` stays on that packed form from
+its first bracket to its sum.
 
 The earlier forms are kept here as oracles and compared with the library:
 
 - ``parent_degree``, the summed ``degree``, and ``parent_contains``, the
   allocating ``contains``, on random signed indices;
 - ``parent_lie_into``, the form-then-filter kernel over ``MultiIndex``
-  keys, and the earlier ``bracket`` and ``lie_derivative`` bodies that
-  call it (``parent_bracket``, ``parent_lie_derivative``), on random exact
-  and float fields, finite and with momentum, and on hand-built fields
-  whose products land on the cutoff, one above it, or hold a single mode
-  at exponent ``degree_cutoff + 1``; results must be equal term for term
-  and in the same insertion order;
+  keys, and the ``bracket`` and ``lie_derivative`` bodies that call it
+  (``parent_bracket``, ``parent_lie_derivative``), on random exact and
+  float fields, finite and with momentum, and on hand-built fields whose
+  products land on the cutoff, one above it, or hold a single mode at
+  exponent ``degree_cutoff + 1``;
+- ``parent_gaussian_lie_into``, the packed-exponent kernel on
+  ``GaussianRational`` coefficients that tested every pair against the
+  cutoff, with its ``bracket`` and ``lie_derivative`` bodies, and
+  ``parent_lie_series_terms`` and ``parent_pushforward_exp``, the series
+  on that kernel summed with chained ``VectorField.__add__``; on random
+  fields with distinct denominators of 200 bits and more, zero real or
+  imaginary parts and components of mixed degrees, and on a series in
+  which a key and a whole direction cancel and come back;
 - ``parent_mul``, the four-product Gaussian multiply, on exact rationals
   with either factor, both or neither real or zero;
 - ``parent_split_ideals``, one projection per class.
 
-The Lie algebra laws and the agreement of the exact and float lanes are
-checked on random fields over a momentum-enabled context.
+Results must be equal term for term and in the same insertion order,
+which fixes the order of later float sums.  The Lie algebra laws and the
+agreement of the exact and float lanes are checked on random fields over
+a momentum-enabled context.
 """
 
 import functools
@@ -33,12 +45,14 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resnf import fields
 from resnf.fields import GaussianRational, ScalarSeries, VectorField
 from resnf.indexing import Mode, MultiIndex, TruncationContext, iter_indices
+from resnf.normalform import _lie_sum, pushforward_exp
 from resnf.resonance import ResonanceModule, enumerate_resonance, split_ideals
 from resnf.verify import build_example_dim6, build_example_nls
 
@@ -95,6 +109,131 @@ def parent_lie_derivative(x, f, tally=None):
     store = {}
     parent_lie_into(x.ctx, store, x._terms, f._terms, x.ctx.degree_cutoff, tally)
     return ScalarSeries._raw(x.ctx, store)
+
+
+def parent_gaussian_layout(ctx):
+    """``(radix, modes, weight of each mode)`` of the packed exponents."""
+    radix = ctx.degree_cutoff + 2
+    modes = ctx.modes()
+    return radix, modes, {m: radix**i for i, m in enumerate(modes)}
+
+
+def parent_gaussian_pack(layout, terms):
+    """``(packed exponent, degree, coefficient)`` of each term, in order."""
+    weights = layout[2]
+    return [
+        (sum(e * weights[m] for m, e in q.items()), q.degree, c)
+        for q, c in terms.items()
+    ]
+
+
+def parent_gaussian_unpack(layout, packed, built):
+    radix, modes, _ = layout
+    out = {}
+    for key, c in packed.items():
+        q = built.get(key)
+        if q is None:
+            pairs = []
+            degree = i = 0
+            rest = key
+            while rest:
+                rest, e = divmod(rest, radix)
+                if e:
+                    pairs.append((modes[i], e))
+                    degree += e
+                i += 1
+            q = built[key] = MultiIndex._from_sorted(tuple(pairs), degree)
+        out[q] = c
+    return out
+
+
+def parent_gaussian_lie_into(ctx, layout, out, xterms, fterms, cutoff):
+    """The earlier packed kernel: ``GaussianRational`` (or complex)
+    coefficients, every pair tested against ``cutoff``."""
+    radix, _, weights = layout
+    is_zero = ctx.is_zero_coeff
+    for k, comp in xterms.items():
+        w = weights[k]
+        for qf, df, cf in fterms:
+            e = qf // w % radix
+            if not e:
+                continue
+            base = qf - w
+            room = cutoff + 1 - df
+            for qx, dx, cx in comp:
+                if dx <= room:
+                    key = qx + base
+                    value = cx * cf * e
+                    prev = out.get(key)
+                    if prev is not None:
+                        value = prev + value
+                    if is_zero(value):
+                        out.pop(key, None)
+                    else:
+                        out[key] = value
+
+
+def parent_gaussian_bracket(x, y):
+    ctx = x.ctx
+    cutoff = ctx.degree_cutoff + 1
+    layout = parent_gaussian_layout(ctx)
+    xs = {k: parent_gaussian_pack(layout, comp) for k, comp in x._terms.items()}
+    ys = {k: parent_gaussian_pack(layout, comp) for k, comp in y._terms.items()}
+    store = {}
+    for j, comp in ys.items():
+        target = {}
+        parent_gaussian_lie_into(ctx, layout, target, xs, comp, cutoff)
+        if target:
+            store[j] = target
+    for j, comp in xs.items():
+        target = store.setdefault(j, {})
+        neg = [(key, degree, -c) for key, degree, c in comp]
+        parent_gaussian_lie_into(ctx, layout, target, ys, neg, cutoff)
+        if not target:
+            store.pop(j, None)
+    built = {}
+    return VectorField._raw(
+        ctx, {j: parent_gaussian_unpack(layout, t, built) for j, t in store.items()}
+    )
+
+
+def parent_gaussian_lie_derivative(x, f):
+    layout = parent_gaussian_layout(x.ctx)
+    xs = {k: parent_gaussian_pack(layout, comp) for k, comp in x._terms.items()}
+    store = {}
+    parent_gaussian_lie_into(
+        x.ctx, layout, store, xs, parent_gaussian_pack(layout, f._terms), x.ctx.degree_cutoff
+    )
+    return ScalarSeries._raw(x.ctx, parent_gaussian_unpack(layout, store, {}))
+
+
+def parent_lie_series_terms(f, w):
+    """The earlier series: ``ad_F^k(W)/k!`` as fields, up to the first
+    zero term."""
+    if f.is_zero:
+        return [w]
+    terms = [w]
+    current = w
+    k = 0
+    while True:
+        k += 1
+        current = parent_gaussian_bracket(f, current).scale(Fraction(1, k))
+        if current.is_zero:
+            return terms
+        assert k <= w.ctx.degree_cutoff + 1
+        terms.append(current)
+
+
+def parent_partial_sums(f, w):
+    """``W``, ``W + t_1``, ``W + t_1 + t_2``, ... with chained ``__add__``."""
+    sums = []
+    for t in parent_lie_series_terms(f, w):
+        sums.append(t if not sums else sums[-1] + t)
+    return sums
+
+
+def parent_pushforward_exp(f, w):
+    return parent_partial_sums(f, w)[-1]
 
 
 def parent_mul(a, b):
@@ -195,33 +334,34 @@ def _coefficient(ctx, re, im):
 
 
 @st.composite
-def field_terms(draw, ctx, max_terms=6):
-    """Terms of every degree up to ``degree_cutoff + 1``, so products land
-    below, on and above the cutoff."""
+def field_terms(draw, ctx, max_terms=6, parts=PARTS, min_degree=1):
+    """Terms of every degree from ``min_degree`` up to ``degree_cutoff +
+    1``, in random order, so products land below, on and above the
+    cutoff."""
     modes = ctx.modes()
     terms = []
     for _ in range(draw(st.integers(0, max_terms))):
-        degree = draw(st.integers(1, ctx.degree_cutoff + 1))
+        degree = draw(st.integers(min_degree, ctx.degree_cutoff + 1))
         q = MultiIndex((draw(st.sampled_from(modes)), 1) for _ in range(degree))
         if ctx.momentum_enabled:
             ks = [k for k in modes if k.sigma * k.j == q.momentum_sum]
         else:
             ks = list(modes)
         if ks:
-            c = _coefficient(ctx, draw(PARTS), draw(PARTS))
+            c = _coefficient(ctx, draw(parts), draw(parts))
             terms.append((draw(st.sampled_from(ks)), q, c))
     return terms
 
 
 @st.composite
-def series_terms(draw, ctx, max_terms=6):
+def series_terms(draw, ctx, max_terms=6, parts=PARTS):
     modes = ctx.modes()
     terms = []
     for _ in range(draw(st.integers(0, max_terms))):
         degree = draw(st.integers(0, ctx.degree_cutoff))
         q = MultiIndex((draw(st.sampled_from(modes)), 1) for _ in range(degree))
         if not ctx.momentum_enabled or q.momentum_sum == 0:
-            terms.append((q, _coefficient(ctx, draw(PARTS), draw(PARTS))))
+            terms.append((q, _coefficient(ctx, draw(parts), draw(parts))))
     return terms
 
 
@@ -341,6 +481,130 @@ def test_momentum_products_on_and_above_the_cutoff(arithmetic):
     assert tally == {True: 1, False: 1}
     on_scalar_cutoff = index((-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1))
     assert got == ScalarSeries(ctx, [(on_scalar_cutoff, 2)])
+
+
+# ---------------------------------------------------------------------------
+# packed numerators and the packed Lie series against the GaussianRational forms
+# ---------------------------------------------------------------------------
+
+#: Distinct primes of 201 bits: a sum over two of them cannot share a
+#: denominator, so the packed sums cross-multiply.
+BIG_PRIMES = [sympy.nextprime(2**200 + 10**9 * i) for i in range(5)]
+BIG = st.builds(
+    Fraction, st.integers(-(2**70), 2**70).filter(bool), st.sampled_from(BIG_PRIMES)
+)
+#: Zero real and imaginary parts are common, so real, imaginary and
+#: complex coefficients all occur.
+WIDE_PARTS = st.one_of(PARTS, BIG, st.just(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_bracket_matches_gaussian_kernel(data):
+    ctx = data.draw(context())
+    x = VectorField(ctx, data.draw(field_terms(ctx, 8, WIDE_PARTS)))
+    y = VectorField(ctx, data.draw(field_terms(ctx, 8, WIDE_PARTS)))
+    assert layout(x.bracket(y)) == layout(parent_gaussian_bracket(x, y))
+    assert layout(y.bracket(x)) == layout(parent_gaussian_bracket(y, x))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_lie_derivative_matches_gaussian_kernel(data):
+    ctx = data.draw(context())
+    x = VectorField(ctx, data.draw(field_terms(ctx, 8, WIDE_PARTS)))
+    f = ScalarSeries(ctx, data.draw(series_terms(ctx, 8, WIDE_PARTS)))
+    assert layout(x.lie_derivative(f)) == layout(parent_gaussian_lie_derivative(x, f))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_pushforward_matches_chained_series(data):
+    ctx = data.draw(context())
+    # the generator has no order-0 part, so the series terminates
+    f = VectorField(ctx, data.draw(field_terms(ctx, 4, WIDE_PARTS, min_degree=2)))
+    w = VectorField(ctx, data.draw(field_terms(ctx, 8, WIDE_PARTS)))
+    got, count = _lie_sum(f, w)
+    assert layout(got) == layout(parent_pushforward_exp(f, w))
+    assert count == len(parent_lie_series_terms(f, w)) - 1
+
+
+def test_series_over_distinct_big_denominators():
+    # F over one 201-bit prime and W over another: the series adds terms
+    # over distinct denominators, and their product survives reduction
+    ctx = CONTEXTS["finite"]
+    p, q = BIG_PRIMES[:2]
+    f = VectorField(ctx, [(Mode(1, 1), index((2, 1, 1), (3, 1, 1)), Fraction(1, p))])
+    w = VectorField(
+        ctx,
+        [
+            (Mode(3, 1), index((1, 1, 1)), GaussianRational(0, Fraction(3, q))),
+            (Mode(2, 1), index((1, 1, 1), (2, 1, 1)), GaussianRational(Fraction(1, q), 0)),
+        ],
+    )
+    got = pushforward_exp(f, w)
+    assert layout(got) == layout(parent_pushforward_exp(f, w))
+    denominators = {c.re.denominator for _, _, c in got.terms()}
+    denominators |= {c.im.denominator for _, _, c in got.terms()}
+    assert p * q in denominators
+
+
+@pytest.mark.parametrize("arithmetic", ARITHMETIC)
+def test_fitting_terms_keep_their_stored_order(arithmetic):
+    # X^(1) holds degrees 1, 5, 2, 4, 1, 3 interleaved: against an f term
+    # of degree 3 only degrees 1 to 3 fit, against degree 2 also 4
+    ctx = TruncationContext(3, 4, arithmetic=arithmetic)
+    m1, m2, m3 = ctx.modes()
+    xterms = [
+        index((2, 1, 1)),
+        index((2, 1, 3), (3, 1, 2)),
+        index((3, 1, 2)),
+        index((2, 1, 2), (3, 1, 2)),
+        index((3, 1, 1)),
+        index((2, 1, 1), (3, 1, 2)),
+    ]
+    x = VectorField(ctx, [(m1, q, i + 1) for i, q in enumerate(xterms)])
+    y = VectorField(
+        ctx, [(m2, index((1, 1, 2), (2, 1, 1)), 1), (m3, index((1, 1, 1), (3, 1, 1)), 2)]
+    )
+    tally = {True: 0, False: 0}
+    got = x.bracket(y)
+    assert layout(got) == layout(parent_bracket(x, y, tally))
+    assert layout(got) == layout(parent_gaussian_bracket(x, y))
+    assert tally[True] > 0 and tally[False] > 0, tally
+
+
+# found by a seeded search: in W + t_1 the direction 3+ cancels whole and
+# t_2 brings it back; in ... + t_3 the key 2+^2 3+^3 of 3+ cancels and t_4
+# brings it back after two keys that t_3 added.  Both move to the end.
+CANCELLING_F = ["1+ | 2+^1 3+^1 | 2/1 1/1", "3+ | 1+^1 3+^1 | -1/1 0/1"]
+CANCELLING_W = [
+    "1+ | 2+^1 | 2/1 1/1",
+    "3+ | 2+^1 3+^1 | -2/1 -1/1",
+    "2+ | 2+^1 | 2/1 1/1",
+    "2+ | 1+^1 2+^1 | 1/1 1/1",
+    "2+ | 2+^2 3+^1 | -1/1 -3/1",
+]
+
+
+@pytest.mark.parametrize("arithmetic", ARITHMETIC)
+def test_series_cancellations_keep_the_chained_order(arithmetic):
+    ctx = TruncationContext(3, 4, arithmetic=arithmetic)
+    f = VectorField.from_lines(ctx, CANCELLING_F)
+    w = VectorField.from_lines(ctx, CANCELLING_W)
+    sums = [s._terms for s in parent_partial_sums(f, w)]
+    d3 = Mode(3, 1)
+    key = index((2, 1, 2), (3, 1, 3))
+    assert len(sums) == 5
+    assert d3 in sums[0] and d3 not in sums[1] and d3 in sums[2]
+    assert key in sums[2][d3] and key not in sums[3][d3] and key in sums[4][d3]
+    got, count = _lie_sum(f, w)
+    assert count == 4
+    assert layout(got) == layout(parent_pushforward_exp(f, w))
+    # the direction and the key that came back moved to the end
+    assert list(w._terms) == [Mode(1, 1), d3, Mode(2, 1)]
+    assert list(got._terms)[-1] == d3
+    assert list(got._terms[d3]) == list(sums[3][d3]) + [key]
 
 
 # ---------------------------------------------------------------------------

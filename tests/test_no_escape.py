@@ -11,7 +11,10 @@ run:
 - corrupted bytes in a problem file, a ``terms_file`` and an artifact;
 - every window size (mode or degree cutoff, degree bound, step count) of
   every base replaced by ``10**400``, which the loader must reject with
-  exit 1 instead of starting a walk without end.
+  exit 1 instead of starting a walk without end;
+- ``--out``, ``--json`` and ``--csv`` paths that the write at the end
+  would fail on, which every command must reject with exit 1, naming the
+  path, before its work starts.
 
 The seeded draw leaves the window sizes at ``10**400`` out, since the
 window cases cover them; the draw and the ids it gives stay fixed.
@@ -19,6 +22,7 @@ window cases cover them; the draw and the ids it gives stay fixed.
 
 import json
 import random
+from unittest import mock
 
 import pytest
 
@@ -80,6 +84,20 @@ POOL = (
 WORK_SIZES = {"mode_cutoff", "degree_cutoff", "degree_bound", "steps"}
 
 HUGE = (1e150, 1e200, 1e3)
+
+#: (command, option, path under the test directory, where ``file`` is a
+#: regular file and ``absent`` does not exist; None is the empty path)
+OUTPUTS = {
+    "normalize-out-empty": ("normalize", "--out", None),
+    "normalize-out-file": ("normalize", "--out", "file"),
+    "normalize-out-under-file": ("normalize", "--out", "file/sub"),
+    "normalize-json-absent-dir": ("normalize", "--json", "absent/report.json"),
+    "analyze-json-absent-dir": ("analyze", "--json", "absent/report.json"),
+    "analyze-json-empty": ("analyze", "--json", None),
+    "diophantine-json-directory": ("diophantine", "--json", "."),
+    "verify-json-absent-dir": ("verify", "--json", "absent/report.json"),
+    "verify-csv-absent-dir": ("verify", "--csv", "absent/table.csv"),
+}
 
 
 def _paths(node, prefix=()):
@@ -144,6 +162,9 @@ def _cases():
             pytest.param("bytes", (target, rng.randrange(2 ** 32)), id="bytes-%s-%d" % (target, i))
             for i in range(4)
         ]
+    cases += [
+        pytest.param("output", row, id="output-%s" % name) for name, row in OUTPUTS.items()
+    ]
     return cases
 
 
@@ -171,6 +192,22 @@ def test_nothing_escapes(kind, case, artifacts, tmp_path, capsys):
         done = module_cli("analyze", str(problem))
         assert done.returncode == EXIT_INPUT
         assert done.stderr.startswith("input error: ")
+        return
+    elif kind == "output":
+        command, option, target = case
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        problem.write_text(json.dumps(BASES["dim6"]), encoding="utf-8")
+        path = "" if target is None else str(tmp_path / target)
+        argv = [command, str(problem), option, path]
+        if command == "verify":
+            argv += ["--transform", str(transform)]
+        started = AssertionError("the work started")
+        with mock.patch("resnf.cli.enumerate_resonance", side_effect=started), \
+                mock.patch("resnf.cli.diophantine_audit", side_effect=started):
+            code = run(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_INPUT
+        assert err.startswith("input error: %s: " % option) and path in err, err
         return
     elif kind == "flow":
         horizon, rho = case
