@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
-from .errors import ContextMismatch, NormalFormError
+from .errors import ContextMismatch, NonterminatingSeries, NormalFormError
 from .indexing import (
     Mode,
     MultiIndex,
@@ -180,7 +180,8 @@ def parse_coefficient(ctx: TruncationContext, text: str):
 
 
 class ScalarSeries:
-    """Truncated formal series ``sum_q f_q x^q`` with sparse storage."""
+    """Truncated formal series ``sum_q f_q x^q`` with sparse storage: the
+    operand and the result of :meth:`VectorField.lie_derivative`."""
 
     __slots__ = ("ctx", "_terms")
 
@@ -204,14 +205,6 @@ class ScalarSeries:
         self._terms = store
 
     @classmethod
-    def zero(cls, ctx: TruncationContext) -> "ScalarSeries":
-        return cls(ctx)
-
-    @classmethod
-    def monomial(cls, ctx: TruncationContext, q: MultiIndex, c=1) -> "ScalarSeries":
-        return cls(ctx, ((q, c),))
-
-    @classmethod
     def _raw(cls, ctx, store):
         obj = object.__new__(cls)
         obj.ctx = ctx
@@ -224,14 +217,8 @@ class ScalarSeries:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coefficient(self, q: MultiIndex):
-        return self._terms.get(q)
-
     def terms(self) -> list[tuple[MultiIndex, object]]:
         return sorted(self._terms.items(), key=lambda it: it[0].sort_key())
-
-    def __len__(self) -> int:
-        return len(self._terms)
 
     def __eq__(self, other) -> bool:
         return (
@@ -239,75 +226,6 @@ class ScalarSeries:
             and self.ctx == other.ctx
             and self._terms == other._terms
         )
-
-    # -- arithmetic ---------------------------------------------------
-
-    def __add__(self, other: "ScalarSeries") -> "ScalarSeries":
-        _same_ctx(self.ctx, other.ctx)
-        store = dict(self._terms)
-        for q, c in other._terms.items():
-            _accumulate(self.ctx, store, q, c)
-        return ScalarSeries._raw(self.ctx, store)
-
-    def __sub__(self, other: "ScalarSeries") -> "ScalarSeries":
-        return self + other.scale(-1)
-
-    def scale(self, factor) -> "ScalarSeries":
-        factor = coerce_coefficient(self.ctx, factor)
-        if self.ctx.is_zero_coeff(factor):
-            return ScalarSeries._raw(self.ctx, {})
-        store = {q: c * factor for q, c in self._terms.items()}
-        return ScalarSeries._raw(self.ctx, store)
-
-    def mul(self, other: "ScalarSeries") -> "ScalarSeries":
-        """Series product, truncated at the scalar degree cutoff."""
-        _same_ctx(self.ctx, other.ctx)
-        cutoff = self.ctx.degree_cutoff
-        store: dict[MultiIndex, object] = {}
-        for qa, ca in self._terms.items():
-            for qb, cb in other._terms.items():
-                if qa.degree + qb.degree <= cutoff:
-                    _accumulate(self.ctx, store, qa + qb, ca * cb)
-        return ScalarSeries._raw(self.ctx, store)
-
-    def partial(self, k: Mode) -> "ScalarSeries":
-        """Partial derivative with respect to the coordinate of mode ``k``."""
-        store: dict[MultiIndex, object] = {}
-        for q, c in self._terms.items():
-            e = q.get(k)
-            if e:
-                _accumulate(self.ctx, store, q.add_unit(k, -1), c * e)
-        return ScalarSeries._raw(self.ctx, store)
-
-    def project_degree(self, d: int) -> "ScalarSeries":
-        store = {q: c for q, c in self._terms.items() if q.degree == d}
-        return ScalarSeries._raw(self.ctx, store)
-
-    # -- text ---------------------------------------------------------
-
-    def to_lines(self) -> list[str]:
-        return [
-            "- | %s | %s" % (q, format_coefficient(self.ctx, c))
-            for q, c in self.terms()
-        ]
-
-    @classmethod
-    def from_lines(cls, ctx: TruncationContext, lines: Iterable[str]) -> "ScalarSeries":
-        terms = []
-        for line in lines:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            kpart, qpart, cpart = _split_term_line(line)
-            if kpart != "-":
-                raise NormalFormError("scalar line must have '-' direction: %r" % line)
-            terms.append((MultiIndex.parse(qpart), parse_coefficient(ctx, cpart)))
-        return cls(ctx, terms)
-
-    def __repr__(self):
-        if self.is_zero:
-            return "ScalarSeries(0)"
-        return "ScalarSeries(%d terms)" % len(self._terms)
 
 
 # ---------------------------------------------------------------------------
@@ -794,15 +712,33 @@ class _Packing:
         return store
 
 
-def lie_exp(f: VectorField, w: VectorField, bound: int) -> tuple[VectorField, int]:
-    """``exp(ad_F) W`` over an exact context, and the number of its
-    nonzero terms ``ad_F^k(W)/k!`` after ``W``; more than ``bound`` of them
-    raise ``NormalFormError``.
+def _series_bound(f: VectorField) -> int:
+    """The most nonzero terms ``ad_F^k(W)/k!`` a series can have at
+    truncation; ``f`` is nonzero."""
+    order = f.order()
+    if order == 0:
+        raise NonterminatingSeries(
+            "generator has an order-0 part; the Lie series need not "
+            "terminate at truncation"
+        )
+    return math.ceil((f.ctx.degree_cutoff + 1) / order)
 
-    F and W are packed once; each term stays packed, ``1/k`` folds into its
-    denominators, and the running sum is unpacked once.  The sum keeps the
-    insertion order of ``W + t_1 + t_2 + ...`` summed with ``__add__``: a
-    key that cancels is removed, and a direction left empty is dropped."""
+
+def lie_exp(f: VectorField, w: VectorField) -> tuple[VectorField, int]:
+    """``exp(ad_F) W``, the pushforward of W along the time-1 flow of F,
+    and the number of its nonzero terms ``ad_F^k(W)/k!`` after ``W``;
+    more than :func:`_series_bound` of them raise ``NormalFormError``.
+
+    F and W are packed once; each term stays packed and the running sum is
+    unpacked once.  In the exact lane ``1/k`` folds into a term's
+    denominators; in the float lane it multiplies the coefficients as
+    ``VectorField.scale`` does, and each sum is ``_accumulate``'s.  The sum
+    keeps the insertion order of ``W + t_1 + t_2 + ...`` summed with
+    ``__add__``: a key that cancels is removed, and a direction left empty
+    is dropped."""
+    if f.is_zero:
+        return w, 0
+    bound = _series_bound(f)
     _same_ctx(f.ctx, w.ctx)
     ctx = w.ctx
     packing = _Packing(ctx)
@@ -810,10 +746,13 @@ def lie_exp(f: VectorField, w: VectorField, bound: int) -> tuple[VectorField, in
     fs = packing.field(f._terms, built)
     neg_fs = packing.negate(fs)
     current = packing.field(w._terms, built)
-    total = {
-        j: {key: (re, im, den) for key, re, im, den in comp}
-        for j, comp in current.items()
-    }
+    if ctx.exact:
+        total = {
+            j: {key: (re, im, den) for key, re, im, den in comp}
+            for j, comp in current.items()
+        }
+    else:
+        total = {j: dict(comp) for j, comp in current.items()}
     cutoff = ctx.degree_cutoff + 1
     k = 0
     while True:
@@ -827,21 +766,31 @@ def lie_exp(f: VectorField, w: VectorField, bound: int) -> tuple[VectorField, in
                 "bookkeeping is inconsistent" % bound
             )
         current = {}
-        for j, terms in store.items():
-            comp = current[j] = [
-                (key, re, im, den * k) for key, (re, im, den) in terms.items()
-            ]
-            target = total.setdefault(j, {})
-            for key, re, im, den in comp:
-                prev = target.get(key)
-                if prev is None:
-                    target[key] = re, im, den
-                elif value := _add(prev, re, im, den):
-                    target[key] = value
-                else:
-                    del target[key]
-            if not target:
-                del total[j]
+        if ctx.exact:
+            for j, terms in store.items():
+                comp = current[j] = [
+                    (key, re, im, den * k) for key, (re, im, den) in terms.items()
+                ]
+                target = total.setdefault(j, {})
+                for key, re, im, den in comp:
+                    prev = target.get(key)
+                    if prev is None:
+                        target[key] = re, im, den
+                    elif value := _add(prev, re, im, den):
+                        target[key] = value
+                    else:
+                        del target[key]
+                if not target:
+                    del total[j]
+        else:
+            factor = coerce_coefficient(ctx, Fraction(1, k))
+            for j, terms in store.items():
+                comp = current[j] = [(key, c * factor) for key, c in terms.items()]
+                target = total.setdefault(j, {})
+                for key, c in comp:
+                    _accumulate(ctx, target, key, c)
+                if not target:
+                    del total[j]
     if not k:
         return w, 0
     return (

@@ -27,7 +27,7 @@ from .errors import (
     ProblemFileError,
     ResonantTermInRange,
 )
-from .fields import VectorField, bracket, lie_exp
+from .fields import VectorField, _series_bound, bracket, lie_exp
 from .indexing import TruncationContext, format_mode
 from .resonance import FrequencyModel, ResonanceModule, split_ideals
 
@@ -238,21 +238,10 @@ def solve_extended_homological(
 # ---------------------------------------------------------------------------
 
 
-def _series_bound(f: VectorField) -> int:
-    """The most nonzero terms ``ad_F^k(W)/k!`` a series can have at
-    truncation; ``f`` is nonzero."""
-    order = f.order()
-    if order == 0:
-        raise NonterminatingSeries(
-            "generator has an order-0 part; the Lie series need not "
-            "terminate at truncation"
-        )
-    return math.ceil((f.ctx.degree_cutoff + 1) / order)
-
-
 def lie_series_terms(f: VectorField, w: VectorField) -> list[VectorField]:
     """The terms ``ad_F^k(W)/k!`` of the exponential Lie series, up to
-    and excluding the first zero term; exact at truncation."""
+    and excluding the first zero term; exact at truncation.  A term-by-term
+    twin of :func:`~resnf.fields.lie_exp` for tests."""
     if f.is_zero:
         return [w]
     bound = _series_bound(f)
@@ -276,23 +265,7 @@ def lie_series_terms(f: VectorField, w: VectorField) -> list[VectorField]:
 def pushforward_exp(f: VectorField, w: VectorField) -> VectorField:
     """Pushforward of ``w`` along the time-1 flow of ``f``:
     ``exp(ad_F) W``, summed exactly at truncation."""
-    return _lie_sum(f, w)[0]
-
-
-def _lie_sum(f: VectorField, w: VectorField) -> tuple[VectorField, int]:
-    """The sum of :func:`pushforward_exp` and the number of its bracket
-    terms (the series length less the leading ``w``).  The exact lane sums
-    on packed terms (:func:`~resnf.fields.lie_exp`); the float lane adds
-    the terms of :func:`lie_series_terms`."""
-    if f.is_zero:
-        return w, 0
-    if w.ctx.exact:
-        return lie_exp(f, w, _series_bound(f))
-    terms = lie_series_terms(f, w)
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out, len(terms) - 1
+    return lie_exp(f, w)[0]
 
 
 def pushforward_exp_reversed(f: VectorField, w: VectorField) -> VectorField:
@@ -553,7 +526,7 @@ def kam_step(
     if not split_ideals(f, dec.module)[2].is_zero:
         raise NormalFormError("generator has class-2 terms")
 
-    w_plus, series_terms = _lie_sum(f, dec.assemble())
+    w_plus, series_terms = lie_exp(f, dec.assemble())
     dec_plus = decompose(w_plus, dec.module)
 
     if not (dec_plus.z - dec.z).is_zero:

@@ -85,9 +85,7 @@ class TestScalarSeries:
     def test_construction_merges_duplicates(self, ctx6):
         q = mi((1, 1, 2))
         f = ScalarSeries(ctx6, [(q, 1), (q, 2), (ZERO_INDEX, 5)])
-        assert f.coefficient(q) == GaussianRational(3)
-        assert f.coefficient(ZERO_INDEX) == GaussianRational(5)
-        assert len(f) == 2
+        assert f.terms() == [(ZERO_INDEX, GaussianRational(5)), (q, GaussianRational(3))]
 
     def test_rejects_out_of_window_keys(self, ctx6):
         too_big = mi((1, 1, 9))
@@ -103,44 +101,6 @@ class TestScalarSeries:
         unbalanced = mi((2, 1, 1))
         with pytest.raises(NormalFormError):
             ScalarSeries(wave_ctx, [(unbalanced, 1)])
-
-    def test_product_matches_expansion(self, ctx6):
-        x1, x2 = MultiIndex.unit(fin(1)), MultiIndex.unit(fin(2))
-        f = ScalarSeries(ctx6, [(x1, 1), (x2, 2)])
-        g = ScalarSeries(ctx6, [(x1, 3), (ZERO_INDEX, 1)])
-        prod = f.mul(g)
-        # (x1 + 2 x2)(3 x1 + 1) = 3 x1^2 + x1 + 6 x1 x2 + 2 x2
-        assert prod.coefficient(mi((1, 1, 2))) == GaussianRational(3)
-        assert prod.coefficient(x1) == GaussianRational(1)
-        assert prod.coefficient(x1 + x2) == GaussianRational(6)
-        assert prod.coefficient(x2) == GaussianRational(2)
-
-    def test_product_drops_out_of_window_terms(self):
-        ctx = TruncationContext(2, 2)
-        x1 = MultiIndex.unit(fin(1))
-        f = ScalarSeries(ctx, [(mi((1, 1, 2)), 1)])
-        g = ScalarSeries(ctx, [(x1, 1), (ZERO_INDEX, 1)])
-        prod = f.mul(g)
-        assert prod.coefficient(mi((1, 1, 3))) is None
-        assert prod.coefficient(mi((1, 1, 2))) == GaussianRational(1)
-
-    def test_partial_derivative(self, ctx6):
-        f = ScalarSeries(ctx6, [(mi((1, 1, 2), (2, 1, 1)), Fraction(1, 2))])
-        df1 = f.partial(fin(1))
-        assert df1.coefficient(mi((1, 1, 1), (2, 1, 1))) == GaussianRational(1)
-        df3 = f.partial(fin(3))
-        assert df3.is_zero
-
-    def test_lines_round_trip(self, ctx6):
-        f = ScalarSeries(
-            ctx6,
-            [
-                (mi((1, 1, 1)), GaussianRational(Fraction(1, 3), Fraction(-2, 5))),
-                (ZERO_INDEX, 7),
-            ],
-        )
-        again = ScalarSeries.from_lines(ctx6, f.to_lines())
-        assert again == f
 
 
 def random_field(ctx, rng, nterms, max_order=2, coeff_pool=(-2, -1, 1, 2, 3)):
@@ -317,15 +277,6 @@ class TestDerivations:
             + bracket(z, bracket(x, y))
         )
         assert jac.is_zero
-
-    def test_leibniz_rule(self, ctx6):
-        rng = random.Random(7)
-        x = random_field(ctx6, rng, 5, max_order=1)
-        f = ScalarSeries(ctx6, [(mi((1, 1, 1)), 2), (mi((2, 1, 1), (3, 1, 1)), 1)])
-        g = ScalarSeries(ctx6, [(mi((4, 1, 1)), 1), (ZERO_INDEX, 3)])
-        left = x.lie_derivative(f.mul(g))
-        right = x.lie_derivative(f).mul(g) + f.mul(x.lie_derivative(g))
-        assert left == right
 
     def test_bracket_conserves_momentum(self, wave_ctx):
         rng = random.Random(13)

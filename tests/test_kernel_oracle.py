@@ -7,9 +7,10 @@ and the Lie kernel behind ``bracket`` and ``lie_derivative`` packs each
 exponent as one integer, pairs each f term only with the X terms that fit
 under the cutoff with it, and builds one ``MultiIndex`` per distinct
 output exponent.  In the exact lane it multiplies and adds Gaussian-integer
-numerators over per-term denominators and reduces once, at unpack; the
-exact Lie series behind ``pushforward_exp`` stays on that packed form from
-its first bracket to its sum.
+numerators over per-term denominators and reduces once, at unpack.  The
+Lie series ``fields.lie_exp``, which ``pushforward_exp`` and ``kam_step``
+call in both lanes, stays on the packed form from its first bracket to its
+sum.
 
 The earlier forms are kept here as oracles and compared with the library:
 
@@ -25,9 +26,10 @@ The earlier forms are kept here as oracles and compared with the library:
   ``GaussianRational`` coefficients that tested every pair against the
   cutoff, with its ``bracket`` and ``lie_derivative`` bodies, and
   ``parent_lie_series_terms`` and ``parent_pushforward_exp``, the series
-  on that kernel summed with chained ``VectorField.__add__``; on random
-  fields with distinct denominators of 200 bits and more, zero real or
-  imaginary parts and components of mixed degrees, and on a series in
+  on that kernel scaled with ``VectorField.scale`` and summed with chained
+  ``VectorField.__add__``, against ``fields.lie_exp`` in both lanes; on
+  random fields with distinct denominators of 200 bits and more, zero real
+  or imaginary parts and components of mixed degrees, and on a series in
   which a key and a whole direction cancel and come back;
 - ``parent_mul``, the four-product Gaussian multiply, on exact rationals
   with either factor, both or neither real or zero;
@@ -52,7 +54,7 @@ from hypothesis import strategies as st
 from resnf import fields
 from resnf.fields import GaussianRational, ScalarSeries, VectorField
 from resnf.indexing import Mode, MultiIndex, TruncationContext, iter_indices
-from resnf.normalform import _lie_sum, pushforward_exp
+from resnf.normalform import pushforward_exp
 from resnf.resonance import ResonanceModule, enumerate_resonance, split_ideals
 from resnf.verify import build_example_dim6, build_example_nls
 
@@ -524,7 +526,7 @@ def test_pushforward_matches_chained_series(data):
     # the generator has no order-0 part, so the series terminates
     f = VectorField(ctx, data.draw(field_terms(ctx, 4, WIDE_PARTS, min_degree=2)))
     w = VectorField(ctx, data.draw(field_terms(ctx, 8, WIDE_PARTS)))
-    got, count = _lie_sum(f, w)
+    got, count = fields.lie_exp(f, w)
     assert layout(got) == layout(parent_pushforward_exp(f, w))
     assert count == len(parent_lie_series_terms(f, w)) - 1
 
@@ -598,7 +600,7 @@ def test_series_cancellations_keep_the_chained_order(arithmetic):
     assert len(sums) == 5
     assert d3 in sums[0] and d3 not in sums[1] and d3 in sums[2]
     assert key in sums[2][d3] and key not in sums[3][d3] and key in sums[4][d3]
-    got, count = _lie_sum(f, w)
+    got, count = fields.lie_exp(f, w)
     assert count == 4
     assert layout(got) == layout(parent_pushforward_exp(f, w))
     # the direction and the key that came back moved to the end

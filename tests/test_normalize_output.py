@@ -2,9 +2,15 @@
 for byte, exact and ``--float``, to outputs recorded before the exact Lie
 series moved to packed Gaussian-integer numerators.  ``kam_trace.json``'s
 ``eps`` and ``theta`` are float sums taken in the fields' dict order, so
-they pin that order as well as the values."""
+they pin that order as well as the values.
+
+The two lanes must also agree with each other on whole runs: the same
+report, the same terms in the same order, and coefficients and trace
+floats within a relative ``LANE_RTOL``."""
 
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -40,16 +46,80 @@ PROBLEMS = {
 }
 
 
+def normalize_out(tmp_path, name, lane):
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(PROBLEMS[name]), encoding="utf-8")
+    out = tmp_path / lane
+    argv = ["normalize", str(problem), "--out", str(out)]
+    assert run(argv + (["--float"] if lane == "float" else [])) == EXIT_OK
+    return out
+
+
 @pytest.mark.parametrize("lane", ["exact", "float"])
 @pytest.mark.parametrize("name", sorted(PROBLEMS))
 def test_normalize_artifacts_match_recorded(tmp_path, capsys, name, lane):
-    problem = tmp_path / "problem.json"
-    problem.write_text(json.dumps(PROBLEMS[name]), encoding="utf-8")
-    out = tmp_path / "out"
-    argv = ["normalize", str(problem), "--out", str(out)]
-    assert run(argv + (["--float"] if lane == "float" else [])) == EXIT_OK
+    out = normalize_out(tmp_path, name, lane)
     capsys.readouterr()
     recorded = RECORDED / ("%s-%s" % (name, lane))
     assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
     for artifact in ARTIFACTS:
         assert (out / artifact).read_bytes() == (recorded / artifact).read_bytes(), artifact
+
+
+# The pinned artifacts agree to 1.5e-14 relative.
+LANE_RTOL = 1e-12
+
+
+def term_lines(path):
+    """Header lines and ``(direction, exponent, coefficient)`` term lines;
+    an exact ``p/q`` part and a float part both parse as ``Fraction``."""
+    lines = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.startswith("#"):
+            lines.append(line)
+            continue
+        k, q, c = (part.strip() for part in line.split("|"))
+        lines.append((k, q, complex(*(float(Fraction(t)) for t in c.split()))))
+    return lines
+
+
+def assert_floats_close(exact, fl, where="kam_trace"):
+    if isinstance(exact, dict):
+        assert sorted(exact) == sorted(fl), where
+        for key in exact:
+            assert_floats_close(exact[key], fl[key], "%s.%s" % (where, key))
+    elif isinstance(exact, list):
+        assert len(exact) == len(fl), where
+        for i, (a, b) in enumerate(zip(exact, fl)):
+            assert_floats_close(a, b, "%s[%d]" % (where, i))
+    elif isinstance(exact, float):
+        assert isinstance(fl, float), where
+        assert math.isclose(exact, fl, rel_tol=LANE_RTOL, abs_tol=0.0), (where, exact, fl)
+    else:
+        assert exact == fl, where
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_exact_and_float_lanes_agree(tmp_path, capsys, name):
+    exact = normalize_out(tmp_path, name, "exact")
+    fl = normalize_out(tmp_path, name, "float")
+    capsys.readouterr()
+
+    reports = [json.loads((out / REPORT_FILE).read_text(encoding="utf-8")) for out in (exact, fl)]
+    assert [r["problem"].pop("arithmetic") for r in reports] == ["exact", "float"]
+    assert reports[0] == reports[1]
+
+    for artifact in (NORMAL_FORM_FILE, TRANSFORM_FILE):
+        a, b = term_lines(exact / artifact), term_lines(fl / artifact)
+        assert len(a) == len(b), artifact
+        for x, y in zip(a, b):
+            if isinstance(x, str):
+                assert x == y, artifact
+            else:
+                assert x[:2] == y[:2], (artifact, x, y)
+                assert abs(x[2] - y[2]) <= LANE_RTOL * abs(x[2]), (artifact, x, y)
+
+    assert_floats_close(
+        json.loads((exact / TRACE_FILE).read_text(encoding="utf-8")),
+        json.loads((fl / TRACE_FILE).read_text(encoding="utf-8")),
+    )
