@@ -181,7 +181,7 @@ def parse_coefficient(ctx: TruncationContext, text: str):
 
 class ScalarSeries:
     """Truncated formal series ``sum_q f_q x^q`` with sparse storage: the
-    operand and the result of :meth:`VectorField.lie_derivative`."""
+    operand and the result of :func:`lie_derivative`."""
 
     __slots__ = ("ctx", "_terms")
 
@@ -356,26 +356,14 @@ class VectorField:
 
     # -- derivations ----------------------------------------------------
 
-    def lie_derivative(self, f: ScalarSeries) -> ScalarSeries:
-        """Derivative of the scalar ``f`` along the field:
-        ``sum_k X^(k) * df/dx_k``, truncated at the scalar cutoff."""
-        _same_ctx(self.ctx, f.ctx)
-        packing, built = _Packing(self.ctx), {}
-        store: dict[int, object] = {}
-        xs, fs = packing.field(self._terms, built), packing.pack(f._terms, built)
-        packing.lie_into(store, xs, fs, self.ctx.degree_cutoff)
-        return ScalarSeries._raw(self.ctx, packing.unpack(store, built))
-
     def bracket(self, other: "VectorField") -> "VectorField":
         """Lie bracket ``[X, Y]^(j) = X(Y^(j)) - Y(X^(j))``, truncated at
         the field cutoff."""
         _same_ctx(self.ctx, other.ctx)
-        packing, built = _Packing(self.ctx), {}
-        xs, ys = packing.field(self._terms, built), packing.field(other._terms, built)
+        packing = _Packing(self.ctx)
+        xs, ys = packing.field(self._terms), packing.field(other._terms)
         store = packing.bracket(xs, ys, packing.negate(xs), self.ctx.degree_cutoff + 1)
-        return VectorField._raw(
-            self.ctx, {j: packing.unpack(t, built) for j, t in store.items()}
-        )
+        return VectorField._raw(self.ctx, {j: packing.unpack(t) for j, t in store.items()})
 
     # -- projections ----------------------------------------------------
 
@@ -572,7 +560,7 @@ def _add(prev: tuple, re: int, im: int, den: int) -> tuple | None:
 class _Packing:
     """Packed exponents and coefficients over one context."""
 
-    __slots__ = ("exact", "radix", "modes", "weights", "top", "is_zero")
+    __slots__ = ("exact", "radix", "modes", "weights", "top", "is_zero", "built")
 
     def __init__(self, ctx: TruncationContext):
         self.exact = ctx.exact
@@ -581,11 +569,12 @@ class _Packing:
         self.weights = {m: radix**i for i, m in enumerate(modes)}
         self.top = radix ** len(modes)
         self.is_zero = ctx.is_zero_coeff
+        self.built: dict[int, MultiIndex] = {}
 
-    def pack(self, terms: dict, built: dict[int, MultiIndex]) -> list[tuple]:
+    def pack(self, terms: dict) -> list[tuple]:
         """``(key, re, im, den)`` (exact) or ``(key, c)`` (float) of each
         term, in order; ``built`` records each key's ``MultiIndex``."""
-        weights, top, exact = self.weights, self.top, self.exact
+        weights, top, exact, built = self.weights, self.top, self.exact, self.built
         out = []
         for q, c in terms.items():
             key = q.degree * top
@@ -600,8 +589,8 @@ class _Packing:
                 out.append((key, c))
         return out
 
-    def field(self, terms: dict, built: dict[int, MultiIndex]) -> dict[Mode, list]:
-        return {k: self.pack(comp, built) for k, comp in terms.items()}
+    def field(self, terms: dict) -> dict[Mode, list]:
+        return {k: self.pack(comp) for k, comp in terms.items()}
 
     def negate(self, packed: dict[Mode, list]) -> dict[Mode, list]:
         if self.exact:
@@ -611,11 +600,11 @@ class _Packing:
             }
         return {k: [(key, -c) for key, c in comp] for k, comp in packed.items()}
 
-    def unpack(self, packed: dict, built: dict[int, MultiIndex]) -> dict:
+    def unpack(self, packed: dict) -> dict:
         """The exponent map of ``packed`` (key to exact ``(re, im, den)``
         or complex), in its order; ``built`` caches one ``MultiIndex`` per
         packed exponent."""
-        radix, modes, top, exact = self.radix, self.modes, self.top, self.exact
+        radix, modes, top, exact, built = self.radix, self.modes, self.top, self.exact, self.built
         out = {}
         for key, c in packed.items():
             q = built.get(key)
@@ -712,6 +701,16 @@ class _Packing:
         return store
 
 
+def lie_derivative(x: VectorField, f: ScalarSeries) -> ScalarSeries:
+    """Derivative of the scalar ``f`` along the field ``x``:
+    ``sum_k X^(k) * df/dx_k``, truncated at the scalar cutoff."""
+    _same_ctx(x.ctx, f.ctx)
+    packing = _Packing(x.ctx)
+    store: dict[int, object] = {}
+    packing.lie_into(store, packing.field(x._terms), packing.pack(f._terms), x.ctx.degree_cutoff)
+    return ScalarSeries._raw(x.ctx, packing.unpack(store))
+
+
 def _series_bound(f: VectorField) -> int:
     """The most nonzero terms ``ad_F^k(W)/k!`` a series can have at
     truncation; ``f`` is nonzero."""
@@ -742,10 +741,9 @@ def lie_exp(f: VectorField, w: VectorField) -> tuple[VectorField, int]:
     _same_ctx(f.ctx, w.ctx)
     ctx = w.ctx
     packing = _Packing(ctx)
-    built: dict[int, MultiIndex] = {}
-    fs = packing.field(f._terms, built)
+    fs = packing.field(f._terms)
     neg_fs = packing.negate(fs)
-    current = packing.field(w._terms, built)
+    current = packing.field(w._terms)
     if ctx.exact:
         total = {
             j: {key: (re, im, den) for key, re, im, den in comp}
@@ -794,7 +792,7 @@ def lie_exp(f: VectorField, w: VectorField) -> tuple[VectorField, int]:
     if not k:
         return w, 0
     return (
-        VectorField._raw(ctx, {j: packing.unpack(t, built) for j, t in total.items()}),
+        VectorField._raw(ctx, {j: packing.unpack(t) for j, t in total.items()}),
         k,
     )
 
@@ -807,10 +805,6 @@ def _split_term_line(line: str) -> tuple[str, str, str]:
 
 
 # -- module-level aliases matching the operation vocabulary ---------------
-
-
-def lie_derivative(x: VectorField, f: ScalarSeries) -> ScalarSeries:
-    return x.lie_derivative(f)
 
 
 def bracket(x: VectorField, y: VectorField) -> VectorField:

@@ -106,7 +106,7 @@ def decompose(w: VectorField, module: ResonanceModule) -> DecomposedField:
             "linear part differs from the diagonal part of model %s"
             % model.name
         )
-    z_terms, x_terms, n_terms = [], [], []
+    z, x, n = {}, {}, {}
     for k, q, c in w.terms():
         order = q.degree - 1
         if order == 0:
@@ -123,17 +123,12 @@ def decompose(w: VectorField, module: ResonanceModule) -> DecomposedField:
                     "resonant non-diagonal term x^%s d/dx_%s: the kernel "
                     "below the cutoff order must be diagonal" % (q, format_mode(k))
                 )
-            z_terms.append((k, q, c))
+            z.setdefault(k, {})[q] = c
         elif module.classify(q) == 2:
-            n_terms.append((k, q, c))
+            n.setdefault(k, {})[q] = c
         else:
-            x_terms.append((k, q, c))
-    return DecomposedField(
-        module,
-        VectorField(ctx, z_terms),
-        VectorField(ctx, x_terms),
-        VectorField(ctx, n_terms),
-    )
+            x.setdefault(k, {})[q] = c
+    return DecomposedField(module, *(VectorField._raw(ctx, store) for store in (z, x, n)))
 
 
 def _require_diagonal_resonant(z: VectorField, model: FrequencyModel) -> None:
@@ -484,8 +479,8 @@ def _eliminate_orders(
     out = w
     entries: list[tuple[str, VectorField]] = []
     for d in orders:
-        y = out.project_degree(d).project(
-            lambda k, q: not model.is_resonant_pair(q, k)
+        y = out.project(
+            lambda k, q: q.degree == d + 1 and not model.is_resonant_pair(q, k)
         )
         if y.is_zero:
             continue

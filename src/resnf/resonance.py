@@ -87,6 +87,7 @@ class FrequencyModel:
         "_table",
         "_den",
         "_floats",
+        "_scale",
         "_weights",
         "_unit",
     )
@@ -126,15 +127,12 @@ class FrequencyModel:
         }
         self._den = den
         self._floats = tuple(float(v) for v in self.symbol_values)
-        # ``_weights`` scale the symbol values so that ``_scaled`` returns
-        # ``value * _unit``: integers when every value is rational.
-        if self.exact_capable:
-            sden = math.lcm(*(v.denominator for v in self.symbol_values))
-            self._weights = tuple(int(v * sden) for v in self.symbol_values)
-            self._unit = den * sden
-        else:
-            self._weights = self._floats
-            self._unit = den
+        # the symbol values read exactly, a float as the binary fraction it
+        # is, over their common denominator: ``_scaled`` is ``value * _unit``
+        values = [Fraction(v) for v in self.symbol_values]
+        self._scale = math.lcm(*(v.denominator for v in values))
+        self._weights = tuple(int(v * self._scale) for v in values)
+        self._unit = den * self._scale
         self.alpha = None if alpha is None else float(alpha)
         self.phases = None if phases is None else {
             (k if isinstance(k, Mode) else Mode(*k)): float(v)
@@ -192,11 +190,10 @@ class FrequencyModel:
                     del acc[i]
         return acc
 
-    def _scaled(self, key: Key, weights: Sequence | None = None) -> tuple:
-        """``value(key) * _unit`` as an ``(re, im)`` pair; integers for
-        exact-capable models, so zero tests need no rational arithmetic.
-        Other ``weights`` stand in for ``_weights``."""
-        weights = self._weights if weights is None else weights
+    def _scaled(self, key: Key) -> tuple:
+        """``value(key) * _unit`` as an integer ``(re, im)`` pair, so zero
+        tests need no rational arithmetic."""
+        weights = self._weights
         re = im = 0
         for i, (a, b) in key.items():
             re += a * weights[i]
@@ -207,16 +204,11 @@ class FrequencyModel:
         """The rows :func:`~resnf.indexing.walk` sums over ``modes`` to
         carry each index's key, value and momentum, for combinations of at
         most ``terms`` eigenvalues (counted with multiplicity and sign)."""
-        # the symbol values read exactly, a float as the binary fraction it
-        # is, over their common denominator (``_weights`` when exact-capable)
-        values = [Fraction(v) for v in self.symbol_values]
-        scale = math.lcm(*(v.denominator for v in values))
-        weights = [int(v * scale) for v in values]
         table = self._table
-        scaled = {k: self._scaled(table[k], weights) for k in modes}
+        scaled = {k: self._scaled(table[k]) for k in modes}
         width = max((abs(c) for k in modes for pair in table[k].values() for c in pair), default=0)
         height = max((abs(c) for pair in scaled.values() for c in pair), default=0)
-        codes = WalkRows(2 * terms * width + 1, 2 * terms * height + 1, scale, {})
+        codes = WalkRows(2 * terms * width + 1, 2 * terms * height + 1, self._scale, {})
         for k in modes:
             codes.rows[k] = (
                 codes.pack_key(table[k]),
@@ -300,7 +292,7 @@ class WalkRows:
     digit is, so packed equality of those keys is exactly dict-key
     equality.  A value is ``sum_i key_i * symbol_i`` times ``value_scale``,
     the common denominator of the symbol values read exactly: an integer
-    pair ``(re, im)`` (``_scaled`` of an exact-capable model), packed as
+    pair ``(re, im)`` (the model's ``_scaled``), packed as
     ``re + im * value_base`` with ``value_base`` chosen by the same rule.
     """
 
@@ -487,7 +479,7 @@ def enumerate_resonance(ctx: TruncationContext, model: FrequencyModel) -> Resona
     # divisors.
     codes = model.walk_rows(modes, D + 2, ctx.momentum_enabled)
     exactly = model.exact_capable
-    tol = None if exactly else 1e-9 * model._unit  # an exact _unit may pass the float range
+    tol = None if exactly else 1e-9 * model._den  # ``within`` scales it by _scale
     # per momentum, the directions by packed key and by packed value (a
     # tolerance cannot be hashed: float values are scanned), in modes order
     buckets: dict[int, tuple[dict, dict | list]] = {}

@@ -222,23 +222,22 @@ class Trajectory:
 
 
 def integrate_flow(
-    w: VectorField | FieldFlow,
+    w: FieldFlow,
     x0: Sequence[complex],
     t: float,
     config: FlowConfig = FlowConfig(),
 ) -> Trajectory:
-    """Fixed-step RK4 flow of ``w`` (a field, or the flow ``compile_field``
-    made of it) from ``x0`` over ``[0, t]``; stops early with the
-    divergence flag set once a step overflows or some coordinate leaves
-    the blow-up bound (NaN never stays inside it)."""
-    flow = w if isinstance(w, FieldFlow) else compile_field(w)
+    """Fixed-step RK4 flow of ``w``, a field compiled by ``compile_field``,
+    from ``x0`` over ``[0, t]``; stops early with the divergence flag set
+    once a step overflows or some coordinate leaves the blow-up bound (NaN
+    never stays inside it)."""
     x = tuple(complex(v) for v in x0)
-    return Trajectory(*flow.run(x, t / config.steps, config.steps, config.blowup))
+    return Trajectory(*w.run(x, t / config.steps, config.steps, config.blowup))
 
 
 def _rk4(flow: FieldFlow, x: Sequence[complex], h: float) -> list[complex]:
-    """One RK4 step of a compiled flow.  No pipeline path calls it; it
-    stays bound because the per-layer tracer of the benchmark pins it."""
+    """One RK4 step of a compiled flow.  No pipeline path calls it, nor the
+    imported ``compile_field``; the benchmark's per-layer tracer pins both."""
     return list(flow.run(tuple(x), h, 1, None)[0])
 
 
@@ -255,28 +254,27 @@ def linear_flow(
 
 
 def conjugacy_error(
-    w0: VectorField | FieldFlow,
+    w0: FieldFlow,
     log: TransformLog,
     model: FrequencyModel,
     xi: Sequence[complex],
     t: float,
     config: FlowConfig = FlowConfig(),
 ) -> float:
-    """Sup-norm mismatch between flowing ``w0`` from the transformed
-    point and transporting the linear flow through the transform.
+    """Sup-norm mismatch between flowing ``w0`` (a field compiled by
+    ``compile_field``) from the transformed point and transporting the
+    linear flow through the transform.
 
     The recorded transform carries normal-form coordinates to the
     original ones, so for ``xi`` on the invariant set (where the
     normalized field restricts to its diagonal part) the two paths
     agree up to the truncation error.  A flow that diverges, the
-    transform's included, raises NormalFormError.  ``w0`` may be given
-    compiled, so that a sweep of points compiles it once.
+    transform's included, raises NormalFormError.
     """
-    flow = w0 if isinstance(w0, FieldFlow) else compile_field(w0)
-    ctx = flow.ctx
+    ctx = w0.ctx
     try:
         start = apply_transform(log, xi, "forward", steps=config.steps)
-        run = integrate_flow(flow, start, t, config)
+        run = integrate_flow(w0, start, t, config)
         carried = None if run.diverged else apply_transform(
             log, linear_flow(model, ctx, xi, t), "forward", steps=config.steps
         )

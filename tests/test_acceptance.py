@@ -29,6 +29,7 @@ from resnf.indexing import (
 )
 from resnf.normalform import (
     TransformLog,
+    compile_field,
     normalize,
     poincare_dulac,
     solve_linear_homological,
@@ -334,14 +335,15 @@ def test_criterion_5_conjugacy_scaling(criteria):
             for _ in range(6)
         ]
         on_errors, off_errors = [], []
+        flow = compile_field(w)
         for rho in rhos:
             raw = [rho * u for u in unit]
             on_errors.append(
                 conjugacy_error(
-                    w, log, model, spec.restrict(raw, w.ctx), 1.0, config
+                    flow, log, model, spec.restrict(raw, w.ctx), 1.0, config
                 )
             )
-            off_errors.append(conjugacy_error(w, log, model, raw, 1.0, config))
+            off_errors.append(conjugacy_error(flow, log, model, raw, 1.0, config))
         on_slope = loglog_slope(rhos, on_errors)
         off_slope = loglog_slope(rhos, off_errors)
         required = w.ctx.degree_cutoff + 0.5

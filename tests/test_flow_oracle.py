@@ -227,7 +227,7 @@ def test_integrate_flow_matches_oracle(case, t, n, blowup):
     field, state = case
     config = FlowConfig(steps=n, blowup=blowup)
     assert_same_trajectory(
-        outcome(integrate_flow, field, state, t, config),
+        outcome(integrate_flow, compile_field(field), state, t, config),
         outcome(oracle_integrate_flow, field, state, t, config),
     )
 
@@ -260,12 +260,13 @@ def test_power_before_a_zero_base_still_overflows():
     field = VectorField(DIM6, [(modes[0], MultiIndex({modes[0]: 3, modes[1]: 1}), 1.0)])
     log = TransformLog((("kam", field),))
     config = FlowConfig(steps=3, blowup=1e300)
+    flow = compile_field(field)
     for state, overflows in (
         ([1e200, 0j, 0j, 0j, 0j, 0j], True),
         ([0j, 1e200, 0j, 0j, 0j, 0j], False),
     ):
         want = oracle_integrate_flow(field, state, 1.0, config)
-        got = integrate_flow(field, state, 1.0, config)
+        got = integrate_flow(flow, state, 1.0, config)
         assert got.diverged is want.diverged is overflows
         assert same_state(got.final, want.final)
         point = outcome(apply_transform, log, state, "forward", 3)
@@ -278,11 +279,12 @@ def test_signed_zero_parts_on_the_diagonal(t):
     """A one-term component keeps the sign of a zero part of its term
     unless the sum starts at ``0j``, as the evaluator's sums do."""
     field = dim6_frequency_model().linear_field(DIM6.with_arithmetic("exact"))
+    flow = compile_field(field)
     config = FlowConfig(steps=3)
     for re, im in itertools.product([-0.0, 0.0, 0.5, -0.5], repeat=2):
         state = [complex(re, im)] * len(DIM6.modes())
         assert_same_trajectory(
-            outcome(integrate_flow, field, state, t, config),
+            outcome(integrate_flow, flow, state, t, config),
             outcome(oracle_integrate_flow, field, state, t, config),
         )
 
@@ -335,13 +337,14 @@ EXAMPLES = {
 @pytest.mark.parametrize("name", sorted(EXAMPLES))
 def test_example_flows_match_oracle(name):
     w, log, spec = _normalized(EXAMPLES[name])
+    flow = compile_field(w)
     width = len(w.ctx.modes())
     raw = [(0.5 + 0.1 * i) * 0.05 + 0.03j * (i - 2) for i in range(width)]
     config = FlowConfig(steps=64)
     for point in (raw, spec.restrict(raw, w.ctx)):
         for t in (1.0, -1.0):
             assert_same_trajectory(
-                outcome(integrate_flow, w, point, t, config),
+                outcome(integrate_flow, flow, point, t, config),
                 outcome(oracle_integrate_flow, w, point, t, config),
             )
         for direction in ("forward", "inverse"):

@@ -130,19 +130,19 @@ class TestIntegrateFlow:
         ctx, model, _ = six_setup
         d = model.linear_field(ctx)
         xi = [0.2 - 0.1j] * 6
-        run = integrate_flow(d, xi, 1.0, FlowConfig(steps=200))
+        run = integrate_flow(compile_field(d), xi, 1.0, FlowConfig(steps=200))
         exact = linear_flow(model, ctx, xi, 1.0)
         assert not run.diverged
         assert max(abs(a - b) for a, b in zip(run.final, exact)) < 1e-9
 
     def test_step_halving_is_fourth_order(self, six_setup):
         ctx, model, _ = six_setup
-        d = model.linear_field(ctx)
+        flow = compile_field(model.linear_field(ctx))
         xi = [0.5 + 0.5j] * 6
         exact = linear_flow(model, ctx, xi, 1.0)
 
         def global_error(steps):
-            run = integrate_flow(d, xi, 1.0, FlowConfig(steps=steps))
+            run = integrate_flow(flow, xi, 1.0, FlowConfig(steps=steps))
             return max(abs(a - b) for a, b in zip(run.final, exact))
 
         ratio = global_error(16) / global_error(32)
@@ -153,14 +153,14 @@ class TestIntegrateFlow:
         w = model.linear_field(ctx) + VectorField.monomial(
             ctx, fin(1), E1 + E1 + E1 + E1 + E1, 1
         )
-        run = integrate_flow(w, [0j] * 6, 1.0)
+        run = integrate_flow(compile_field(w), [0j] * 6, 1.0)
         assert not run.diverged
         assert run.final == (0j,) * 6
 
     def test_divergence_flagged(self, six_setup):
         ctx, _, _ = six_setup
         w = VectorField.monomial(ctx, fin(1), E1 + E1, 5)
-        run = integrate_flow(w, [0.9, 0, 0, 0, 0, 0], 1.0, FlowConfig(blowup=10.0))
+        run = integrate_flow(compile_field(w), [0.9, 0, 0, 0, 0, 0], 1.0, FlowConfig(blowup=10.0))
         assert run.diverged
         # stopped at the first step past the bound, before overflowing
         norm = max(abs(v) for v in run.final)
@@ -168,7 +168,8 @@ class TestIntegrateFlow:
 
     def test_nan_state_is_divergence(self, six_setup):
         ctx, model, _ = six_setup
-        run = integrate_flow(model.linear_field(ctx), [0.1, math.nan, 0, 0, 0, 0], 1.0)
+        flow = compile_field(model.linear_field(ctx))
+        run = integrate_flow(flow, [0.1, math.nan, 0, 0, 0, 0], 1.0)
         assert run.diverged
 
     def test_compile_field_matches_evaluate(self, six_setup):
@@ -202,7 +203,7 @@ class TestConjugacy:
     def test_zero_point_zero_error(self, six_setup, normalized_example):
         ctx, model, _ = six_setup
         w, _, log = normalized_example
-        err = conjugacy_error(w, log, model, [0j] * 6, 1.0)
+        err = conjugacy_error(compile_field(w), log, model, [0j] * 6, 1.0)
         assert err < 1e-14
 
     def test_on_sigma_beats_off_sigma(self, six_setup, normalized_example):
@@ -214,15 +215,16 @@ class TestConjugacy:
             0.05 * (rng.uniform(0.5, 1) + 1j * rng.uniform(0.5, 1)) for _ in range(6)
         ]
         on = spec.restrict(raw, ctx)
-        err_on = conjugacy_error(w, log, model, on, 1.0)
-        err_off = conjugacy_error(w, log, model, raw, 1.0)
+        flow = compile_field(w)
+        err_on = conjugacy_error(flow, log, model, on, 1.0)
+        err_off = conjugacy_error(flow, log, model, raw, 1.0)
         assert err_on < err_off / 100
 
     def test_divergence_propagates(self, six_setup):
         ctx, model, _ = six_setup
         w = model.linear_field(ctx) + VectorField.monomial(ctx, fin(1), E1 + E1, 9)
         with pytest.raises(NormalFormError, match="diverged"):
-            conjugacy_error(w, TransformLog(), model, [1.2, 0, 0, 0, 0, 0], 2.0)
+            conjugacy_error(compile_field(w), TransformLog(), model, [1.2, 0, 0, 0, 0, 0], 2.0)
 
 
 class TestLoglogSlope:

@@ -1,12 +1,14 @@
 """``verify --json --csv`` writes full-precision errors; they are pinned
 byte for byte to reports recorded before the flows were compiled to
-Python source (the README transcript only sees ``%.6e``)."""
+Python source (the README transcript only sees ``%.6e``).  ``verify``
+compiles each field it flows once."""
 
 import json
 from pathlib import Path
 
 import pytest
 
+from resnf import cli, normalform, verify
 from resnf.cli import EXIT_OK, run
 
 RECORDED = Path(__file__).resolve().parent / "verify_output"
@@ -44,3 +46,27 @@ def test_verify_reports_match_recorded(tmp_path, capsys, name):
     capsys.readouterr()
     assert report.read_bytes() == (RECORDED / (name + ".json")).read_bytes()
     assert table.read_bytes() == (RECORDED / (name + ".csv")).read_bytes()
+
+
+def test_verify_compiles_each_field_once(tmp_path, capsys, monkeypatch):
+    """``verify`` compiles the problem's field and each generator of the
+    transform log once, however many points it flows them from."""
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(PROBLEMS["readme"]), encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["normalize", str(problem), "--out", str(out)]) == EXIT_OK
+    compile_field = normalform.compile_field
+    calls = []
+
+    def counted(w):
+        calls.append(w)
+        return compile_field(w)
+
+    for module in (normalform, cli, verify):
+        monkeypatch.setattr(module, "compile_field", counted)
+    assert run(["verify", str(problem), "--transform", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    log = (out / "transform_log.txt").read_text(encoding="utf-8").splitlines()
+    generators = sum(line.startswith("# generator") for line in log)
+    assert generators >= 1
+    assert len(calls) == 1 + generators
