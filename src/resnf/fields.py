@@ -68,14 +68,15 @@ class GaussianRational:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError("division of exact coefficient by zero")
-            return GaussianRational(self.re / other, self.im / other)
         other = _as_gaussian(other)
+        # a real or purely imaginary divisor needs no norm: two quotients
+        if not other.im:
+            if not other.re:
+                raise ZeroDivisionError("division of exact coefficient by zero")
+            return GaussianRational(self.re / other.re, self.im / other.re)
+        if not other.re:
+            return GaussianRational(self.im / other.im, -self.re / other.im)
         denom = other.re * other.re + other.im * other.im
-        if not denom:
-            raise ZeroDivisionError("division of exact coefficient by zero")
         return GaussianRational(
             (self.re * other.re + self.im * other.im) / denom,
             (self.im * other.re - self.re * other.im) / denom,

@@ -106,6 +106,9 @@ class FrequencyModel:
         if len(set(self.symbol_names)) != len(self.symbol_names):
             raise ModelError("duplicate symbol names in frequency model")
         self.symbol_values = tuple(val for _, val in symbols)
+        for nm, val in symbols:
+            if isinstance(val, float) and not math.isfinite(val):
+                raise ModelError("symbol %r has the non-finite value %r" % (nm, val))
         index = {nm: i for i, nm in enumerate(self.symbol_names)}
         coords: dict[Mode, dict[int, GaussianRational]] = {}
         den = 1
@@ -357,6 +360,7 @@ class ResonanceModule:
         "m_star_minimal",
         "violations",
         "resonant_pair_count",
+        "_packing",
     )
 
     def __init__(
@@ -379,6 +383,12 @@ class ResonanceModule:
             default=0,
         )
         self.m_star_bound = 2 * self.M + self.M1
+        cap = 2 * max((e for g in q_generators for _, e in g.items()), default=0)
+        width = cap.bit_length() + 1
+        modes = dict.fromkeys(m for g in q_generators for m in g.modes())
+        places = {m: 1 << (i * width) for i, m in enumerate(modes)}
+        packed = tuple(sum(e * places[m] for m, e in g.items()) for g in q_generators)
+        self._packing = (sum(places.values()) << (width - 1), cap, places, packed)
         # Resonant field exponents not absorbed by two generators; their
         # maximal scaling order determines the minimal valid cutoff.
         violations = [
@@ -390,14 +400,25 @@ class ResonanceModule:
         self.resonant_pair_count = len(resonant_pairs)
 
     def classify(self, q: MultiIndex) -> int:
-        """Ideal class of a nonnegative exponent: 2 if two generators
-        (repetition allowed) fit inside ``q``, 1 if one does, else 0."""
+        """Ideal class of an exponent: 2 if two generators (repetition
+        allowed) fit inside ``q``, 1 if one does, else 0.  A packed
+        divisibility test (Monagan & Pearce, J. Symb. Comput. 46, 2011): a
+        digit per generator mode, holding any ``g_i + h_i`` (``q`` clamped
+        to it) under a guard bit; ``G`` fits when ``Q - G`` keeps every
+        guard bit, and that remainder tests ``H`` alike."""
+        guard, cap, places, packed = self._packing
+        code = guard
+        for m, e in q.items():
+            if e < 0:
+                return 0
+            code += (e if e < cap else cap) * places.get(m, 0)
         klass = 0
-        for g in self.q_generators:
-            if q.contains(g):
-                rest = q - g
-                if any(rest.contains(h) for h in self.q_generators):
-                    return 2
+        for g in packed:
+            rest = code - g
+            if rest & guard == guard:
+                for h in packed:
+                    if (rest - h) & guard == guard:
+                        return 2
                 klass = 1
         return klass
 

@@ -33,7 +33,13 @@ The earlier forms are kept here as oracles and compared with the library:
   which a key and a whole direction cancel and come back;
 - ``parent_mul``, the four-product Gaussian multiply, on exact rationals
   with either factor, both or neither real or zero;
+- ``parent_truediv``, the divide through the complex norm, on the same
+  rationals with real, purely imaginary and general divisors;
 - ``parent_split_ideals``, one projection per class.
+
+``split_ideals`` and ``decompose`` classify on packed integers, so on the
+nls field they are counted to make no ``MultiIndex`` difference and no
+``contains`` call.
 
 Results must be equal term for term and in the same insertion order,
 which fixes the order of later float sums.  The Lie algebra laws and the
@@ -54,7 +60,7 @@ from hypothesis import strategies as st
 from resnf import fields
 from resnf.fields import GaussianRational, ScalarSeries, VectorField
 from resnf.indexing import Mode, MultiIndex, TruncationContext, iter_indices
-from resnf.normalform import pushforward_exp
+from resnf.normalform import decompose, prenormalize, pushforward_exp
 from resnf.resonance import ResonanceModule, enumerate_resonance, split_ideals
 from resnf.verify import build_example_dim6, build_example_nls
 
@@ -241,6 +247,17 @@ def parent_pushforward_exp(f, w):
 def parent_mul(a, b):
     """The earlier ``GaussianRational`` product: always four products."""
     return GaussianRational(a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re)
+
+
+def parent_truediv(a, b):
+    """The earlier ``GaussianRational`` divide: through the norm of ``b``."""
+    denom = b.re * b.re + b.im * b.im
+    if not denom:
+        raise ZeroDivisionError("division of exact coefficient by zero")
+    return GaussianRational(
+        (a.re * b.re + a.im * b.im) / denom,
+        (a.im * b.re - a.re * b.im) / denom,
+    )
 
 
 def parent_split_ideals(x, module):
@@ -643,6 +660,40 @@ def test_product_matches_four_products(left, right, data):
     assert_same_product(b, a)
 
 
+def assert_same_quotient(a, b):
+    got, want = a / b, parent_truediv(a, b)
+    assert type(got.re) is Fraction and type(got.im) is Fraction
+    assert (got.re, got.im) == (want.re, want.im), (a, b)
+
+
+@pytest.mark.parametrize("right", KINDS[1:])
+@pytest.mark.parametrize("left", KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_quotient_matches_the_norm_formula(left, right, data):
+    a, b = data.draw(gaussian(left)), data.draw(gaussian(right))
+    assert_same_quotient(a, b)
+    if not a.is_zero:
+        assert_same_quotient(b, a)
+    if right == "real":
+        # an int or Fraction divisor takes the real path
+        got = a / b.re
+        assert (got.re, got.im) == (a.re / b.re, a.im / b.re)
+        if b.re.denominator == 1:
+            got = a / int(b.re)
+            assert (got.re, got.im) == (a.re / b.re, a.im / b.re)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_quotient_by_zero_raises(kind, data):
+    a = data.draw(gaussian(kind))
+    for zero in (GaussianRational(), 0, Fraction(0)):
+        with pytest.raises(ZeroDivisionError, match="exact coefficient by zero"):
+            a / zero
+
+
 # ---------------------------------------------------------------------------
 # Lie algebra laws and lane agreement over a momentum context
 # ---------------------------------------------------------------------------
@@ -722,6 +773,35 @@ def assert_same_split(x, module):
     want = parent_split_ideals(x, module)
     assert [layout(part) for part in got] == [layout(part) for part in want]
     assert all(part.ctx == x.ctx for part in got)
+
+
+def test_classification_builds_no_index():
+    # the nls field's module has generators, so every term is tested
+    field, module = example("nls-N2-D5")
+    w, _ = prenormalize(field, module)
+    calls = []
+    sub, contains = MultiIndex.__sub__, MultiIndex.contains
+
+    def counted_sub(self, other):
+        calls.append("__sub__")
+        return sub(self, other)
+
+    def counted_contains(self, other):
+        calls.append("contains")
+        return contains(self, other)
+
+    with mock.patch.object(MultiIndex, "__sub__", counted_sub), mock.patch.object(
+        MultiIndex, "contains", counted_contains
+    ):
+        parts = split_ideals(w, module)
+        dec = decompose(w, module)
+        split_ideals(dec.x + dec.n, module)
+        # the patch is live: one difference and one contains are counted
+        assert MultiIndex.unit(Mode(1, 1)) - MultiIndex()
+        assert MultiIndex.unit(Mode(1, 1)).contains(MultiIndex())
+    assert calls == ["__sub__", "contains"]
+    assert all(not part.is_zero for part in parts)
+    assert not dec.n.is_zero
 
 
 @pytest.mark.parametrize("name", sorted(EXAMPLES))

@@ -1,10 +1,18 @@
 """Differential oracles for the membership rules of the algebra.
 
-``parent_classify`` is the earlier ``ResonanceModule.classify``: the
-constructor built a table of generator pair sums, and an exponent was
-class 2 if it contained one of them.  The library now reads the class
-off the generators by its definition: class 2 when some generator
-``g <= q`` leaves room ``q - g`` for a generator ``h``.
+Two earlier forms of ``ResonanceModule.classify`` are kept here:
+
+- ``parent_classify``: the constructor built a table of generator pair
+  sums, and an exponent was class 2 if it contained one of them;
+- ``definition_classify``: the class read off the generators by its
+  definition on ``MultiIndex`` values, class 2 when some generator
+  ``g <= q`` leaves room ``q - g`` for a generator ``h``.
+
+The library runs the same definition as a packed guard-bit test on
+integers.  All three are compared on window exponents, on signed
+exponents with modes outside the window and entries up to ``3 (D + 1)``,
+on a module with no generators, and on every exponent that an nls N=2,
+D=7 ``normalize`` classifies (in ``split_ideals`` and in ``decompose``).
 
 ``parent_admits_mode`` is the earlier mode rule, written out from the
 cutoff, the sign and the momentum flag.  The context now looks a mode
@@ -13,14 +21,22 @@ up in the one set it builds next to ``modes()``.
 
 import functools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import SQRT2, dim6_model, hyperbolic_model, nls_model
+from resnf import normalform
 from resnf.indexing import Mode, MultiIndex, TruncationContext
-from resnf.resonance import FrequencyModel, enumerate_resonance
+from resnf.resonance import (
+    FrequencyModel,
+    ResonanceModule,
+    enumerate_resonance,
+    split_ideals,
+)
+from resnf.verify import build_example_nls
 
 
 def parent_classify(module, q):
@@ -39,6 +55,25 @@ def parent_classify(module, q):
     return 0
 
 
+def definition_classify(module, q):
+    """The earlier ``classify``: ``contains`` and ``q - g`` on ``MultiIndex``
+    values, in generator order."""
+    klass = 0
+    for g in module.q_generators:
+        if q.contains(g):
+            rest = q - g
+            if any(rest.contains(h) for h in module.q_generators):
+                return 2
+            klass = 1
+    return klass
+
+
+def assert_classify_agrees(module, q):
+    klass = module.classify(q)
+    assert klass == definition_classify(module, q) == parent_classify(module, q), q
+    return klass
+
+
 def parent_admits_mode(ctx, k):
     """The earlier ``admits_mode``."""
     if abs(k.j) > ctx.mode_cutoff or k.sigma not in (1, -1):
@@ -55,6 +90,13 @@ def _nonresonant_model():
     return FrequencyModel("nonresonant", symbols, coords)
 
 
+def _weighted_model():
+    """Eigenvalues 1, -2 and -3: generators ``x1^2 x2`` and ``x1^3 x3``,
+    so one digit must hold ``3 + 3 = 6``."""
+    coords = {Mode(1, 1): {"one": 1}, Mode(2, 1): {"one": -2}, Mode(3, 1): {"one": -3}}
+    return FrequencyModel("weighted", [("one", Fraction(1))], coords)
+
+
 # name -> (mode cutoff, degree cutoff, momentum, model builder)
 MODULES = {
     "dim6-D8": (6, 8, False, dim6_model),
@@ -62,6 +104,7 @@ MODULES = {
     "lattice-N3-D5": (3, 5, True, lambda: nls_model(3)),
     "hyperbolic-N2-D5": (2, 5, True, lambda: hyperbolic_model(2)),
     "nonresonant-D6": (2, 6, False, _nonresonant_model),
+    "weighted-D6": (3, 6, False, _weighted_model),
 }
 
 
@@ -94,6 +137,34 @@ def test_modules_have_the_stated_generators():
         "5+^1 6+^1",
     ]
     assert not module_named("nonresonant-D6").q_generators
+    assert [str(g) for g in module_named("weighted-D6").q_generators] == [
+        "1+^2 2+^1",
+        "1+^3 3+^1",
+    ]
+
+
+@st.composite
+def wide_exponent(draw, module):
+    """A signed exponent over the window's modes and modes outside it,
+    with entries up to ``3 (D + 1)``: up to three generators, each taken
+    one to three times, then a few positive entries and, at times, a
+    negative one."""
+    ctx = module.ctx
+    big = 3 * (ctx.degree_cutoff + 1)
+    entries = []
+    if module.q_generators:
+        for g in draw(st.lists(st.sampled_from(module.q_generators), max_size=3)):
+            times = draw(st.integers(1, 3))
+            entries.extend((m, times * e) for m, e in g.items())
+    cutoff = ctx.mode_cutoff
+    outside = st.builds(
+        Mode, st.integers(-cutoff - 3, cutoff + 3), st.sampled_from((1, -1))
+    ).filter(lambda m: not ctx.admits_mode(m))
+    modes = st.sampled_from(ctx.modes()) | outside
+    entries.extend(draw(st.lists(st.tuples(modes, st.integers(1, big)), max_size=4)))
+    if draw(st.integers(0, 3)) == 0:
+        entries.append((draw(modes), draw(st.integers(-big, -1))))
+    return MultiIndex(entries)
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))
@@ -101,9 +172,9 @@ def test_generator_sums_classify_as_before(name):
     module = module_named(name)
     gens = module.q_generators
     for g in gens:
-        assert module.classify(g) == parent_classify(module, g) == 1
+        assert assert_classify_agrees(module, g) == 1
         for h in gens:
-            assert module.classify(g + h) == parent_classify(module, g + h) == 2
+            assert assert_classify_agrees(module, g + h) == 2
 
 
 @pytest.mark.parametrize("name", sorted(MODULES))
@@ -111,11 +182,86 @@ def test_generator_sums_classify_as_before(name):
 @given(data=st.data())
 def test_classify_matches_pair_sum_table(name, data):
     module = module_named(name)
-    q = data.draw(exponent(module))
-    klass = module.classify(q)
-    assert klass == parent_classify(module, q)
+    klass = assert_classify_agrees(module, data.draw(exponent(module)))
     if not module.q_generators:
         assert klass == 0
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_classify_matches_definition_off_the_window(name, data):
+    module = module_named(name)
+    q = data.draw(wide_exponent(module))
+    klass = assert_classify_agrees(module, q)
+    if any(e < 0 for _, e in q.items()) or not module.q_generators:
+        assert klass == 0
+
+
+def test_classify_at_the_digit_capacity():
+    # x1 needs up to 3 + 3 = 6 in the weighted module: entries above that
+    # are clamped to it and must decide the same fits
+    module = module_named("weighted-D6")
+    x1, x2, x3 = Mode(1, 1), Mode(2, 1), Mode(3, 1)
+    cases = {
+        ((x1, 5), (x2, 1), (x3, 1)): 2,
+        ((x1, 4), (x2, 1), (x3, 1)): 1,
+        ((x1, 6), (x3, 2)): 2,
+        ((x1, 5), (x3, 2)): 1,
+        ((x1, 40), (x2, 1), (x3, 1)): 2,
+        ((x1, 40), (x3, 1)): 1,
+        ((x1, 40), (x2, 40), (x3, 40)): 2,
+        ((x1, 1), (x2, 40), (x3, 40)): 0,
+        ((x1, 40), (x2, 1), (x3, -1)): 0,
+    }
+    for entries, want in cases.items():
+        assert assert_classify_agrees(module, MultiIndex(entries)) == want
+
+
+def test_classify_off_the_window_on_gauge_pairs():
+    # nls gauge pairs ``x_{j+} x_{j-}``: a mode outside the window never
+    # decides a fit, and a negative entry anywhere makes class 0
+    module = module_named("nls-N2-D5")
+    plus, minus = Mode(1, 1), Mode(1, -1)
+    cases = {
+        ((plus, 2), (minus, 2)): 2,
+        ((plus, 2), (minus, 1)): 1,
+        ((plus, 1), (minus, 1)): 1,
+        ((plus, 18), (minus, 1)): 1,
+        ((plus, 18), (minus, 18)): 2,
+        ((plus, 1), (minus, 1), (Mode(2, 1), 1), (Mode(2, -1), 1)): 2,
+        ((plus, 2), (minus, 2), (Mode(9, 1), 7)): 2,
+        ((plus, 2), (minus, 2), (Mode(9, 1), -1)): 0,
+        ((plus, 2), (minus, 2), (Mode(2, 1), -1)): 0,
+        ((plus, -1), (minus, 2)): 0,
+        ((Mode(9, 1), 3), (Mode(9, -1), 3)): 0,
+    }
+    for entries, want in cases.items():
+        assert assert_classify_agrees(module, MultiIndex(entries)) == want
+
+
+def test_classify_on_every_exponent_a_normalize_classifies():
+    # the exponents ``split_ideals`` sees, and those ``decompose`` sees
+    field, model = build_example_nls(1, cutoff=2, degree=7)
+    module = enumerate_resonance(field.ctx, model)
+    split, seen = set(), set()
+    classify = ResonanceModule.classify
+
+    def spy_split(x, mod):
+        split.update(q for _, q, _ in x.terms())
+        return split_ideals(x, mod)
+
+    def spy_classify(self, q):
+        seen.add(q)
+        return classify(self, q)
+
+    with mock.patch.object(normalform, "split_ideals", spy_split), mock.patch.object(
+        ResonanceModule, "classify", spy_classify
+    ):
+        normalform.normalize(field, module)
+    assert split < seen and len(seen) > 2000  # 2,426 distinct of 10,968 calls
+    classes = [assert_classify_agrees(module, q) for q in seen]
+    assert set(classes) == {0, 1, 2}
 
 
 CUTOFFS = (1, 2, 3, 4)

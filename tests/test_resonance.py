@@ -71,6 +71,13 @@ class TestFrequencyModel:
                 "bad", [("a", Fraction(1))], {fin(1): {"nope": 1}}
             )
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_symbol_value_rejected(self, value):
+        with pytest.raises(ModelError, match=r"symbol 'b' has the non-finite value"):
+            FrequencyModel(
+                "bad", [("a", 1.5), ("b", value)], {fin(1): {"a": 1, "b": 1}}
+            )
+
     def test_validate_missing_mode(self, ctx6):
         with pytest.raises(ModelError, match="no eigenvalue"):
             dim4_model().validate(ctx6)
