@@ -1,10 +1,12 @@
 """Sparse scalar series and polynomial vector fields over mode spaces.
 
 Coefficients are dual-mode: Gaussian rationals (exact zero tests, exact
-division) or complex doubles with a configured zero tolerance.  All
-containers are keyed by :class:`~resnf.indexing.MultiIndex` and validated
-against a shared :class:`~resnf.indexing.TruncationContext`; products that
-fall outside the degree window are dropped.
+division) or complex doubles with a configured zero tolerance.  Fields and
+series store their terms in the packed form of the Lie kernel (see
+``_Packing``), validated against a shared
+:class:`~resnf.indexing.TruncationContext`; products that fall outside the
+degree window are dropped.  ``MultiIndex`` exponents and ``GaussianRational``
+coefficients are built only where a term leaves the algebra.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import ContextMismatch, NonterminatingSeries, NormalFormError
 from .indexing import (
+    FLOAT_ATOL,
     Mode,
     MultiIndex,
     TruncationContext,
@@ -55,11 +58,6 @@ class GaussianRational:
         if isinstance(other, (int, Fraction)):
             return GaussianRational(self.re * other, self.im * other)
         other = _as_gaussian(other)
-        # a real factor scales both parts: two products instead of four
-        if not other.im:
-            return GaussianRational(self.re * other.re, self.im * other.re)
-        if not self.im:
-            return GaussianRational(self.re * other.re, self.re * other.im)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -69,14 +67,9 @@ class GaussianRational:
 
     def __truediv__(self, other):
         other = _as_gaussian(other)
-        # a real or purely imaginary divisor needs no norm: two quotients
-        if not other.im:
-            if not other.re:
-                raise ZeroDivisionError("division of exact coefficient by zero")
-            return GaussianRational(self.re / other.re, self.im / other.re)
-        if not other.re:
-            return GaussianRational(self.im / other.im, -self.re / other.im)
         denom = other.re * other.re + other.im * other.im
+        if not denom:
+            raise ZeroDivisionError("division of exact coefficient by zero")
         return GaussianRational(
             (self.re * other.re + self.im * other.im) / denom,
             (self.im * other.re - self.re * other.im) / denom,
@@ -135,10 +128,6 @@ def coerce_coefficient(ctx: TruncationContext, value):
                 "float value %r not accepted in exact arithmetic" % (value,)
             )
         return _as_gaussian(value)
-    if isinstance(value, GaussianRational):
-        return complex(value)
-    if isinstance(value, Fraction):
-        return complex(float(value), 0.0)
     return complex(value)
 
 
@@ -176,6 +165,237 @@ def parse_coefficient(ctx: TruncationContext, text: str):
 
 
 # ---------------------------------------------------------------------------
+# stored terms
+# ---------------------------------------------------------------------------
+
+# A stored exponent is one integer key: the entry of the i-th mode of
+# ``ctx.modes()`` is its base-``radix`` digit i, and the degree is the digit
+# above them all (weight ``top``).  ``radix = degree_cutoff + 2`` exceeds
+# every entry of a field or series exponent, so a product exponent ``qx + qf
+# - e_k``, degree included, is one integer sum, and ``degree <= room`` is
+# ``key < (room + 1) * top``.  A stored exact coefficient is ``(re, im,
+# den)``, Gaussian-integer numerators over a denominator, reduced (``den >
+# 0``, ``gcd(re, im, den) == 1``), so equal values are equal tuples; the
+# kernel and the Lie series add and multiply them unreduced and reduce each
+# output term once.  A float coefficient is a complex.  A sum pops a key
+# whose total vanishes, so a key that comes back is re-inserted at the end:
+# outputs keep the insertion order of term-by-term sums, which fixes the
+# order later float sums (the float lane, ``majorant_norm``) run in.
+
+
+def _stored(ctx: TruncationContext, value):
+    """``value`` in the stored coefficient form of ``ctx``."""
+    if not ctx.exact:
+        return coerce_coefficient(ctx, value)
+    if isinstance(value, int):
+        return value, 0, 1
+    c = coerce_coefficient(ctx, value)
+    b, d = c.re.denominator, c.im.denominator
+    den = math.lcm(b, d)
+    return c.re.numerator * (den // b), c.im.numerator * (den // d), den
+
+
+def _edge(c):
+    """A stored coefficient as the API gives it out."""
+    if type(c) is tuple:
+        re, im, den = c
+        return GaussianRational(Fraction(re, den), Fraction(im, den))
+    return c
+
+
+def _complex(c) -> complex:
+    """``complex(_edge(c))``, rounded alike without building it."""
+    if type(c) is tuple:
+        return complex(c[0] / c[2], c[1] / c[2])
+    return c
+
+
+def _vanishes(c) -> bool:
+    if type(c) is tuple:
+        return not (c[0] or c[1])
+    return abs(c) <= FLOAT_ATOL
+
+
+def _reduced(re: int, im: int, den: int) -> tuple:
+    """``(re + i*im) / den`` with ``den > 0`` in lowest terms."""
+    g = math.gcd(re, im, den)
+    return (re, im, den) if g == 1 else (re // g, im // g, den // g)
+
+
+def _reduce(exact: bool, comp: dict) -> dict:
+    """``comp`` with each exact coefficient reduced."""
+    if not exact:
+        return comp
+    return {key: _reduced(*c) for key, c in comp.items()}
+
+
+def _product(a: tuple, b: tuple) -> tuple:
+    """``a * b`` on stored exact coefficients, reduced."""
+    (ar, ai, ad), (br, bi, bd) = a, b
+    return _reduced(ar * br - ai * bi, ar * bi + ai * br, ad * bd)
+
+
+def _quotient(c: tuple, re: int, im: int, den: int) -> tuple:
+    """``c / ((re + i*im) / den)`` on a stored exact coefficient, reduced;
+    the divisor is nonzero, and ``den`` may be negative."""
+    cr, ci, cd = c
+    return _reduced((cr * re + ci * im) * den, (ci * re - cr * im) * den, cd * (re * re + im * im))
+
+
+def _add(prev: tuple, re: int, im: int, den: int) -> tuple | None:
+    """``prev + (re + i*im) / den`` on exact coefficients, unreduced, or
+    None when the sum is zero.  Without a gcd: a denominator that divides
+    the other is scaled up to it, and two that do not are multiplied."""
+    pr, pi, pd = prev
+    if pd == den:
+        re += pr
+        im += pi
+    elif not den % pd:
+        m = den // pd
+        re += pr * m
+        im += pi * m
+    elif not pd % den:
+        m = pd // den
+        re, im, den = re * m + pr, im * m + pi, pd
+    else:
+        re, im, den = re * pd + pr * den, im * pd + pi * den, den * pd
+    return (re, im, den) if re or im else None
+
+
+def _sum_into(exact: bool, target: dict, items) -> None:
+    """Add ``(key, coefficient)`` pairs into ``target``, popping a key whose
+    sum vanishes (at or below ``FLOAT_ATOL`` in the float lane, where a
+    single small term is dropped too); exact sums stay unreduced."""
+    for key, c in items:
+        prev = target.get(key)
+        if prev is not None:
+            c = _add(prev, *c) if exact else prev + c
+        if c is None or not exact and abs(c) <= FLOAT_ATOL:
+            target.pop(key, None)
+        else:
+            target[key] = c
+
+
+class _Packing:
+    """The stored form of one context's terms and its one ``key ->
+    MultiIndex`` map, which only :meth:`index` fills, with the canonical
+    exponent of each key.  ``of`` keeps it on the context for the context's
+    lifetime; it holds nothing of the context, so it is freed with it."""
+
+    __slots__ = ("exact", "radix", "modes", "weights", "top", "built", "__weakref__")
+
+    def __init__(self, ctx: TruncationContext):
+        self.exact = ctx.exact
+        self.radix = radix = ctx.degree_cutoff + 2
+        self.modes = modes = ctx.modes()
+        self.weights = {m: radix**i for i, m in enumerate(modes)}
+        self.top = radix ** len(modes)
+        self.built: dict[int, MultiIndex] = {}
+
+    @staticmethod
+    def of(ctx: TruncationContext) -> "_Packing":
+        packing = ctx._packing
+        if packing is None:
+            packing = _Packing(ctx)
+            object.__setattr__(ctx, "_packing", packing)
+        return packing
+
+    def key(self, q: MultiIndex) -> int | None:
+        """The key of ``q``, or None unless ``q`` is nonnegative, over the
+        context's modes and of degree below ``radix``: no other exponent
+        has a key of its own, and a stored key never aliases one."""
+        if q.degree >= self.radix:
+            return None
+        weights = self.weights
+        key = q.degree * self.top
+        for m, e in q.items():
+            w = weights.get(m)
+            if w is None or e < 0:
+                return None
+            key += e * w
+        return key
+
+    def index(self, key: int) -> MultiIndex:
+        """The exponent of ``key``, built once per key."""
+        q = self.built.get(key)
+        if q is None:
+            digits, rest = [], key % self.top
+            while rest:
+                rest, e = divmod(rest, self.radix)
+                digits.append(e)
+            pairs = tuple((m, e) for m, e in zip(self.modes, digits) if e)
+            q = self.built[key] = MultiIndex._from_sorted(pairs, key // self.top)
+        return q
+
+    def _fitting(self, xterms: dict[Mode, dict], fterms: dict, cutoff: int):
+        """For each direction ``k`` of X and each f term with ``x_k`` in
+        it: the X^(k) terms whose product with it stays within ``cutoff``
+        (in stored order; each component is filtered once per distinct f
+        degree), the key offset ``-e_k`` of the product, the exponent of
+        ``x_k`` and the f coefficient."""
+        radix, weights, top = self.radix, self.weights, self.top
+        for k, comp in xterms.items():
+            w = weights[k]
+            shift = w + top
+            fits: dict[int, list] = {}
+            for qf, cf in fterms.items():
+                e = qf // w % radix
+                if not e:
+                    continue
+                limit = (cutoff + 2 - qf // top) * top
+                xs = fits.get(limit)
+                if xs is None:
+                    xs = fits[limit] = [t for t in comp.items() if t[0] < limit]
+                if xs:
+                    yield xs, qf - shift, e, cf
+
+    def lie_into(self, out: dict, xterms: dict, fterms: dict, cutoff: int, sign: int = 1):
+        """Accumulate ``sign * sum_k X^(k) * d f / dx_k`` into ``out``
+        (key to unreduced coefficient), skipping products above
+        ``cutoff``."""
+        if not self.exact:
+            for xs, base, e, cf in self._fitting(xterms, fterms, cutoff):
+                cf = -cf if sign < 0 else cf
+                _sum_into(False, out, ((qx + base, cx * cf * e) for qx, cx in xs))
+            return
+        for xs, base, e, (fr, fi, fd) in self._fitting(xterms, fterms, cutoff):
+            fr *= sign * e
+            fi *= sign * e
+            for qx, (xr, xi, xd) in xs:
+                key = qx + base
+                # a real factor scales both parts: two products, not four
+                if not fi:
+                    re, im = xr * fr, xi * fr
+                elif not xi:
+                    re, im = xr * fr, xr * fi
+                else:
+                    re, im = xr * fr - xi * fi, xr * fi + xi * fr
+                prev = out.get(key)
+                if prev is None:
+                    out[key] = re, im, xd * fd
+                elif total := _add(prev, re, im, xd * fd):
+                    out[key] = total
+                else:
+                    del out[key]
+
+    def bracket(self, xs: dict, ys: dict, cutoff: int) -> dict:
+        """``[X, Y]`` on stored terms: direction to key to unreduced
+        coefficient."""
+        store: dict[Mode, dict] = {}
+        for j, comp in ys.items():
+            target: dict = {}
+            self.lie_into(target, xs, comp, cutoff)
+            if target:
+                store[j] = target
+        for j, comp in xs.items():
+            target = store.setdefault(j, {})
+            self.lie_into(target, ys, comp, cutoff, -1)
+            if not target:
+                del store[j]
+        return store
+
+
+# ---------------------------------------------------------------------------
 # scalar series
 # ---------------------------------------------------------------------------
 
@@ -186,24 +406,17 @@ class ScalarSeries:
 
     __slots__ = ("ctx", "_terms")
 
-    def __init__(
-        self,
-        ctx: TruncationContext,
-        terms: Iterable[tuple[MultiIndex, object]] | dict = (),
-    ):
-        if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = terms
-        store: dict[MultiIndex, object] = {}
-        for q, c in items:
-            c = coerce_coefficient(ctx, c)
-            if ctx.is_zero_coeff(c):
+    def __init__(self, ctx: TruncationContext, terms: Iterable[tuple] | dict = ()):
+        packing = _Packing.of(ctx)
+        store: dict[int, object] = {}
+        for q, c in terms.items() if isinstance(terms, dict) else terms:
+            c = _stored(ctx, c)
+            if _vanishes(c):
                 continue
             _validate_scalar_key(ctx, q)
-            _accumulate(ctx, store, q, c)
+            _sum_into(ctx.exact, store, ((packing.key(q), c),))
         self.ctx = ctx
-        self._terms = store
+        self._terms = _reduce(ctx.exact, store)
 
     @classmethod
     def _raw(cls, ctx, store):
@@ -219,7 +432,11 @@ class ScalarSeries:
         return not self._terms
 
     def terms(self) -> list[tuple[MultiIndex, object]]:
-        return sorted(self._terms.items(), key=lambda it: it[0].sort_key())
+        index = _Packing.of(self.ctx).index
+        return sorted(
+            ((index(key), _edge(c)) for key, c in self._terms.items()),
+            key=lambda it: it[0].sort_key(),
+        )
 
     def __eq__(self, other) -> bool:
         return (
@@ -245,20 +462,17 @@ class VectorField:
 
     __slots__ = ("ctx", "_terms")
 
-    def __init__(
-        self,
-        ctx: TruncationContext,
-        terms: Iterable[tuple[Mode, MultiIndex, object]] = (),
-    ):
-        store: dict[Mode, dict[MultiIndex, object]] = {}
+    def __init__(self, ctx: TruncationContext, terms: Iterable[tuple] = ()):
+        packing = _Packing.of(ctx)
+        store: dict[Mode, dict[int, object]] = {}
         for k, q, c in terms:
-            c = coerce_coefficient(ctx, c)
-            if ctx.is_zero_coeff(c):
+            c = _stored(ctx, c)
+            if _vanishes(c):
                 continue
             _validate_field_key(ctx, k, q)
-            _accumulate(ctx, store.setdefault(k, {}), q, c)
+            _sum_into(ctx.exact, store.setdefault(k, {}), ((packing.key(q), c),))
         self.ctx = ctx
-        self._terms = {k: comp for k, comp in store.items() if comp}
+        self._terms = {k: _reduce(ctx.exact, comp) for k, comp in store.items() if comp}
 
     @classmethod
     def zero(cls, ctx: TruncationContext) -> "VectorField":
@@ -275,6 +489,13 @@ class VectorField:
         obj._terms = {k: comp for k, comp in store.items() if comp}
         return obj
 
+    @classmethod
+    def _diagonal(cls, ctx, values: dict) -> "VectorField":
+        """``sum_k values[k] x_k d/dx_k`` from stored coefficients."""
+        packing = _Packing.of(ctx)
+        units = {k: packing.top + packing.weights[k] for k in values}
+        return cls._raw(ctx, {k: {units[k]: c} for k, c in values.items() if not _vanishes(c)})
+
     # -- queries ------------------------------------------------------
 
     @property
@@ -288,29 +509,35 @@ class VectorField:
         return sorted(self._terms, key=mode_key)
 
     def coefficient(self, k: Mode, q: MultiIndex):
-        return self._terms.get(k, {}).get(q)
+        c = self._terms.get(k, {}).get(_Packing.of(self.ctx).key(q))
+        return None if c is None else _edge(c)
 
     def terms(self) -> list[tuple[Mode, MultiIndex, object]]:
-        out = []
+        return [(k, q, _edge(c)) for k, _, q, c in self._sorted_terms()]
+
+    def _sorted_terms(self) -> Iterator[tuple[Mode, int, MultiIndex, object]]:
+        """``(k, key, q, stored coefficient)`` in ``terms()`` order."""
+        index = _Packing.of(self.ctx).index
         for k in self.directions():
             comp = self._terms[k]
-            for q in sorted(comp, key=lambda idx: idx.sort_key()):
-                out.append((k, q, comp[q]))
-        return out
+            for q, key in sorted(((index(key), key) for key in comp), key=lambda t: t[0].sort_key()):
+                yield k, key, q, comp[key]
 
-    def _iter_terms(self) -> Iterator[tuple[Mode, MultiIndex, object]]:
+    def _iter_terms(self) -> Iterator[tuple[Mode, int, MultiIndex, object]]:
+        """``(k, key, q, stored coefficient)`` in stored order."""
+        index = _Packing.of(self.ctx).index
         for k, comp in self._terms.items():
-            for q, c in comp.items():
-                yield k, q, c
+            for key, c in comp.items():
+                yield k, key, index(key), c
 
     def order(self) -> int | None:
         """Smallest scaling order ``|q| - 1`` present, or None if zero."""
-        degs = [q.degree - 1 for _, comp in self._terms.items() for q in comp]
-        return min(degs) if degs else None
+        keys = [min(comp) for comp in self._terms.values()]
+        return min(keys) // _Packing.of(self.ctx).top - 1 if keys else None
 
     def max_order(self) -> int | None:
-        degs = [q.degree - 1 for _, comp in self._terms.items() for q in comp]
-        return max(degs) if degs else None
+        keys = [max(comp) for comp in self._terms.values()]
+        return max(keys) // _Packing.of(self.ctx).top - 1 if keys else None
 
     def __eq__(self, other) -> bool:
         return (
@@ -323,12 +550,11 @@ class VectorField:
 
     def __add__(self, other: "VectorField") -> "VectorField":
         _same_ctx(self.ctx, other.ctx)
+        exact = self.ctx.exact
         store = {k: dict(comp) for k, comp in self._terms.items()}
         for k, comp in other._terms.items():
-            target = store.setdefault(k, {})
-            for q, c in comp.items():
-                _accumulate(self.ctx, target, q, c)
-        return VectorField._raw(self.ctx, store)
+            _sum_into(exact, store.setdefault(k, {}), comp.items())
+        return VectorField._raw(self.ctx, {k: _reduce(exact, comp) for k, comp in store.items()})
 
     def __sub__(self, other: "VectorField") -> "VectorField":
         return self + other.scale(-1)
@@ -337,22 +563,23 @@ class VectorField:
         return self.scale(-1)
 
     def scale(self, factor) -> "VectorField":
-        factor = coerce_coefficient(self.ctx, factor)
-        if self.ctx.is_zero_coeff(factor):
+        factor = _stored(self.ctx, factor)
+        if _vanishes(factor):
             return VectorField._raw(self.ctx, {})
+        times = _product if self.ctx.exact else complex.__mul__
         store = {
-            k: {q: c * factor for q, c in comp.items()}
+            k: {key: times(c, factor) for key, c in comp.items()}
             for k, comp in self._terms.items()
         }
         return VectorField._raw(self.ctx, store)
 
     def map_coefficients(self, fn: Callable[[Mode, MultiIndex, object], object]):
         """Termwise coefficient map; drops terms mapped to zero."""
-        store: dict[Mode, dict[MultiIndex, object]] = {}
-        for k, q, c in self._iter_terms():
-            new = coerce_coefficient(self.ctx, fn(k, q, c))
-            if not self.ctx.is_zero_coeff(new):
-                store.setdefault(k, {})[q] = new
+        store: dict[Mode, dict[int, object]] = {}
+        for k, key, q, c in self._iter_terms():
+            new = _stored(self.ctx, fn(k, q, _edge(c)))
+            if not _vanishes(new):
+                store.setdefault(k, {})[key] = new
         return VectorField._raw(self.ctx, store)
 
     # -- derivations ----------------------------------------------------
@@ -361,10 +588,9 @@ class VectorField:
         """Lie bracket ``[X, Y]^(j) = X(Y^(j)) - Y(X^(j))``, truncated at
         the field cutoff."""
         _same_ctx(self.ctx, other.ctx)
-        packing = _Packing(self.ctx)
-        xs, ys = packing.field(self._terms), packing.field(other._terms)
-        store = packing.bracket(xs, ys, packing.negate(xs), self.ctx.degree_cutoff + 1)
-        return VectorField._raw(self.ctx, {j: packing.unpack(t) for j, t in store.items()})
+        ctx = self.ctx
+        store = _Packing.of(ctx).bracket(self._terms, other._terms, ctx.degree_cutoff + 1)
+        return VectorField._raw(ctx, {j: _reduce(ctx.exact, t) for j, t in store.items()})
 
     # -- projections ----------------------------------------------------
 
@@ -373,11 +599,10 @@ class VectorField:
         return self.project(lambda k, q: q.degree == d + 1)
 
     def project(self, keep: Callable[[Mode, MultiIndex], bool]) -> "VectorField":
-        store = {}
-        for k, comp in self._terms.items():
-            kept = {q: c for q, c in comp.items() if keep(k, q)}
-            if kept:
-                store[k] = kept
+        store: dict[Mode, dict[int, object]] = {}
+        for k, key, q, c in self._iter_terms():
+            if keep(k, q):
+                store.setdefault(k, {})[key] = c
         return VectorField._raw(self.ctx, store)
 
     def split_diagonal(self) -> tuple["VectorField", "VectorField"]:
@@ -395,11 +620,12 @@ class VectorField:
         ``s``: absolute coefficients summed against the monomial weights,
         l1 in the exponent and l2 across directions."""
         theta = self.ctx.theta
+        index = _Packing.of(self.ctx).index
         upper_sq = 0.0
         for k, comp in self._terms.items():
             col = sum(
-                abs(complex(c)) * norm_weight(q, k, r, s, theta)
-                for q, c in comp.items()
+                abs(_complex(c)) * norm_weight(index(key), k, r, s, theta)
+                for key, c in comp.items()
             )
             upper_sq += col * col
         return math.sqrt(upper_sq)
@@ -413,12 +639,13 @@ class VectorField:
         generates; this term-by-term evaluator is a reference the tests
         compare one generated RK4 step against."""
         positions = self.ctx.mode_positions()
+        index = _Packing.of(self.ctx).index
         out = [0j] * len(positions)
         for k, comp in self._terms.items():
             acc = 0j
-            for q, c in comp.items():
-                val = complex(c)
-                for m, e in q.items():
+            for key, c in comp.items():
+                val = _complex(c)
+                for m, e in index(key).items():
                     val *= x[positions[m]] ** e
                 acc += val
             out[positions[k]] = acc
@@ -428,10 +655,11 @@ class VectorField:
         """Copy of the field over the float twin of the context."""
         if not self.ctx.exact:
             return self
-        fctx = self.ctx.with_arithmetic("float")
-        return VectorField(
-            fctx, ((k, q, complex(c)) for k, q, c in self._iter_terms())
-        )
+        store = {}
+        for k, comp in self._terms.items():
+            values = ((key, _complex(c)) for key, c in comp.items())
+            store[k] = {key: c for key, c in values if abs(c) > FLOAT_ATOL}
+        return VectorField._raw(self.ctx.with_arithmetic("float"), store)
 
     # -- text ----------------------------------------------------------
 
@@ -506,210 +734,13 @@ def _validate_field_key(ctx: TruncationContext, k: Mode, q: MultiIndex) -> None:
         )
 
 
-def _accumulate(ctx, store: dict, key, value) -> None:
-    prev = store.get(key)
-    acc = value if prev is None else prev + value
-    if ctx.is_zero_coeff(acc):
-        store.pop(key, None)
-    else:
-        store[key] = acc
-
-
-# The Lie kernel runs on packed terms.  A packed exponent is one integer:
-# the entry of the i-th mode of ``ctx.modes()`` is its base-``radix`` digit
-# i, and the degree is the digit above them all (weight ``top``).  Field
-# exponents reach degree ``degree_cutoff + 1`` and series keys
-# ``degree_cutoff``, so ``radix = degree_cutoff + 2`` exceeds every entry of
-# an operand and of a kept product.  A product exponent ``qx + qf - e_k``,
-# its degree included, is then one integer sum, and ``degree <= room`` is
-# ``key < (room + 1) * top``.
-#
-# An exact coefficient is packed as Gaussian-integer numerators over the
-# term's own denominator, ``(re + i*im) / den``, never reduced on the way: a
-# product multiplies the denominators, a sum adds the numerators when the
-# denominators agree and cross-multiplies otherwise.  ``Fraction`` reduces
-# once per output term, at unpack.  One denominator per operand (their lcm)
-# would make every numerator as large as the product of the operand's
-# distinct denominators.  Float coefficients stay complex.
-#
-# Accumulation pops a key whose sum is zero, so a key that cancels and comes
-# back is re-inserted at the end: output dicts keep the insertion order of
-# the ``GaussianRational`` form, which fixes the order float sums (the
-# float lane, ``majorant_norm``) later run in.
-
-
-def _add(prev: tuple, re: int, im: int, den: int) -> tuple | None:
-    """``prev + (re + i*im) / den`` on packed exact coefficients, or None
-    when the sum is zero.  Without a gcd: a denominator that divides the
-    other is scaled up to it, and two that do not are multiplied."""
-    pr, pi, pd = prev
-    if pd == den:
-        re += pr
-        im += pi
-    elif not den % pd:
-        m = den // pd
-        re += pr * m
-        im += pi * m
-    elif not pd % den:
-        m = pd // den
-        re, im, den = re * m + pr, im * m + pi, pd
-    else:
-        re, im, den = re * pd + pr * den, im * pd + pi * den, den * pd
-    return (re, im, den) if re or im else None
-
-
-class _Packing:
-    """Packed exponents and coefficients over one context."""
-
-    __slots__ = ("exact", "radix", "modes", "weights", "top", "is_zero", "built")
-
-    def __init__(self, ctx: TruncationContext):
-        self.exact = ctx.exact
-        self.radix = radix = ctx.degree_cutoff + 2
-        self.modes = modes = ctx.modes()
-        self.weights = {m: radix**i for i, m in enumerate(modes)}
-        self.top = radix ** len(modes)
-        self.is_zero = ctx.is_zero_coeff
-        self.built: dict[int, MultiIndex] = {}
-
-    def pack(self, terms: dict) -> list[tuple]:
-        """``(key, re, im, den)`` (exact) or ``(key, c)`` (float) of each
-        term, in order; ``built`` records each key's ``MultiIndex``."""
-        weights, top, exact, built = self.weights, self.top, self.exact, self.built
-        out = []
-        for q, c in terms.items():
-            key = q.degree * top
-            for m, e in q.items():
-                key += e * weights[m]
-            built[key] = q
-            if exact:
-                re, b = c.re.numerator, c.re.denominator
-                im, d = c.im.numerator, c.im.denominator
-                out.append((key, re, im, b) if b == d else (key, re * d, im * b, b * d))
-            else:
-                out.append((key, c))
-        return out
-
-    def field(self, terms: dict) -> dict[Mode, list]:
-        return {k: self.pack(comp) for k, comp in terms.items()}
-
-    def negate(self, packed: dict[Mode, list]) -> dict[Mode, list]:
-        if self.exact:
-            return {
-                k: [(key, -re, -im, den) for key, re, im, den in comp]
-                for k, comp in packed.items()
-            }
-        return {k: [(key, -c) for key, c in comp] for k, comp in packed.items()}
-
-    def unpack(self, packed: dict) -> dict:
-        """The exponent map of ``packed`` (key to exact ``(re, im, den)``
-        or complex), in its order; ``built`` caches one ``MultiIndex`` per
-        packed exponent."""
-        radix, modes, top, exact, built = self.radix, self.modes, self.top, self.exact, self.built
-        out = {}
-        for key, c in packed.items():
-            q = built.get(key)
-            if q is None:
-                pairs = []
-                i = 0
-                rest = key % top
-                while rest:
-                    rest, e = divmod(rest, radix)
-                    if e:
-                        pairs.append((modes[i], e))
-                    i += 1
-                q = built[key] = MultiIndex._from_sorted(tuple(pairs), key // top)
-            if exact:
-                re, im, den = c
-                c = GaussianRational(Fraction(re, den), Fraction(im, den))
-            out[q] = c
-        return out
-
-    def _fitting(self, xterms: dict[Mode, list], fterms: list, cutoff: int):
-        """For each direction ``k`` of X and each f term with ``x_k`` in
-        it: the X^(k) terms whose product with it stays within ``cutoff``
-        (in stored order; each component is filtered once per distinct f
-        degree), the key offset ``-e_k`` of the product, the exponent of
-        ``x_k`` and the f term."""
-        radix, weights, top = self.radix, self.weights, self.top
-        for k, comp in xterms.items():
-            w = weights[k]
-            shift = w + top
-            fits: dict[int, list] = {}
-            for term in fterms:
-                qf = term[0]
-                e = qf // w % radix
-                if not e:
-                    continue
-                limit = (cutoff + 2 - qf // top) * top
-                xs = fits.get(limit)
-                if xs is None:
-                    xs = fits[limit] = [t for t in comp if t[0] < limit]
-                if xs:
-                    yield xs, qf - shift, e, term
-
-    def lie_into(self, out: dict, xterms: dict[Mode, list], fterms: list, cutoff: int):
-        """Accumulate ``sum_k X^(k) * d f / dx_k`` into ``out`` (packed
-        key to coefficient), skipping products above ``cutoff``."""
-        if not self.exact:
-            is_zero = self.is_zero
-            for xs, base, e, (_, cf) in self._fitting(xterms, fterms, cutoff):
-                for qx, cx in xs:
-                    key = qx + base
-                    value = cx * cf * e
-                    prev = out.get(key)
-                    if prev is not None:
-                        value = prev + value
-                    if is_zero(value):
-                        out.pop(key, None)
-                    else:
-                        out[key] = value
-            return
-        for xs, base, e, (_, fr, fi, fd) in self._fitting(xterms, fterms, cutoff):
-            fr *= e
-            fi *= e
-            for qx, xr, xi, xd in xs:
-                key = qx + base
-                # a real factor scales both parts: two products, not four
-                if not fi:
-                    re, im = xr * fr, xi * fr
-                elif not xi:
-                    re, im = xr * fr, xr * fi
-                else:
-                    re, im = xr * fr - xi * fi, xr * fi + xi * fr
-                prev = out.get(key)
-                if prev is None:
-                    out[key] = re, im, xd * fd
-                elif total := _add(prev, re, im, xd * fd):
-                    out[key] = total
-                else:
-                    del out[key]
-
-    def bracket(self, xs: dict, ys: dict, neg_xs: dict, cutoff: int) -> dict:
-        """``[X, Y]`` on packed operands (``neg_xs`` is ``-X``): direction
-        to packed key to coefficient."""
-        store: dict[Mode, dict] = {}
-        for j, comp in ys.items():
-            target: dict = {}
-            self.lie_into(target, xs, comp, cutoff)
-            if target:
-                store[j] = target
-        for j, comp in neg_xs.items():
-            target = store.setdefault(j, {})
-            self.lie_into(target, ys, comp, cutoff)
-            if not target:
-                del store[j]
-        return store
-
-
 def lie_derivative(x: VectorField, f: ScalarSeries) -> ScalarSeries:
     """Derivative of the scalar ``f`` along the field ``x``:
     ``sum_k X^(k) * df/dx_k``, truncated at the scalar cutoff."""
     _same_ctx(x.ctx, f.ctx)
-    packing = _Packing(x.ctx)
     store: dict[int, object] = {}
-    packing.lie_into(store, packing.field(x._terms), packing.pack(f._terms), x.ctx.degree_cutoff)
-    return ScalarSeries._raw(x.ctx, packing.unpack(store))
+    _Packing.of(x.ctx).lie_into(store, x._terms, f._terms, x.ctx.degree_cutoff)
+    return ScalarSeries._raw(x.ctx, _reduce(x.ctx.exact, store))
 
 
 def _series_bound(f: VectorField) -> int:
@@ -729,33 +760,24 @@ def lie_exp(f: VectorField, w: VectorField) -> tuple[VectorField, int]:
     and the number of its nonzero terms ``ad_F^k(W)/k!`` after ``W``;
     more than :func:`_series_bound` of them raise ``NormalFormError``.
 
-    F and W are packed once; each term stays packed and the running sum is
-    unpacked once.  In the exact lane ``1/k`` folds into a term's
-    denominators; in the float lane it multiplies the coefficients as
-    ``VectorField.scale`` does, and each sum is ``_accumulate``'s.  The sum
-    keeps the insertion order of ``W + t_1 + t_2 + ...`` summed with
-    ``__add__``: a key that cancels is removed, and a direction left empty
-    is dropped."""
+    The terms and the running sum stay unreduced, and each term of the sum
+    is reduced once, at the end.  In the exact lane ``1/k`` folds into a
+    term's denominators; in the float lane it multiplies the coefficients
+    as ``VectorField.scale`` does.  The sum keeps the insertion order of
+    ``W + t_1 + t_2 + ...`` summed with ``__add__``."""
     if f.is_zero:
         return w, 0
     bound = _series_bound(f)
     _same_ctx(f.ctx, w.ctx)
     ctx = w.ctx
-    packing = _Packing(ctx)
-    fs = packing.field(f._terms)
-    neg_fs = packing.negate(fs)
-    current = packing.field(w._terms)
-    if ctx.exact:
-        total = {
-            j: {key: (re, im, den) for key, re, im, den in comp}
-            for j, comp in current.items()
-        }
-    else:
-        total = {j: dict(comp) for j, comp in current.items()}
+    exact = ctx.exact
+    packing = _Packing.of(ctx)
+    current = w._terms
+    total = {j: dict(comp) for j, comp in current.items()}
     cutoff = ctx.degree_cutoff + 1
     k = 0
     while True:
-        store = packing.bracket(fs, current, neg_fs, cutoff)
+        store = packing.bracket(f._terms, current, cutoff)
         if not store:
             break
         k += 1
@@ -764,38 +786,20 @@ def lie_exp(f: VectorField, w: VectorField) -> tuple[VectorField, int]:
                 "Lie series exceeded the degree bound %d; generator order "
                 "bookkeeping is inconsistent" % bound
             )
-        current = {}
-        if ctx.exact:
-            for j, terms in store.items():
-                comp = current[j] = [
-                    (key, re, im, den * k) for key, (re, im, den) in terms.items()
-                ]
-                target = total.setdefault(j, {})
-                for key, re, im, den in comp:
-                    prev = target.get(key)
-                    if prev is None:
-                        target[key] = re, im, den
-                    elif value := _add(prev, re, im, den):
-                        target[key] = value
-                    else:
-                        del target[key]
-                if not target:
-                    del total[j]
-        else:
-            factor = coerce_coefficient(ctx, Fraction(1, k))
-            for j, terms in store.items():
-                comp = current[j] = [(key, c * factor) for key, c in terms.items()]
-                target = total.setdefault(j, {})
-                for key, c in comp:
-                    _accumulate(ctx, target, key, c)
-                if not target:
-                    del total[j]
+        # 1/k: into the exact denominators, or as the complex of Fraction(1, k)
+        factor = complex(1 / k, 0.0)
+        current = {
+            j: {key: (c[0], c[1], c[2] * k) if exact else c * factor for key, c in t.items()}
+            for j, t in store.items()
+        }
+        for j, comp in current.items():
+            target = total.setdefault(j, {})
+            _sum_into(exact, target, comp.items())
+            if not target:
+                del total[j]
     if not k:
         return w, 0
-    return (
-        VectorField._raw(ctx, {j: packing.unpack(t) for j, t in total.items()}),
-        k,
-    )
+    return VectorField._raw(ctx, {j: _reduce(exact, t) for j, t in total.items()}), k
 
 
 def _split_term_line(line: str) -> tuple[str, str, str]:

@@ -235,6 +235,8 @@ class TruncationContext:
     arithmetic: str = "exact"
     _modes: tuple[Mode, ...] = field(init=False, repr=False, compare=False)
     _mode_set: frozenset[Mode] = field(init=False, repr=False, compare=False)
+    # the packed term form of ``resnf.fields``, built on first use
+    _packing: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode_cutoff < 1:

@@ -27,8 +27,8 @@ from .errors import (
     ProblemFileError,
     ResonantTermInRange,
 )
-from .fields import VectorField, _series_bound, bracket, lie_exp
-from .indexing import TruncationContext, format_mode
+from .fields import VectorField, _quotient, _series_bound, bracket, lie_exp
+from .indexing import FLOAT_ATOL, TruncationContext, format_mode
 from .resonance import FrequencyModel, ResonanceModule, split_ideals
 
 CHI = 1.5
@@ -107,7 +107,7 @@ def decompose(w: VectorField, module: ResonanceModule) -> DecomposedField:
             % model.name
         )
     z, x, n = {}, {}, {}
-    for k, q, c in w.terms():
+    for k, key, q, c in w._sorted_terms():
         order = q.degree - 1
         if order == 0:
             continue
@@ -123,16 +123,16 @@ def decompose(w: VectorField, module: ResonanceModule) -> DecomposedField:
                     "resonant non-diagonal term x^%s d/dx_%s: the kernel "
                     "below the cutoff order must be diagonal" % (q, format_mode(k))
                 )
-            z.setdefault(k, {})[q] = c
+            z.setdefault(k, {})[key] = c
         elif module.classify(q) == 2:
-            n.setdefault(k, {})[q] = c
+            n.setdefault(k, {})[key] = c
         else:
-            x.setdefault(k, {})[q] = c
+            x.setdefault(k, {})[key] = c
     return DecomposedField(module, *(VectorField._raw(ctx, store) for store in (z, x, n)))
 
 
 def _require_diagonal_resonant(z: VectorField, model: FrequencyModel) -> None:
-    for k, q, _ in z.terms():
+    for k, _, q, _ in z._sorted_terms():
         if q.get(k) < 1 or not model.is_resonant_pair(q, k):
             raise HypothesisViolation(
                 "Z term x^%s d/dx_%s is not diagonal resonant" % (q, format_mode(k))
@@ -144,21 +144,41 @@ def _require_diagonal_resonant(z: VectorField, model: FrequencyModel) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _divide(y: VectorField, model: FrequencyModel, sign: int, resonant: Callable) -> VectorField:
+    """Termwise ``sign * Y_q^(k) / (lambda . (q - e_k))`` on the stored
+    coefficients; ``resonant(k, q)`` raises for a zero divisor.  The exact
+    lane divides by the integer pair ``model._scaled(key)`` over
+    ``model.exact_unit()``; the float lane by ``model.value(key, False)``,
+    negating the quotient and dropping one at or below ``FLOAT_ATOL``."""
+    unit = sign * model.exact_unit() if y.ctx.exact and not y.is_zero else 0
+    store: dict = {}
+    for k, key, q, c in y._iter_terms():
+        divisor = model.key(q, k)
+        if not divisor:
+            resonant(k, q)
+        if unit:
+            c = _quotient(c, *model._scaled(divisor), unit)
+        else:
+            c = c / model.value(divisor, False)
+            if sign < 0:
+                c = -c
+            if abs(c) <= FLOAT_ATOL:
+                continue
+        store.setdefault(k, {})[key] = c
+    return VectorField._raw(y.ctx, store)
+
+
 def solve_linear_homological(y: VectorField, model: FrequencyModel) -> VectorField:
     """The unique ``F`` with ``[D(lambda), F] = Y``, termwise
     ``F_q^(k) = Y_q^(k) / (lambda . (q - e_k))``."""
-    ctx = y.ctx
 
-    def divide(k, q, c):
-        key = model.key(q, k)
-        if not key:
-            raise ResonantTermInRange(
-                "term x^%s d/dx_%s has zero divisor; it lies in the kernel, "
-                "not the range" % (q, format_mode(k))
-            )
-        return c / model.value(key, ctx.exact)
+    def resonant(k, q):
+        raise ResonantTermInRange(
+            "term x^%s d/dx_%s has zero divisor; it lies in the kernel, "
+            "not the range" % (q, format_mode(k))
+        )
 
-    return y.map_coefficients(divide)
+    return _divide(y, model, 1, resonant)
 
 
 def _a_inverse(y: VectorField, model: FrequencyModel) -> VectorField:
@@ -166,24 +186,21 @@ def _a_inverse(y: VectorField, model: FrequencyModel) -> VectorField:
     divisor on each monomial term)."""
     ctx = y.ctx
 
-    def divide(k, q, c):
-        key = model.key(q, k)
-        if not key:
-            if q.degree == ctx.degree_cutoff + 1:
-                # enumeration records resonant pairs only up to degree D
-                raise CutoffTooSmall(
-                    "resonant term x^%s d/dx_%s at degree %d lies beyond the "
-                    "enumeration window %d; raise the degree cutoff"
-                    % (q, format_mode(k), q.degree, ctx.degree_cutoff)
-                )
-            raise ResonantTermInRange(
-                "resonant term x^%s d/dx_%s inside a class-0/1 block: the "
-                "ideal classification and the kernel structure disagree"
-                % (q, format_mode(k))
+    def resonant(k, q):
+        if q.degree == ctx.degree_cutoff + 1:
+            # enumeration records resonant pairs only up to degree D
+            raise CutoffTooSmall(
+                "resonant term x^%s d/dx_%s at degree %d lies beyond the "
+                "enumeration window %d; raise the degree cutoff"
+                % (q, format_mode(k), q.degree, ctx.degree_cutoff)
             )
-        return -(c / model.value(key, ctx.exact))
+        raise ResonantTermInRange(
+            "resonant term x^%s d/dx_%s inside a class-0/1 block: the "
+            "ideal classification and the kernel structure disagree"
+            % (q, format_mode(k))
+        )
 
-    return y.map_coefficients(divide)
+    return _divide(y, model, -1, resonant)
 
 
 def solve_extended_homological(

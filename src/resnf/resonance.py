@@ -28,7 +28,7 @@ from .errors import (
     ProblemFileError,
     UniqueFactorizationViolation,
 )
-from .fields import GaussianRational, VectorField
+from .fields import GaussianRational, VectorField, _reduced
 from .indexing import (
     Mode,
     MultiIndex,
@@ -224,19 +224,25 @@ class FrequencyModel:
         """``sum_i key_i * symbol_i`` over the common denominator: a
         ``GaussianRational`` when ``exact``, else a complex number."""
         if exact:
-            if not self.exact_capable:
-                raise ModelError(
-                    "model %s has irrational symbol values; exact arithmetic "
-                    "is unavailable" % self.name
-                )
+            unit = self.exact_unit()
             re, im = self._scaled(key)
-            return GaussianRational(Fraction(re, self._unit), Fraction(im, self._unit))
+            return GaussianRational(Fraction(re, unit), Fraction(im, unit))
         den = self._den
         floats = self._floats
         acc = 0j
         for i, (a, b) in key.items():
             acc += complex(a / den, b / den) * floats[i]
         return acc
+
+    def exact_unit(self) -> int:
+        """The integer that ``_scaled`` multiplies values by; ModelError
+        when a symbol value is irrational."""
+        if not self.exact_capable:
+            raise ModelError(
+                "model %s has irrational symbol values; exact arithmetic "
+                "is unavailable" % self.name
+            )
+        return self._unit
 
     def is_resonant_combination(self, p: MultiIndex) -> bool:
         """Exact test of ``lambda . p = 0`` (symbolic, value-independent)."""
@@ -267,13 +273,12 @@ class FrequencyModel:
     def linear_field(self, ctx: TruncationContext) -> VectorField:
         """The diagonal linear vector field ``sum_k lambda_k x_k d/dx_k``."""
         self.validate(ctx)
-        return VectorField(
-            ctx,
-            (
-                (k, MultiIndex.unit(k), self.eigenvalue(k, ctx))
-                for k in ctx.modes()
-            ),
-        )
+        if ctx.exact:
+            unit = self.exact_unit()
+            values = {k: _reduced(*self._scaled(self._table[k]), unit) for k in ctx.modes()}
+        else:
+            values = {k: self.value(self._table[k], False) for k in ctx.modes()}
+        return VectorField._diagonal(ctx, values)
 
     def __repr__(self):
         return "FrequencyModel(%s, %d modes, %d symbols)" % (
@@ -462,8 +467,8 @@ def split_ideals(
 ) -> tuple[VectorField, VectorField, VectorField]:
     """Split a field into its class-0, class-1 and class-2 parts."""
     stores = ({}, {}, {})
-    for k, q, c in x._iter_terms():
-        stores[module.classify(q)].setdefault(k, {})[q] = c
+    for k, key, q, c in x._iter_terms():
+        stores[module.classify(q)].setdefault(k, {})[key] = c
     return tuple(VectorField._raw(x.ctx, store) for store in stores)
 
 

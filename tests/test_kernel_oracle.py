@@ -3,16 +3,17 @@
 The kernel avoids work it would throw away: ``MultiIndex`` stores its
 ``degree`` at construction, ``contains`` compares entries without
 building ``self - other``, ``split_ideals`` classifies each term once,
-and the Lie kernel behind ``bracket`` and ``lie_derivative`` packs each
-exponent as one integer, pairs each f term only with the X terms that fit
-under the cutoff with it, and builds one ``MultiIndex`` per distinct
-output exponent.  In the exact lane it multiplies and adds Gaussian-integer
-numerators over per-term denominators and reduces once, at unpack.  The
-Lie series ``fields.lie_exp``, which ``pushforward_exp`` and ``kam_step``
-call in both lanes, stays on the packed form from its first bracket to its
-sum.
+and the Lie kernel behind ``bracket`` and ``lie_derivative`` runs on the
+stored form of fields, each exponent one integer key, and pairs each f
+term only with the X terms that fit under the cutoff with it.  In the
+exact lane it multiplies and adds Gaussian-integer numerators over
+per-term denominators and reduces each output term once.  The Lie series
+``fields.lie_exp``, which ``pushforward_exp`` and ``kam_step`` call in
+both lanes, stays on the stored form from its first bracket to its sum.
 
-The earlier forms are kept here as oracles and compared with the library:
+The earlier forms are kept here as oracles, on the earlier storage of
+``parent_fields`` (library results are read into it by ``decoded``), and
+compared with the library:
 
 - ``parent_degree``, the summed ``degree``, and ``parent_contains``, the
   allocating ``contains``, on random signed indices;
@@ -26,15 +27,15 @@ The earlier forms are kept here as oracles and compared with the library:
   ``GaussianRational`` coefficients that tested every pair against the
   cutoff, with its ``bracket`` and ``lie_derivative`` bodies, and
   ``parent_lie_series_terms`` and ``parent_pushforward_exp``, the series
-  on that kernel scaled with ``VectorField.scale`` and summed with chained
-  ``VectorField.__add__``, against ``fields.lie_exp`` in both lanes; on
+  on that kernel scaled with ``ParentField.scale`` and summed with chained
+  ``ParentField.__add__``, against ``fields.lie_exp`` in both lanes; on
   random fields with distinct denominators of 200 bits and more, zero real
   or imaginary parts and components of mixed degrees, and on a series in
   which a key and a whole direction cancel and come back;
-- ``parent_mul``, the four-product Gaussian multiply, on exact rationals
-  with either factor, both or neither real or zero;
-- ``parent_truediv``, the divide through the complex norm, on the same
-  rationals with real, purely imaginary and general divisors;
+- ``parent_mul``, the four-product Gaussian multiply, and
+  ``parent_truediv``, the divide through the complex norm, written out
+  against ``GaussianRational`` arithmetic on exact rationals with either
+  operand, both or neither real, purely imaginary or zero;
 - ``parent_split_ideals``, one projection per class.
 
 ``split_ideals`` and ``decompose`` classify on packed integers, so on the
@@ -57,6 +58,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parent_fields import ParentField, ParentSeries, decoded, layout, parent_accumulate
 from resnf import fields
 from resnf.fields import GaussianRational, ScalarSeries, VectorField
 from resnf.indexing import Mode, MultiIndex, TruncationContext, iter_indices
@@ -91,11 +93,12 @@ def parent_lie_into(ctx, out, xterms, fdict, cutoff, tally=None):
                 if tally is not None:
                     tally[kept] += 1
                 if kept:
-                    fields._accumulate(ctx, out, q_new, cx * cf * e)
+                    parent_accumulate(ctx, out, q_new, cx * cf * e)
 
 
 def parent_bracket(x, y, tally=None):
     """The earlier ``VectorField.bracket`` body on ``parent_lie_into``."""
+    x, y = decoded(x), decoded(y)
     cutoff = x.ctx.degree_cutoff + 1
     store = {}
     for j, comp in y._terms.items():
@@ -109,14 +112,15 @@ def parent_bracket(x, y, tally=None):
         parent_lie_into(x.ctx, target, y._terms, neg, cutoff, tally)
         if not target:
             store.pop(j, None)
-    return VectorField._raw(x.ctx, store)
+    return ParentField._raw(x.ctx, store)
 
 
 def parent_lie_derivative(x, f, tally=None):
     """The earlier ``VectorField.lie_derivative`` body."""
+    x, f = decoded(x), decoded(f)
     store = {}
     parent_lie_into(x.ctx, store, x._terms, f._terms, x.ctx.degree_cutoff, tally)
-    return ScalarSeries._raw(x.ctx, store)
+    return ParentSeries._raw(x.ctx, store)
 
 
 def parent_gaussian_layout(ctx):
@@ -182,6 +186,7 @@ def parent_gaussian_lie_into(ctx, layout, out, xterms, fterms, cutoff):
 
 
 def parent_gaussian_bracket(x, y):
+    x, y = decoded(x), decoded(y)
     ctx = x.ctx
     cutoff = ctx.degree_cutoff + 1
     layout = parent_gaussian_layout(ctx)
@@ -200,24 +205,26 @@ def parent_gaussian_bracket(x, y):
         if not target:
             store.pop(j, None)
     built = {}
-    return VectorField._raw(
+    return ParentField._raw(
         ctx, {j: parent_gaussian_unpack(layout, t, built) for j, t in store.items()}
     )
 
 
 def parent_gaussian_lie_derivative(x, f):
+    x, f = decoded(x), decoded(f)
     layout = parent_gaussian_layout(x.ctx)
     xs = {k: parent_gaussian_pack(layout, comp) for k, comp in x._terms.items()}
     store = {}
     parent_gaussian_lie_into(
         x.ctx, layout, store, xs, parent_gaussian_pack(layout, f._terms), x.ctx.degree_cutoff
     )
-    return ScalarSeries._raw(x.ctx, parent_gaussian_unpack(layout, store, {}))
+    return ParentSeries._raw(x.ctx, parent_gaussian_unpack(layout, store, {}))
 
 
 def parent_lie_series_terms(f, w):
     """The earlier series: ``ad_F^k(W)/k!`` as fields, up to the first
     zero term."""
+    w = decoded(w)
     if f.is_zero:
         return [w]
     terms = [w]
@@ -266,14 +273,6 @@ def parent_split_ideals(x, module):
     x1 = x.project(lambda k, q: module.classify(q) == 1)
     x2 = x.project(lambda k, q: module.classify(q) == 2)
     return x0, x1, x2
-
-
-def layout(obj):
-    """Terms with their insertion order, which fixes float sums and the
-    order that later passes see."""
-    if isinstance(obj, ScalarSeries):
-        return list(obj._terms.items())
-    return [(k, list(comp.items())) for k, comp in obj._terms.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -623,11 +622,11 @@ def test_series_cancellations_keep_the_chained_order(arithmetic):
     # the direction and the key that came back moved to the end
     assert list(w._terms) == [Mode(1, 1), d3, Mode(2, 1)]
     assert list(got._terms)[-1] == d3
-    assert list(got._terms[d3]) == list(sums[3][d3]) + [key]
+    assert list(decoded(got)._terms[d3]) == list(sums[3][d3]) + [key]
 
 
 # ---------------------------------------------------------------------------
-# GaussianRational: the real-factor product against four products
+# GaussianRational: products and quotients against the written-out formulas
 # ---------------------------------------------------------------------------
 
 NONZERO = st.fractions(min_value=-50, max_value=50, max_denominator=40).filter(bool)
@@ -676,7 +675,7 @@ def test_quotient_matches_the_norm_formula(left, right, data):
     if not a.is_zero:
         assert_same_quotient(b, a)
     if right == "real":
-        # an int or Fraction divisor takes the real path
+        # an int or Fraction divisor divides both parts
         got = a / b.re
         assert (got.re, got.im) == (a.re / b.re, a.im / b.re)
         if b.re.denominator == 1:
