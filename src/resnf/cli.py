@@ -80,12 +80,13 @@ TRANSFORM_FILE = "transform_log.txt"
 TRACE_FILE = "kam_trace.json"
 REPORT_FILE = "report.json"
 
-#: The most indices one window walk may visit.  ``analyze`` and
-#: ``normalize`` walk C(modes + degree_cutoff + 1, degree_cutoff + 1)
-#: indices, the divisor audit C(modes + degree_bound, degree_bound).  A
-#: fixed constant, far above every shipped problem: the 18-mode lattice at
-#: degree cutoff 6 walks 480,700 indices, a 26-mode lattice (N=6) at 8
-#: about 7.1e7.
+#: The most indices one window may hold.  ``analyze`` and ``normalize``
+#: certify a window of C(modes + degree_cutoff + 1, degree_cutoff + 1)
+#: indices, the divisor audit walks C(modes + degree_bound, degree_bound).
+#: A fixed constant, far above every shipped problem: the 18-mode lattice
+#: at degree cutoff 6 has a window of 480,700 indices (the resonance
+#: enumeration walks 170,544 over its first 15 modes and looks up the last
+#: 3), a 26-mode lattice (N=6) at 8 about 7.1e7.
 WALK_LIMIT = 10**9
 
 _MISSING = object()

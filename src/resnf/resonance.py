@@ -11,6 +11,18 @@ values.  The value of a key (``sum_i key_i * symbol_i``) is used for
 divisions, flows and Diophantine audits, and a coherence audit checks
 that within the truncation window the values vanish exactly where the
 keys do.
+
+The value is an integer-linear function of the key (``value = W . key``,
+``W`` the symbol values over their common denominator), in the exact and
+the float lane alike.  So an empty key has the value 0, and a key equal to
+an eigenvalue's key has that eigenvalue's value: an index of the window
+can be a lattice element, a resonant pair or a failure of the coherence
+audit only when its value lies within tolerance of 0 or of an
+eigenvalue's value.  The enumeration looks up exactly those indices, with
+a meet in the middle over a prefix and a suffix of the modes, and applies
+to each the rules a walk over every index would apply; every other index
+passes the audit and records nothing.  The audit therefore certifies the
+same statement as a walk over the whole window.
 """
 
 from __future__ import annotations
@@ -475,12 +487,21 @@ def split_ideals(
 def enumerate_resonance(ctx: TruncationContext, model: FrequencyModel) -> ResonanceModule:
     """Enumerate the resonance lattice and translates within the window.
 
-    Walks every nonnegative exponent ``q`` with ``|q| <= D`` (module
+    Covers every nonnegative exponent ``q`` with ``|q| <= D`` (module
     candidates and, per direction ``k``, the signed translates
     ``q - e_k``), decides resonance exactly on the model's integer keys,
     and cross-checks that the values of those keys vanish in exactly the
     same places (a value-coherence audit guarding the divisions performed
     by the solvers over the larger field window ``|q| <= D + 1``).
+
+    Certificate: the value of ``q`` is linear in its key, so ``q`` can
+    resonate, or fail the audit, only when its value is within tolerance
+    of 0 or of an eigenvalue's value.  :func:`_resonant_indices` finds
+    every such ``q`` of the window ``1 <= |q| <= D + 1`` by a lookup
+    rather than a walk over all of it, and applies the per-index rules to
+    each in walk order.  The elements, the pairs and their order, and the
+    first audit failure raised, are those of the full walk, so the audit
+    certifies the same statement.
 
     Generators: in ``(degree, sort_key)`` order, an element is one unless
     a step down by a generator already found lands on an element (the
@@ -495,53 +516,7 @@ def enumerate_resonance(ctx: TruncationContext, model: FrequencyModel) -> Resona
     """
     model.validate(ctx)
     D = ctx.degree_cutoff
-    modes = ctx.modes()
-
-    # The walk carries each index's packed key, its packed value (exact,
-    # compared against a tolerance for a model with float values) and its
-    # momentum.  The divisor key ``lambda . (q - e_k)`` is empty iff the key
-    # of ``q`` equals the eigenvalue key of ``k``, and its value vanishes
-    # iff the two values agree; only directions of the same momentum are
-    # divisors.
-    codes = model.walk_rows(modes, D + 2, ctx.momentum_enabled)
-    exactly = model.exact_capable
-    tol = None if exactly else 1e-9 * model._den  # ``within`` scales it by _scale
-    # per momentum, the directions by packed key and by packed value (a
-    # tolerance cannot be hashed: float values are scanned), in modes order
-    buckets: dict[int, tuple[dict, dict | list]] = {}
-    for k in modes:
-        kcode, vcode, mom = codes.rows[k]
-        by_key, by_value = buckets.setdefault(mom, ({}, {} if exactly else []))
-        by_key[kcode] = by_key.get(kcode, ()) + (k,)
-        if exactly:
-            by_value[vcode] = by_value.get(vcode, ()) + (k,)
-        else:
-            by_value.append((k, vcode))
-
-    module_elements: list[MultiIndex] = []
-    resonant_pairs: list[tuple[MultiIndex, Mode]] = []
-    for pairs, degree, (key, value, mom) in walk(modes, D + 1, 1, codes.rows):
-        value_zero = not value if exactly else codes.within(value, tol)
-        if (not key) != value_zero:
-            _require_coherent(model, _index(pairs, degree), None, not key, value_zero)
-        if degree <= D and not key and not mom:
-            module_elements.append(_index(pairs, degree))
-        bucket = buckets.get(mom)
-        if bucket is None:
-            continue  # no direction has this momentum
-        by_key, by_value = bucket
-        # the directions whose divisor key, and whose divisor value, vanish
-        resonant = by_key.get(key, ())
-        if exactly:
-            vanishing = by_value.get(value, ())
-        else:
-            vanishing = tuple(k for k, v in by_value if codes.within(value - v, tol))
-        if resonant != vanishing:
-            k = next(k for k in modes if (k in resonant) != (k in vanishing))
-            _require_coherent(model, _index(pairs, degree), k, k in resonant, k in vanishing)
-        if resonant and degree <= D:
-            q = _index(pairs, degree)
-            resonant_pairs.extend((q, k) for k in resonant)
+    module_elements, resonant_pairs = _resonant_indices(model, ctx)
 
     module_elements.sort(key=lambda e: (e.degree, e.sort_key()))
     element_set = frozenset(module_elements)
@@ -593,6 +568,154 @@ def enumerate_resonance(ctx: TruncationContext, model: FrequencyModel) -> Resona
     return ResonanceModule(
         model, ctx, q_generators, p_generators, element_set, resonant_pairs
     )
+
+
+#: The most entries :func:`_resonant_indices` puts in its suffix table,
+#: unless the suffix is empty.
+SPLIT_TABLE_CAP = 4096
+
+
+def resonance_split(n_modes: int, window: int, targets: int) -> int:
+    """How many leading modes :func:`_resonant_indices` walks; the rest form
+    its table.  The split ``s`` minimises the work ``C(s + window, window) +
+    targets * C(n_modes - s + window, window)`` (prefix indices walked plus
+    table entries) over the splits whose table holds at most
+    ``SPLIT_TABLE_CAP`` entries, and ``s = n_modes`` (one entry per target)
+    always qualifies; ties go to the smaller ``s``."""
+
+    def table(s):
+        return targets * math.comb(n_modes - s + window, window)
+
+    fits = [s for s in range(n_modes + 1) if s == n_modes or table(s) <= SPLIT_TABLE_CAP]
+    return min(fits, key=lambda s: math.comb(s + window, window) + table(s))
+
+
+def _resonant_indices(model: FrequencyModel, ctx: TruncationContext):
+    """The module elements and the resonant pairs ``(q, k)`` with ``|q| <=
+    D``, in the order of ``walk(ctx.modes(), D + 1, 1)`` (then modes order),
+    after the value-coherence audit of ``1 <= |q| <= D + 1``.
+
+    A meet in the middle (Horowitz & Sahni, J. ACM 21, 1974) finds the
+    indices whose value is within tolerance of a target (0 or an
+    eigenvalue's value): ``value(q) = value(p) + value(r)`` for its parts
+    ``p`` over ``modes[:s]`` and ``r`` over ``modes[s:]``.  The suffix
+    walk files each ``r`` under ``t - value(r)`` for each target ``t``, as
+    an int packing its exponent (a base ``D + 2`` digit per mode, the first
+    most significant) over its degree; the prefix walk looks up
+    ``value(p)``.  A float-valued model files grid cells of side ``>= tol
+    * value_scale`` and probes the 3 x 3 cells around ``value(p)``."""
+    D = ctx.degree_cutoff
+    window = D + 1
+    modes = ctx.modes()
+
+    # Each index carries its packed key, its packed value (exact, compared
+    # against a tolerance for a model with float values) and its momentum.
+    # The divisor key ``lambda . (q - e_k)`` is empty iff the key of ``q``
+    # equals the eigenvalue key of ``k``, and its value vanishes iff the two
+    # values agree; only directions of the same momentum are divisors.
+    codes = model.walk_rows(modes, D + 2, ctx.momentum_enabled)
+    rows = codes.rows
+    exactly = model.exact_capable
+    tol = None if exactly else 1e-9 * model._den  # ``within`` scales it by _scale
+    # per momentum, the directions by packed key and by packed value (a
+    # tolerance cannot be hashed: float values are scanned), in modes order
+    buckets: dict[int, tuple[dict, dict | list]] = {}
+    for k in modes:
+        kcode, vcode, mom = rows[k]
+        by_key, by_value = buckets.setdefault(mom, ({}, {} if exactly else []))
+        by_key[kcode] = by_key.get(kcode, ()) + (k,)
+        if exactly:
+            by_value[vcode] = by_value.get(vcode, ()) + (k,)
+        else:
+            by_value.append((k, vcode))
+
+    targets = {0} | {rows[k][1] for k in modes}
+    split = resonance_split(len(modes), window, len(targets))
+    prefix, suffix = modes[:split], modes[split:]
+    base = window + 1
+    if not exactly:
+        num, den = tol.as_integer_ratio()
+        side = max(1, -(-num * codes.value_scale // den))
+
+        def cell(code):
+            re, im = codes.unpack_value(code)
+            return re // side, im // side
+
+    table: dict = {}
+    for pairs, degree, (_, value, _) in walk(suffix, window, 0, rows):
+        exponents = dict(pairs)
+        code = 0
+        for m in suffix:
+            code = code * base + exponents.get(m, 0)
+        code = code * base + degree
+        for t in targets:
+            at = t - value if exactly else cell(t - value)
+            table.setdefault(at, []).append(code)
+    # Tuples, one allocation per key: the lists' blocks are free again
+    # before the prefix walk allocates what it keeps, which lowers the peak
+    # RSS of an analyze of the 18-mode lattice by 0.2-0.3 MB.
+    for at, entries in table.items():
+        table[at] = tuple(entries)
+    if exactly:
+        probe = table.get
+    else:
+
+        def probe(value):
+            re, im = cell(value)
+            near = (table.get((re + dr, im + di), ()) for dr in (-1, 0, 1) for di in (-1, 0, 1))
+            return sorted({code for entries in near for code in entries})
+
+    module_elements: list[MultiIndex] = []
+    resonant_pairs: list[tuple[MultiIndex, Mode]] = []
+    ordered = suffix[::-1]  # decoded least significant first
+    for ppairs, pdegree, psums in walk(prefix, window, 0, rows):
+        hits = probe(psums[1])
+        if not hits:
+            continue
+        for code in hits:
+            if code:
+                code, degree = divmod(code, base)
+                degree += pdegree
+                if degree > window:
+                    continue
+                key, value, mom = psums
+                tail = []
+                for m in ordered:
+                    code, e = divmod(code, base)
+                    if e:
+                        dk, dv, dm = rows[m]
+                        key += e * dk
+                        value += e * dv
+                        mom += e * dm
+                        tail.append((m, e))
+                tail.reverse()
+                pairs = ppairs + tail
+            elif pdegree:  # the empty suffix index: ``q = p``
+                pairs, degree, (key, value, mom) = ppairs, pdegree, psums
+            else:
+                continue
+            value_zero = not value if exactly else codes.within(value, tol)
+            if (not key) != value_zero:
+                _require_coherent(model, _index(pairs, degree), None, not key, value_zero)
+            if degree <= D and not key and not mom:
+                module_elements.append(_index(pairs, degree))
+            bucket = buckets.get(mom)
+            if bucket is None:
+                continue  # no direction has this momentum
+            by_key, by_value = bucket
+            # the directions whose divisor key, and whose divisor value, vanish
+            resonant = by_key.get(key, ())
+            if exactly:
+                vanishing = by_value.get(value, ())
+            else:
+                vanishing = tuple(k for k, v in by_value if codes.within(value - v, tol))
+            if resonant != vanishing:
+                k = next(k for k in modes if (k in resonant) != (k in vanishing))
+                _require_coherent(model, _index(pairs, degree), k, k in resonant, k in vanishing)
+            if resonant and degree <= D:
+                q = _index(pairs, degree)
+                resonant_pairs.extend((q, k) for k in resonant)
+    return module_elements, resonant_pairs
 
 
 def _index(pairs, degree: int) -> MultiIndex:

@@ -1,13 +1,14 @@
 """Differential oracle for the resonance-module certificates.
 
 ``parent_enumerate`` is the earlier implementation of
-``enumerate_resonance``: the same window walk, then five helpers that
-extract the generators with two different decomposability tests and
-count factorizations with a recursive, memoised counter per element.
-The library now states one generator rule and builds one factorization
-table; on every model below both must give the same generators,
-translates, summary and violations, or raise the same error with the
-same message.
+``enumerate_resonance``: a walk over every index of the window, then
+five helpers that extract the generators with two different
+decomposability tests and count factorizations with a recursive,
+memoised counter per element.  The library now looks up only the
+indices whose value is near 0 or an eigenvalue's, states one generator
+rule and builds one factorization table; on every model below both must
+give the same generators, translates, summary and violations, or raise
+the same error with the same message.
 """
 
 import random
@@ -34,6 +35,7 @@ from resnf.resonance import (
     ResonanceModule,
     _require_coherent,
     enumerate_resonance,
+    resonance_split,
 )
 from resnf.verify import hyperbolic_frequency_model
 
@@ -311,6 +313,28 @@ def _large_coordinate(rng):
     return GaussianRational(re, rng.randint(-10 ** 6, 10 ** 6) if rng.random() < 0.5 else 0)
 
 
+def random_edge_case(seed):
+    """A seeded float model whose symbol ``e`` has the value ``f * 1e-9``
+    with ``|f|`` near 1: a mode built as ``lambda_i + lambda_j`` (or
+    ``-lambda_i``) plus ``e`` or ``i e`` differs from that combination by
+    just inside or just outside the coherence tolerance, in the real or
+    the imaginary part, and on either side of it."""
+    rng = random.Random(seed)
+    n = rng.randint(4, 6)
+    f = rng.choice((0.5, 0.9, 0.99, 1.01, 1.1)) * rng.choice((-1, 1))
+    symbols = [("a", rng.uniform(0.5, 3.0)), ("b", rng.uniform(0.5, 3.0)), ("e", f * 1e-9)]
+    coords = {}
+    for j in range(1, n + 1):
+        if j > 2 and rng.random() < 0.6:
+            row = _resonant_row(rng, coords, j)
+            row["e"] = rng.choice((GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1)))
+        else:
+            row = {rng.choice("ab"): GaussianRational(rng.choice((1, 2, 3)))}
+        coords[Mode(j, 1)] = row
+    name = "edge-%d" % seed
+    return name, FrequencyModel(name, symbols, coords), TruncationContext(n, rng.randint(2, 3))
+
+
 def random_float_case(seed):
     """A seeded float-valued model: small integer or Gaussian coordinates,
     built-in resonances, and near-equal symbol values."""
@@ -323,13 +347,49 @@ def random_large_case(seed):
     return _seeded_model(seed, "large", _large_values, _large_coordinate)
 
 
+def _dependent_model(name, coordinates, values=(1, 2)):
+    """An exact model over ``a, b`` with the dependent values ``values``,
+    mode ``j+`` taking the ``j``-th coordinate row."""
+    symbols = [("a", Fraction(values[0])), ("b", Fraction(values[1]))]
+    coords = {Mode(j, 1): row for j, row in enumerate(coordinates, 1)}
+    return name, FrequencyModel(name, symbols, coords), TruncationContext(len(coords), 2)
+
+
+def split_cases():
+    """Windows for the split rule of the lookup walk: nls N=3 D=5 splits
+    inside its 14 modes; a 60-rung ladder at D=1 keeps every mode in the
+    walk; a one-mode model whose eigenvalue has the value 0 has one target
+    and walks no mode.  The two four-mode models (split 3, suffix ``4+``)
+    each fail the value audit at two places on opposite sides of the
+    split: first at ``4+^2``, a suffix index, then at ``3+^1``; first at
+    ``3+^1``, a prefix index, then at ``1+^1 4+^1``."""
+    yield "nls-N3-D5", nls_model(3), TruncationContext(3, 5, momentum_enabled=True)
+    rungs = {Mode(j, 1): {"a": j} for j in range(1, 61)}
+    yield "ladder-60", FrequencyModel("ladder-60", [("a", Fraction(1))], rungs), TruncationContext(60, 1)
+    yield _dependent_model("zero-value", [{"a": 1, "b": -1}], values=(1, 1))
+    yield _dependent_model("suffix-first", [{"b": 1}, {"a": 2}, {"b": 1}, {"a": 1}])
+    yield _dependent_model("prefix-first", [{"b": 1}, {"a": 7}, {"a": 2}, {"a": 5}])
+
+
+def split_of(model, ctx):
+    """Where ``enumerate_resonance`` splits the window of ``ctx``: 0, an
+    index inside the mode list, or the mode count ``n``."""
+    modes = ctx.modes()
+    targets = {(0, 0)} | {model._scaled(model._table[k]) for k in modes}
+    s = resonance_split(len(modes), ctx.degree_cutoff + 1, len(targets))
+    return {0: 0, len(modes): "n"}.get(s, "inside")
+
+
 FLOAT_CASES = [random_float_case(seed) for seed in range(80)]
+EDGE_CASES = [random_edge_case(seed) for seed in range(40)]
 LARGE_CASES = [random_large_case(seed) for seed in range(60)]
 CASES = (
     list(fixed_cases())
     + [random_case(seed) for seed in range(400)]
     + FLOAT_CASES
     + LARGE_CASES
+    + EDGE_CASES
+    + list(split_cases())
 )
 
 
@@ -356,10 +416,19 @@ def error_kind(result):
 
 def test_library_matches_parent_certificates():
     kinds = Counter()
+    splits = Counter()
+    edges = Counter()
     for name, model, ctx in CASES:
         expected = outcome(parent_enumerate, ctx, model)
         assert outcome(enumerate_resonance, ctx, model) == expected, name
         kinds[error_kind(expected)] += 1
+        splits[split_of(model, ctx)] += 1
+        if name.startswith("edge-"):
+            edges[error_kind(expected)] += 1
+    # the lookup walk splits before, inside and after the mode list, and
+    # the tolerance-edge models both pass and fail the value audit
+    assert splits[0] and splits["inside"] and splits["n"], splits
+    assert edges[None] and edges["ModelError", "symbol"], edges
     # every certificate failure occurs, so agreement is not vacuous
     for kind in (
         ("CutoffTooSmall", "module"),
