@@ -16,7 +16,7 @@ import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Container, Iterable, Sequence
 
 from .errors import (
     AlreadyNormal,
@@ -644,30 +644,35 @@ class FieldFlow:
     an ``OverflowError`` propagates.  With a bound it stops after the
     first step that leaves it (NaN never stays inside), and an
     ``OverflowError`` ends the run at the state before the failing step.
+    Each stage takes every first power once, and a component without
+    terms gets no slopes; ``compile_field`` says why both are bitwise.
     """
 
     ctx: TruncationContext
     run: Callable[..., tuple[tuple[complex, ...], bool]]
 
 
-def _term_source(coeff: str, factors: Sequence[tuple[int, int]], var: str) -> str:
+def _term_source(coeff: str, factors: Sequence[tuple[int, int]], var: str, shared: Container) -> str:
     """Source of the term ``coeff * b1**e1 * b2**e2 ...`` over the bases
-    ``<var><position>``.
+    ``<var><position>``; a factor in ``shared`` reads the power that its
+    stage took once, ``p<position>_<exponent>``.
 
-    A zero base makes the term exactly ``0j``.  The powers of the bases
-    before the first zero one are still taken: a power whose result is
-    infinite raises ``OverflowError``, and that ends the step."""
+    A zero base makes the term exactly ``0j``.  The inline powers of the
+    bases before the first zero one are still taken: a power whose result
+    is infinite raises ``OverflowError``, and that ends the step.  The
+    shared ones were taken already, so with no inline power left the
+    branch is ``0j``."""
     if not factors:
         return coeff
     bases = ["%s%d" % (var, pos) for pos, _ in factors]
-    powers = ["%s**%d" % (b, e) for b, (_, e) in zip(bases, factors)]
+    powers = ["p%d_%d" % f if f in shared else "%s%d**%d" % (var, *f) for f in factors]
     # cases[j]: the first zero base is bases[j]
-    cases = ["0j"] + [
-        "(%s, 0j)[%d]" % (", ".join(powers[:j]), j) for j in range(1, len(factors))
-    ]
+    taken = [[p for f, p in zip(factors[:j], powers) if f not in shared] for j in range(len(factors))]
+    cases = ["(%s, 0j)[%d]" % (", ".join(t), len(t)) if t else "0j" for t in taken]
     zero = cases[-1]
     for j in range(len(factors) - 2, -1, -1):
-        zero = "%s if not %s else %s" % (cases[j], bases[j], zero)
+        if cases[j] != zero:
+            zero = "%s if not %s else %s" % (cases[j], bases[j], zero)
     product = "*".join([coeff] + powers)
     return "(%s if %s else %s)" % (product, " and ".join(bases), zero)
 
@@ -680,7 +685,15 @@ def compile_field(w: VectorField) -> FieldFlow:
     are bitwise theirs (``tests/test_flow_oracle.py`` keeps that
     reference): each component is ``0j`` plus its terms in ``terms()``
     order, each term is a left-associated product, and the new state is
-    assigned at the end of the step."""
+    assigned at the end of the step.  Two rules skip work, bit for bit.
+    (1) A power that some term takes at its first base is taken once at
+    the top of each stage, and every term that uses it reads it: the
+    evaluator takes it whenever the base is nonzero, and a zero base's
+    power never raises, so a step overflows exactly when the evaluator's
+    does.  (2) A component without terms has slopes ``0j`` and gets none;
+    its stage inputs add ``zh = hh * 0j`` or ``zf = h * 0j`` and its update
+    ``z6``, the evaluator's values, once per ``run``.  A coordinate that no
+    term reads gets no stage input."""
     f = w.as_float()
     positions = f.ctx.mode_positions()
     width = len(positions)
@@ -690,6 +703,9 @@ def compile_field(w: VectorField) -> FieldFlow:
         factors = tuple((positions[m], e) for m, e in q.items())
         rows[positions[k]].append(("c%d" % len(coeffs), factors))
         coeffs.append(complex(c))
+    supports = [factors for row in rows for _, factors in row if factors]
+    shared = dict.fromkeys(factors[0] for factors in supports)
+    read = sorted({pos for factors in supports for pos, _ in factors})
 
     def each(template: str) -> list[str]:
         return [template.format(i=i) for i in range(width)]
@@ -698,25 +714,28 @@ def compile_field(w: VectorField) -> FieldFlow:
         return "(%s,)" % ", ".join(each(template))
 
     def slope(k: str, var: str) -> list[str]:
-        lines = []
+        lines = ["p%d_%d = %s%d**%d" % (pos, e, var, pos, e) for pos, e in shared]
         for i, row in enumerate(rows):
-            terms = [_term_source(c, factors, var) for c, factors in row]
-            lines.append("%s%d = %s" % (k, i, " + ".join(["0j"] + terms[:_SUM_CHUNK])))
-            for at in range(_SUM_CHUNK, len(terms), _SUM_CHUNK):
-                chunk = terms[at : at + _SUM_CHUNK]
-                lines.append("%s%d = %s" % (k, i, " + ".join(["%s%d" % (k, i)] + chunk)))
+            terms = [_term_source(c, factors, var, shared) for c, factors in row]
+            for at in range(0, len(terms), _SUM_CHUNK):
+                chunk = ["%s%d" % (k, i) if at else "0j"] + terms[at : at + _SUM_CHUNK]
+                lines.append("%s%d = %s" % (k, i, " + ".join(chunk)))
         return lines
+
+    def inputs(k: str, h: str, zero: str) -> list[str]:
+        return ["y%d = x%d + %s" % (i, i, "%s * %s%d" % (h, k, i) if rows[i] else zero) for i in read]
 
     step = (
         slope("k1_", "x")
-        + each("y{i} = x{i} + hh * k1_{i}")
+        + inputs("k1_", "hh", "zh")
         + slope("k2_", "y")
-        + each("y{i} = x{i} + hh * k2_{i}")
+        + inputs("k2_", "hh", "zh")
         + slope("k3_", "y")
-        + each("y{i} = x{i} + h * k3_{i}")
+        + inputs("k3_", "h", "zf")
         + slope("k4_", "y")
     )
     update = "x{i} + h6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
+    updates = [update.format(i=i) if row else "x%d + z6" % i for i, row in enumerate(rows)]
     inside = " and ".join(each("abs(x{i}) <= blowup"))
     lines = ["def run(x, h, n, blowup):"]
     if coeffs:
@@ -725,14 +744,20 @@ def compile_field(w: VectorField) -> FieldFlow:
         "    %s = x" % state("x{i}"),
         "    hh = 0.5 * h",
         "    h6 = h / 6.0",
+        "    zh, zf, z6 = hh * 0j, h * 0j, h6 * (0j + 2.0 * 0j + 2.0 * 0j + 0j)",
         "    for _ in range(n):",
-        "        try:",
-        *("            " + line for line in step),
-        "        except OverflowError:",
-        "            if blowup is None:",
-        "                raise",
-        "            return %s, True" % state("x{i}"),
-        "        %s = %s" % (state("x{i}"), state(update)),
+    ]
+    if step:
+        lines += [
+            "        try:",
+            *("            " + line for line in step),
+            "        except OverflowError:",
+            "            if blowup is None:",
+            "                raise",
+            "            return %s, True" % state("x{i}"),
+        ]
+    lines += [
+        "        %s = (%s,)" % (state("x{i}"), ", ".join(updates)),
         "        if blowup is not None and not (%s):" % inside,
         "            return %s, True" % state("x{i}"),
         "    return %s, False" % state("x{i}"),

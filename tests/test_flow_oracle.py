@@ -254,24 +254,125 @@ def test_apply_transform_matches_oracle(case, direction, n):
 
 def test_power_before_a_zero_base_still_overflows():
     """A term stops at its first zero base, after the powers before it:
-    ``x1**3`` overflows below, so the step fails even though ``x2`` is 0;
-    with the zero base first, the huge power is never taken."""
+    ``x0**3`` or the inline ``x1**3`` overflows below, so the step fails
+    even though a later base is 0; with the zero base first, the huge
+    power is never taken (``x0**3``, a first power, is taken once per
+    stage in any case, and a zero base's power never overflows)."""
     modes = DIM6.modes()
-    field = VectorField(DIM6, [(modes[0], MultiIndex({modes[0]: 3, modes[1]: 1}), 1.0)])
-    log = TransformLog((("kam", field),))
+    cases = {
+        MultiIndex({modes[0]: 3, modes[1]: 1}): (
+            ([1e200, 0j, 0j, 0j, 0j, 0j], True),
+            ([0j, 1e200, 0j, 0j, 0j, 0j], False),
+        ),
+        MultiIndex({modes[0]: 1, modes[1]: 3, modes[2]: 1}): (
+            ([0.5, 1e200, 0j, 0.25, 0j, 0j], True),
+            ([0.5, 0j, 1e200, 0.25, 0j, 0j], False),
+        ),
+    }
     config = FlowConfig(steps=3, blowup=1e300)
+    for q, states in cases.items():
+        field = VectorField(DIM6, [(modes[0], q, 1.0)])
+        log = TransformLog((("kam", field),))
+        flow = compile_field(field)
+        for state, overflows in states:
+            want = oracle_integrate_flow(field, state, 1.0, config)
+            got = integrate_flow(flow, state, 1.0, config)
+            assert got.diverged is want.diverged is overflows
+            assert same_state(got.final, want.final)
+            point = outcome(apply_transform, log, state, "forward", 3)
+            assert_same_point(point, outcome(oracle_apply_transform, log, state, "forward", 3))
+            assert point[0] == ("raised" if overflows else "ok")
+
+
+def assert_flows_match(field, state, steps=3, times=(1.0, -1.0)):
+    """Both modes of ``run`` against the oracle: the bounded
+    ``integrate_flow`` (a loose and a tight bound) over ``times``, and the
+    unbounded ``apply_transform``, forward and inverse (t = 1 and -1)."""
     flow = compile_field(field)
-    for state, overflows in (
-        ([1e200, 0j, 0j, 0j, 0j, 0j], True),
-        ([0j, 1e200, 0j, 0j, 0j, 0j], False),
-    ):
-        want = oracle_integrate_flow(field, state, 1.0, config)
-        got = integrate_flow(flow, state, 1.0, config)
-        assert got.diverged is want.diverged is overflows
-        assert same_state(got.final, want.final)
-        point = outcome(apply_transform, log, state, "forward", 3)
-        assert_same_point(point, outcome(oracle_apply_transform, log, state, "forward", 3))
+    log = TransformLog((("kam", field),))
+    for blowup, t in itertools.product([1e300, 0.4], times):
+        config = FlowConfig(steps=steps, blowup=blowup)
+        assert_same_trajectory(
+            outcome(integrate_flow, flow, state, t, config),
+            outcome(oracle_integrate_flow, field, state, t, config),
+        )
+    for direction in ("forward", "inverse"):
+        assert_same_point(
+            outcome(apply_transform, log, state, direction, steps),
+            outcome(oracle_apply_transform, log, state, direction, steps),
+        )
+
+
+SIGNED_ZERO_PARTS = [-0.0, 0.0, 0.5, -0.5]
+
+
+def test_zero_field():
+    """No terms: the loop only adds the constant update to each coordinate,
+    which still turns a ``-0.0`` part into ``+0.0`` at t = 1."""
+    field = VectorField(DIM6, [])
+    for re, im in itertools.product(SIGNED_ZERO_PARTS, repeat=2):
+        state = [complex(re, im), complex(im, re), 0j, complex(-0.0, -0.0), 0.3, complex(re, 1.0)]
+        assert_flows_match(field, state)
+    final = integrate_flow(compile_field(field), [complex(-0.0, -0.0)] * 6, 1.0).final
+    assert all(same_state([v], [0j]) for v in final)
+
+
+def test_live_component_over_empty_coordinates():
+    """Component 0 reads only coordinates whose components have no terms:
+    their stage inputs must still add ``hh * 0j`` and ``h * 0j``.  At a
+    finite t these are signed zeros, and no sign of a zero part of a
+    stage input reaches a slope, which starts at ``0j``; at t = ±inf they
+    are NaN, so carrying ``x_i`` into the stage would differ."""
+    modes = DIM6.modes()
+    field = VectorField(
+        DIM6,
+        [
+            (modes[0], MultiIndex({modes[1]: 1, modes[2]: 2}), complex(1.5, -0.5)),
+            (modes[0], MultiIndex({modes[2]: 1}), -1.0),
+        ],
+    )
+    for re, im in itertools.product(SIGNED_ZERO_PARTS, repeat=2):
+        state = [complex(im, re), complex(re, im), complex(im, re), complex(re, -0.0), 0j, 0j]
+        assert_flows_match(field, state, times=(1.0, -1.0, math.inf, -math.inf))
+
+
+def test_first_power_taken_later_by_another_term():
+    """``x1**3`` is the first power of one term and a later one of another,
+    so each stage takes it once: with ``x0 = 0`` only the first term would
+    take it, and the step overflows exactly when the oracle's does."""
+    modes = DIM6.modes()
+    field = VectorField(
+        DIM6,
+        [
+            (modes[2], MultiIndex({modes[0]: 1, modes[1]: 3}), 1.0),
+            (modes[3], MultiIndex({modes[1]: 3}), 0.5),
+        ],
+    )
+    for x1, overflows in ((1e200, True), (0.5, False)):
+        state = [0j, complex(x1), 0.25, 0.25, 0j, 0j]
+        assert_flows_match(field, state)
+        point = outcome(apply_transform, TransformLog((("kam", field),)), state, "forward", 3)
         assert point[0] == ("raised" if overflows else "ok")
+
+
+def test_power_never_taken_first_stays_inline():
+    """``x2**3`` is shared by two terms but never their first power (a
+    term's bases come in mode order): with ``x0 = x1 = 0`` neither term
+    takes it, so no step may overflow."""
+    modes = DIM6.modes()
+    field = VectorField(
+        DIM6,
+        [
+            (modes[3], MultiIndex({modes[0]: 1, modes[2]: 3}), 1.0),
+            (modes[4], MultiIndex({modes[1]: 1, modes[2]: 3}), -2.0),
+        ],
+    )
+    state = [0j, 0j, complex(1e200), 0.25, 0.25, 0j]
+    assert_flows_match(field, state)
+    run = integrate_flow(compile_field(field), state, 1.0, FlowConfig(steps=3, blowup=1e300))
+    assert not run.diverged
+    point = outcome(apply_transform, TransformLog((("kam", field),)), state, "forward", 3)
+    assert point[0] == "ok"
 
 
 @pytest.mark.parametrize("t", [1.0, -1.0])
@@ -330,6 +431,7 @@ def _normalized(build):
 EXAMPLES = {
     "dim6-11": lambda: build_example_dim6(seed=11, degree=5),
     "dim6-143": lambda: build_example_dim6(seed=143, degree=5),
+    "dim6-115": lambda: build_example_dim6(seed=115, degree=5),
     "hyperbolic-4": lambda: build_example_hyperbolic(seed=4, elliptic_sites=[0]),
 }
 
