@@ -17,7 +17,6 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import ContextMismatch, NonterminatingSeries, NormalFormError
 from .indexing import (
-    FLOAT_ATOL,
     Mode,
     MultiIndex,
     TruncationContext,
@@ -101,10 +100,6 @@ class GaussianRational:
 
     def __repr__(self):
         return "GaussianRational(%s, %s)" % (self.re, self.im)
-
-
-GR_ZERO = GaussianRational()
-GR_ONE = GaussianRational(1)
 
 
 def _as_gaussian(value) -> GaussianRational:
@@ -210,7 +205,13 @@ def _complex(c) -> complex:
     return c
 
 
+# Zero threshold for coefficients in float mode.
+FLOAT_ATOL = 1e-12
+
+
 def _vanishes(c) -> bool:
+    """The one zero test of a stored coefficient: an exact one is zero, a
+    float one at or below ``FLOAT_ATOL`` in modulus."""
     if type(c) is tuple:
         return not (c[0] or c[1])
     return abs(c) <= FLOAT_ATOL
@@ -270,7 +271,7 @@ def _sum_into(exact: bool, target: dict, items) -> None:
         prev = target.get(key)
         if prev is not None:
             c = _add(prev, *c) if exact else prev + c
-        if c is None or not exact and abs(c) <= FLOAT_ATOL:
+        if c is None or not exact and _vanishes(c):
             target.pop(key, None)
         else:
             target[key] = c
@@ -658,7 +659,7 @@ class VectorField:
         store = {}
         for k, comp in self._terms.items():
             values = ((key, _complex(c)) for key, c in comp.items())
-            store[k] = {key: c for key, c in values if abs(c) > FLOAT_ATOL}
+            store[k] = {key: c for key, c in values if not _vanishes(c)}
         return VectorField._raw(self.ctx.with_arithmetic("float"), store)
 
     # -- text ----------------------------------------------------------

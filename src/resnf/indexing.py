@@ -196,9 +196,6 @@ class MultiIndex:
 
 ZERO_INDEX = MultiIndex()
 
-# Zero threshold for coefficients in float mode.
-FLOAT_ATOL = 1e-12
-
 
 @dataclass(frozen=True, slots=True)
 class TruncationContext:
@@ -286,11 +283,6 @@ class TruncationContext:
     @property
     def exact(self) -> bool:
         return self.arithmetic == "exact"
-
-    def is_zero_coeff(self, c) -> bool:
-        if self.exact:
-            return c.is_zero
-        return abs(c) <= FLOAT_ATOL
 
     def with_arithmetic(self, arithmetic: str) -> "TruncationContext":
         return replace(self, arithmetic=arithmetic)

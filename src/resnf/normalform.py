@@ -27,8 +27,8 @@ from .errors import (
     ProblemFileError,
     ResonantTermInRange,
 )
-from .fields import VectorField, _quotient, _series_bound, bracket, lie_exp
-from .indexing import FLOAT_ATOL, TruncationContext, format_mode
+from .fields import VectorField, _quotient, _series_bound, _vanishes, bracket, lie_exp
+from .indexing import TruncationContext, format_mode
 from .resonance import FrequencyModel, ResonanceModule, split_ideals
 
 CHI = 1.5
@@ -162,7 +162,7 @@ def _divide(y: VectorField, model: FrequencyModel, sign: int, resonant: Callable
             c = c / model.value(divisor, False)
             if sign < 0:
                 c = -c
-            if abs(c) <= FLOAT_ATOL:
+            if _vanishes(c):
                 continue
         store.setdefault(k, {})[key] = c
     return VectorField._raw(y.ctx, store)

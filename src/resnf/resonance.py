@@ -19,10 +19,13 @@ an eigenvalue's key has that eigenvalue's value: an index of the window
 can be a lattice element, a resonant pair or a failure of the coherence
 audit only when its value lies within tolerance of 0 or of an
 eigenvalue's value.  The enumeration looks up exactly those indices, with
-a meet in the middle over a prefix and a suffix of the modes, and applies
-to each the rules a walk over every index would apply; every other index
-passes the audit and records nothing.  The audit therefore certifies the
-same statement as a walk over the whole window.
+a meet in the middle over a prefix and a suffix of the modes: a table
+holds each suffix index once, as the record of its pairs, degree and
+walked sums with its rank in the suffix walk, and an index is a prefix
+index plus a record.  It applies to each, in walk order, the rules a walk
+over every index would apply; every other index passes the audit and
+records nothing.  The audit therefore certifies the same statement as a
+walk over the whole window.
 """
 
 from __future__ import annotations
@@ -267,9 +270,6 @@ class FrequencyModel:
     def divisor_value(self, q: MultiIndex, k: Mode, ctx: TruncationContext):
         return self.value(self.key(q, k), ctx.exact)
 
-    def eigenvalue(self, k: Mode, ctx: TruncationContext):
-        return self.value(self._row(k), ctx.exact)
-
     def eigenvalue_complex(self, k: Mode) -> complex:
         return self.value(self._row(k), False)
 
@@ -503,10 +503,10 @@ def enumerate_resonance(ctx: TruncationContext, model: FrequencyModel) -> Resona
     first audit failure raised, are those of the full walk, so the audit
     certifies the same statement.
 
-    Generators: in ``(degree, sort_key)`` order, an element is one unless
-    a step down by a generator already found lands on an element (the
-    walk keeps every resonant index of degree ``<= D``, so these are the
-    indecomposable ones); a translate is one unless a step down by a
+    Generators: in ``sort_key`` order (degree first), an element is one
+    unless a step down by a generator already found lands on an element
+    (the walk keeps every resonant index of degree ``<= D``, so these are
+    the indecomposable ones); a translate is one unless a step down by a
     module generator lands on a translate of its direction.  Unique
     factorization: one table ``ways[e]`` of generator multisets summing
     to ``e``, built by the coin-change recurrence over the sorted
@@ -518,7 +518,7 @@ def enumerate_resonance(ctx: TruncationContext, model: FrequencyModel) -> Resona
     D = ctx.degree_cutoff
     module_elements, resonant_pairs = _resonant_indices(model, ctx)
 
-    module_elements.sort(key=lambda e: (e.degree, e.sort_key()))
+    module_elements.sort(key=MultiIndex.sort_key)
     element_set = frozenset(module_elements)
     q_generators = _generators(module_elements, element_set)
     for g in q_generators:
@@ -599,11 +599,13 @@ def _resonant_indices(model: FrequencyModel, ctx: TruncationContext):
     indices whose value is within tolerance of a target (0 or an
     eigenvalue's value): ``value(q) = value(p) + value(r)`` for its parts
     ``p`` over ``modes[:s]`` and ``r`` over ``modes[s:]``.  The suffix
-    walk files each ``r`` under ``t - value(r)`` for each target ``t``, as
-    an int packing its exponent (a base ``D + 2`` digit per mode, the first
-    most significant) over its degree; the prefix walk looks up
-    ``value(p)``.  A float-valued model files grid cells of side ``>= tol
-    * value_scale`` and probes the 3 x 3 cells around ``value(p)``."""
+    walk files each ``r`` once, as the record ``(rank, pairs, degree,
+    sums)`` with ``rank`` its place in that walk, under ``t - value(r)``
+    for each target ``t``; the prefix walk looks up ``value(p)``, and each
+    record found gives ``q`` as ``p`` plus ``r``, with the prefix modes
+    first.  A float-valued model files grid cells of side ``>= tol *
+    value_scale`` and probes the 3 x 3 cells around ``value(p)``, taking
+    each record once, in rank order: the walk order of ``r``."""
     D = ctx.degree_cutoff
     window = D + 1
     modes = ctx.modes()
@@ -632,7 +634,6 @@ def _resonant_indices(model: FrequencyModel, ctx: TruncationContext):
     targets = {0} | {rows[k][1] for k in modes}
     split = resonance_split(len(modes), window, len(targets))
     prefix, suffix = modes[:split], modes[split:]
-    base = window + 1
     if not exactly:
         num, den = tol.as_integer_ratio()
         side = max(1, -(-num * codes.value_scale // den))
@@ -642,15 +643,11 @@ def _resonant_indices(model: FrequencyModel, ctx: TruncationContext):
             return re // side, im // side
 
     table: dict = {}
-    for pairs, degree, (_, value, _) in walk(suffix, window, 0, rows):
-        exponents = dict(pairs)
-        code = 0
-        for m in suffix:
-            code = code * base + exponents.get(m, 0)
-        code = code * base + degree
+    for rank, (pairs, degree, sums) in enumerate(walk(suffix, window, 0, rows)):
+        record = (rank, tuple(pairs), degree, sums)
         for t in targets:
-            at = t - value if exactly else cell(t - value)
-            table.setdefault(at, []).append(code)
+            at = t - sums[1] if exactly else cell(t - sums[1])
+            table.setdefault(at, []).append(record)
     # Tuples, one allocation per key: the lists' blocks are free again
     # before the prefix walk allocates what it keeps, which lowers the peak
     # RSS of an analyze of the 18-mode lattice by 0.2-0.3 MB.
@@ -663,42 +660,28 @@ def _resonant_indices(model: FrequencyModel, ctx: TruncationContext):
         def probe(value):
             re, im = cell(value)
             near = (table.get((re + dr, im + di), ()) for dr in (-1, 0, 1) for di in (-1, 0, 1))
-            return sorted({code for entries in near for code in entries})
+            found = {record[0]: record for entries in near for record in entries}
+            return [found[rank] for rank in sorted(found)]
 
     module_elements: list[MultiIndex] = []
     resonant_pairs: list[tuple[MultiIndex, Mode]] = []
-    ordered = suffix[::-1]  # decoded least significant first
-    for ppairs, pdegree, psums in walk(prefix, window, 0, rows):
-        hits = probe(psums[1])
+    for ppairs, pdegree, (pkey, pvalue, pmom) in walk(prefix, window, 0, rows):
+        hits = probe(pvalue)
         if not hits:
             continue
-        for code in hits:
-            if code:
-                code, degree = divmod(code, base)
-                degree += pdegree
-                if degree > window:
-                    continue
-                key, value, mom = psums
-                tail = []
-                for m in ordered:
-                    code, e = divmod(code, base)
-                    if e:
-                        dk, dv, dm = rows[m]
-                        key += e * dk
-                        value += e * dv
-                        mom += e * dm
-                        tail.append((m, e))
-                tail.reverse()
-                pairs = ppairs + tail
-            elif pdegree:  # the empty suffix index: ``q = p``
-                pairs, degree, (key, value, mom) = ppairs, pdegree, psums
-            else:
+        head = tuple(ppairs)
+        for _, rpairs, rdegree, (rkey, rvalue, rmom) in hits:
+            degree = pdegree + rdegree
+            if not degree or degree > window:
                 continue
+            pairs = head + rpairs
+            key, value, mom = pkey + rkey, pvalue + rvalue, pmom + rmom
             value_zero = not value if exactly else codes.within(value, tol)
             if (not key) != value_zero:
-                _require_coherent(model, _index(pairs, degree), None, not key, value_zero)
+                q = MultiIndex._from_sorted(pairs, degree)
+                _require_coherent(model, q, None, not key, value_zero)
             if degree <= D and not key and not mom:
-                module_elements.append(_index(pairs, degree))
+                module_elements.append(MultiIndex._from_sorted(pairs, degree))
             bucket = buckets.get(mom)
             if bucket is None:
                 continue  # no direction has this momentum
@@ -711,16 +694,12 @@ def _resonant_indices(model: FrequencyModel, ctx: TruncationContext):
                 vanishing = tuple(k for k, v in by_value if codes.within(value - v, tol))
             if resonant != vanishing:
                 k = next(k for k in modes if (k in resonant) != (k in vanishing))
-                _require_coherent(model, _index(pairs, degree), k, k in resonant, k in vanishing)
+                q = MultiIndex._from_sorted(pairs, degree)
+                _require_coherent(model, q, k, k in resonant, k in vanishing)
             if resonant and degree <= D:
-                q = _index(pairs, degree)
+                q = MultiIndex._from_sorted(pairs, degree)
                 resonant_pairs.extend((q, k) for k in resonant)
     return module_elements, resonant_pairs
-
-
-def _index(pairs, degree: int) -> MultiIndex:
-    """The ``MultiIndex`` of a walked index (``pairs`` is the walk's own list)."""
-    return MultiIndex._from_sorted(tuple(pairs), degree)
 
 
 def _require_coherent(model, q, k, symbolic_zero: bool, numeric_zero: bool) -> None:
@@ -787,7 +766,7 @@ def _divisor_candidates(model: FrequencyModel, ctx: TruncationContext, degree_bo
         by_momentum.setdefault(mom, []).append((k, kcode))
     for pairs, degree, (key, _, mom) in walk(modes, degree_bound, 0, codes.rows):
         if degree and key and not mom:
-            yield _index(pairs, degree)
+            yield MultiIndex._from_sorted(tuple(pairs), degree)
         if degree < degree_bound:
             for k, kcode in by_momentum.get(mom, ()):
                 if kcode != key and all(m != k for m, _ in pairs):

@@ -19,6 +19,7 @@ import math
 from fractions import Fraction
 
 from resnf.fields import (
+    FLOAT_ATOL,
     GaussianRational,
     ScalarSeries,
     VectorField,
@@ -32,11 +33,18 @@ from resnf.fields import (
 from resnf.indexing import MultiIndex, format_mode, mode_key, norm_weight, parse_mode
 
 
+def is_zero_coeff(ctx, c) -> bool:
+    """The earlier ``TruncationContext.is_zero_coeff``."""
+    if ctx.exact:
+        return c.is_zero
+    return abs(c) <= FLOAT_ATOL
+
+
 def parent_accumulate(ctx, store: dict, key, value) -> None:
     """The earlier ``fields._accumulate``."""
     prev = store.get(key)
     acc = value if prev is None else prev + value
-    if ctx.is_zero_coeff(acc):
+    if is_zero_coeff(ctx, acc):
         store.pop(key, None)
     else:
         store[key] = acc
@@ -97,7 +105,7 @@ class ParentSeries:
         store = {}
         for q, c in items:
             c = coerce_coefficient(ctx, c)
-            if ctx.is_zero_coeff(c):
+            if is_zero_coeff(ctx, c):
                 continue
             _validate_scalar_key(ctx, q)
             parent_accumulate(ctx, store, q, c)
@@ -131,7 +139,7 @@ class ParentField:
         store = {}
         for k, q, c in terms:
             c = coerce_coefficient(ctx, c)
-            if ctx.is_zero_coeff(c):
+            if is_zero_coeff(ctx, c):
                 continue
             _validate_field_key(ctx, k, q)
             parent_accumulate(ctx, store.setdefault(k, {}), q, c)
@@ -188,7 +196,7 @@ class ParentField:
 
     def scale(self, factor):
         factor = coerce_coefficient(self.ctx, factor)
-        if self.ctx.is_zero_coeff(factor):
+        if is_zero_coeff(self.ctx, factor):
             return ParentField._raw(self.ctx, {})
         store = {
             k: {q: c * factor for q, c in comp.items()}
@@ -200,7 +208,7 @@ class ParentField:
         store = {}
         for k, q, c in self._iter_terms():
             new = coerce_coefficient(self.ctx, fn(k, q, c))
-            if not self.ctx.is_zero_coeff(new):
+            if not is_zero_coeff(self.ctx, new):
                 store.setdefault(k, {})[q] = new
         return ParentField._raw(self.ctx, store)
 

@@ -143,14 +143,13 @@ class TestTruncationContext:
             TruncationContext(2, 3, arithmetic="symbolic")
 
     def test_zero_coeff_rules(self):
-        exact = TruncationContext(2, 3, arithmetic="exact")
-        floaty = exact.with_arithmetic("float")
-        assert floaty.is_zero_coeff(1e-13)
-        assert not floaty.is_zero_coeff(1e-11)
-        from resnf.fields import GR_ZERO, GR_ONE
+        from resnf.fields import _vanishes
 
-        assert exact.is_zero_coeff(GR_ZERO)
-        assert not exact.is_zero_coeff(GR_ONE)
+        # stored forms: a float coefficient, or an exact (re, im, den)
+        assert _vanishes(1e-13)
+        assert not _vanishes(1e-11)
+        assert _vanishes((0, 0, 1))
+        assert not _vanishes((1, 0, 1))
 
     def test_frozen(self):
         ctx = TruncationContext(2, 3)

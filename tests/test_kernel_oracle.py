@@ -58,7 +58,14 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parent_fields import ParentField, ParentSeries, decoded, layout, parent_accumulate
+from parent_fields import (
+    ParentField,
+    ParentSeries,
+    decoded,
+    is_zero_coeff,
+    layout,
+    parent_accumulate,
+)
 from resnf import fields
 from resnf.fields import GaussianRational, ScalarSeries, VectorField
 from resnf.indexing import Mode, MultiIndex, TruncationContext, iter_indices
@@ -163,7 +170,7 @@ def parent_gaussian_lie_into(ctx, layout, out, xterms, fterms, cutoff):
     """The earlier packed kernel: ``GaussianRational`` (or complex)
     coefficients, every pair tested against ``cutoff``."""
     radix, _, weights = layout
-    is_zero = ctx.is_zero_coeff
+    is_zero = functools.partial(is_zero_coeff, ctx)
     for k, comp in xterms.items():
         w = weights[k]
         for qf, df, cf in fterms:

@@ -18,6 +18,7 @@ from fractions import Fraction
 from helpers import dim6_model, hyperbolic_model, nls_model
 from resnf.errors import (
     CutoffTooSmall,
+    ModelError,
     NormalFormError,
     UniqueFactorizationViolation,
 )
@@ -362,13 +363,35 @@ def split_cases():
     and walks no mode.  The two four-mode models (split 3, suffix ``4+``)
     each fail the value audit at two places on opposite sides of the
     split: first at ``4+^2``, a suffix index, then at ``3+^1``; first at
-    ``3+^1``, a prefix index, then at ``1+^1 4+^1``."""
+    ``3+^1``, a prefix index, then at ``1+^1 4+^1``.  The float model of
+    :func:`float_order_case` pins the walk order of float hits."""
     yield "nls-N3-D5", nls_model(3), TruncationContext(3, 5, momentum_enabled=True)
     rungs = {Mode(j, 1): {"a": j} for j in range(1, 61)}
     yield "ladder-60", FrequencyModel("ladder-60", [("a", Fraction(1))], rungs), TruncationContext(60, 1)
     yield _dependent_model("zero-value", [{"a": 1, "b": -1}], values=(1, 1))
     yield _dependent_model("suffix-first", [{"b": 1}, {"a": 2}, {"b": 1}, {"a": 1}])
     yield _dependent_model("prefix-first", [{"b": 1}, {"a": 7}, {"a": 2}, {"a": 5}])
+    yield float_order_case()
+
+
+def float_order_case():
+    """A float model (split 3, suffix ``4+``) whose second prefix index
+    ``3+^1`` finds two records that fail the value audit, in different
+    probe cells.  With ``a = 1`` and ``e = 0.6e-9``: ``4+^1`` (rank 1),
+    filed under the target 0 at ``-1``, gives ``3+^1 4+^1`` of key ``-e``
+    and value ``-0.6e-9``; ``4+^2`` (rank 2), filed under ``lambda_2`` at
+    ``-1 - 1.2e-9``, one cell lower, gives ``3+^1 4+^2``, whose value lies
+    within tolerance of ``lambda_2`` and of ``lambda_4`` while its key
+    equals neither.  Walk order raises the first failure; the order the
+    cells are scanned in would raise the second."""
+    coords = {
+        Mode(1, 1): {"a": 5},
+        Mode(2, 1): {"a": 1, "e": -2},
+        Mode(3, 1): {"a": -1, "e": -1},
+        Mode(4, 1): {"a": 1},
+    }
+    model = FrequencyModel("float-order", [("a", 1.0), ("e", 0.6e-9)], coords)
+    return "float-order", model, TruncationContext(4, 2)
 
 
 def split_of(model, ctx):
@@ -453,3 +476,13 @@ def test_new_cases_reach_every_lookup_path():
         error_kind(outcome(parent_enumerate, ctx, model)) for _, model, ctx in FLOAT_CASES
     )
     assert float_kinds[None] > 0 and float_kinds["ModelError", "symbol"] > 0
+
+
+def test_float_hits_follow_walk_order():
+    """The first audit failure of the float lookup is the walk's, not the
+    first one met in the probe's cell scan."""
+    _, model, ctx = float_order_case()
+    assert split_of(model, ctx) == "inside"
+    result = outcome(enumerate_resonance, ctx, model)
+    assert result[0] is ModelError
+    assert "vanishing of lambda . 3+^1 4+^1 in" in result[1]

@@ -99,14 +99,15 @@ class TestFrequencyModel:
         assert not floaty.exact_capable
         exact = TruncationContext(1, 2, arithmetic="exact")
         with pytest.raises(ModelError, match="irrational"):
-            floaty.eigenvalue(fin(1), exact)
+            floaty.linear_field(exact)
         with pytest.raises(ModelError, match="irrational"):
             floaty.divisor_value(E1 + E1, fin(1), exact)
 
     def test_eigenvalues(self, ctx6):
         model = dim6_model()
-        assert model.eigenvalue(fin(1), ctx6) == GaussianRational(2)
-        assert model.eigenvalue(fin(3), ctx6) == GaussianRational(Fraction(1393, 985))
+        linear = model.linear_field(ctx6)
+        assert linear.coefficient(fin(1), MultiIndex.unit(fin(1))) == GaussianRational(2)
+        assert linear.coefficient(fin(3), MultiIndex.unit(fin(3))) == GaussianRational(Fraction(1393, 985))
         assert model.eigenvalue_complex(fin(4)) == pytest.approx(-1393 / 985)
         with pytest.raises(ModelError, match="not covered"):
             model.eigenvalue_complex(Mode(7, 1))
