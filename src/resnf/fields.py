@@ -210,8 +210,9 @@ FLOAT_ATOL = 1e-12
 
 
 def _vanishes(c) -> bool:
-    """The one zero test of a stored coefficient: an exact one is zero, a
-    float one at or below ``FLOAT_ATOL`` in modulus."""
+    """The zero test of a stored coefficient: an exact one is zero, a float
+    one at or below ``FLOAT_ATOL`` in modulus.  ``_sum_into``, the float Lie
+    kernel's inner loop, writes the float half inline to save a call."""
     if type(c) is tuple:
         return not (c[0] or c[1])
     return abs(c) <= FLOAT_ATOL
@@ -271,7 +272,7 @@ def _sum_into(exact: bool, target: dict, items) -> None:
         prev = target.get(key)
         if prev is not None:
             c = _add(prev, *c) if exact else prev + c
-        if c is None or not exact and _vanishes(c):
+        if c is None or not exact and abs(c) <= FLOAT_ATOL:
             target.pop(key, None)
         else:
             target[key] = c
