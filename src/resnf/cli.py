@@ -29,6 +29,7 @@ sequential; results never depend on it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -1022,8 +1023,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, on first use: each build leaves argparse objects in reference cycles.
+_parser = functools.cache(build_parser)
+
+
 def run(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.threads < 1:
             raise ProblemFileError("--threads: must be >= 1")

@@ -12,6 +12,7 @@ conditions are evaluated and reported as diagnostics only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -644,8 +645,9 @@ class FieldFlow:
     an ``OverflowError`` propagates.  With a bound it stops after the
     first step that leaves it (NaN never stays inside), and an
     ``OverflowError`` ends the run at the state before the failing step.
-    Each stage takes every first power once, and a component without
-    terms gets no slopes; ``compile_field`` says why both are bitwise.
+    Each stage takes every first power once, a component without terms
+    gets no slopes, and what reads only the coordinates of such components
+    runs in steps 1 and 2 alone; ``compile_field`` says why, bit for bit.
     """
 
     ctx: TruncationContext
@@ -654,25 +656,26 @@ class FieldFlow:
 
 def _term_source(coeff: str, factors: Sequence[tuple[int, int]], var: str, shared: Container) -> str:
     """Source of the term ``coeff * b1**e1 * b2**e2 ...`` over the bases
-    ``<var><position>``; a factor in ``shared`` reads the power that its
-    stage took once, ``p<position>_<exponent>``.
+    ``<var><position>``; a factor in ``shared`` reads the power that was
+    taken once, ``<var><position>_<exponent>``.
 
     A zero base makes the term exactly ``0j``.  The inline powers of the
     bases before the first zero one are still taken: a power whose result
     is infinite raises ``OverflowError``, and that ends the step.  The
     shared ones were taken already, so with no inline power left the
-    branch is ``0j``."""
+    branch is ``0j``, and consecutive bases with one branch share a test."""
     if not factors:
         return coeff
     bases = ["%s%d" % (var, pos) for pos, _ in factors]
-    powers = ["p%d_%d" % f if f in shared else "%s%d**%d" % (var, *f) for f in factors]
+    powers = ["%s%d_%d" % (var, *f) if f in shared else "%s%d**%d" % (var, *f) for f in factors]
     # cases[j]: the first zero base is bases[j]
     taken = [[p for f, p in zip(factors[:j], powers) if f not in shared] for j in range(len(factors))]
     cases = ["(%s, 0j)[%d]" % (", ".join(t), len(t)) if t else "0j" for t in taken]
-    zero = cases[-1]
-    for j in range(len(factors) - 2, -1, -1):
-        if cases[j] != zero:
-            zero = "%s if not %s else %s" % (cases[j], bases[j], zero)
+    runs = [(case, [b for _, b in run]) for case, run in itertools.groupby(zip(cases, bases), lambda z: z[0])]
+    zero = runs[-1][0]
+    for case, tests in runs[-2::-1]:
+        test = tests[0] if len(tests) == 1 else "(%s)" % " and ".join(tests)
+        zero = "%s if not %s else %s" % (case, test, zero)
     product = "*".join([coeff] + powers)
     return "(%s if %s else %s)" % (product, " and ".join(bases), zero)
 
@@ -685,27 +688,36 @@ def compile_field(w: VectorField) -> FieldFlow:
     are bitwise theirs (``tests/test_flow_oracle.py`` keeps that
     reference): each component is ``0j`` plus its terms in ``terms()``
     order, each term is a left-associated product, and the new state is
-    assigned at the end of the step.  Two rules skip work, bit for bit.
-    (1) A power that some term takes at its first base is taken once at
-    the top of each stage, and every term that uses it reads it: the
-    evaluator takes it whenever the base is nonzero, and a zero base's
-    power never raises, so a step overflows exactly when the evaluator's
-    does.  (2) A component without terms has slopes ``0j`` and gets none;
-    its stage inputs add ``zh = hh * 0j`` or ``zf = h * 0j`` and its update
-    ``z6``, the evaluator's values, once per ``run``.  A coordinate that no
-    term reads gets no stage input."""
+    assigned at the end of the step.  Three rules skip work, bit for bit.
+    (1) A power that some term takes at its first base is taken once per
+    stage, and every term that uses it reads it: the evaluator takes it
+    whenever the base is nonzero, and a zero base's power never raises,
+    so a step overflows exactly when the evaluator's does.  (2) A
+    component without terms has slopes ``0j`` and gets none; its stage
+    inputs add ``zh = hh * 0j`` (stage 4's ``h * 0j`` has the same bits)
+    and its update ``z6``.  (3) As ``x + z6`` is idempotent, the coordinate
+    is frozen from step 2 on, and what reads only frozen inputs runs in
+    steps 1 and 2 alone, for stage 1 and for stages 2 to 4: their powers
+    of (1); each term's leading run of frozen factors, ``c*b1**e1*...``
+    with the zero-base rule, and a flag that its bases are nonzero, without
+    which the live rest is not taken; and a component whose terms read
+    only frozen factors, with its increments.  Step 2 sees the zero signs
+    and NaN that ``z6`` brings."""
     f = w.as_float()
     positions = f.ctx.mode_positions()
     width = len(positions)
     coeffs: list[complex] = []
-    rows: list[list[tuple[str, tuple[tuple[int, int], ...]]]] = [[] for _ in range(width)]
+    rows: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = [[] for _ in range(width)]
     for k, q, c in f.terms():
         factors = tuple((positions[m], e) for m, e in q.items())
-        rows[positions[k]].append(("c%d" % len(coeffs), factors))
+        rows[positions[k]].append((len(coeffs), factors))
         coeffs.append(complex(c))
     supports = [factors for row in rows for _, factors in row if factors]
     shared = dict.fromkeys(factors[0] for factors in supports)
     read = sorted({pos for factors in supports for pos, _ in factors})
+    # head[j]: term j's leading run of factors over frozen coordinates
+    head = {j: t[: next((r for r, (p, _) in enumerate(t) if rows[p]), len(t))] for row in rows for j, t in row}
+    still = [i for i, row in enumerate(rows) if row and all(head[j] == fs for j, fs in row)]
 
     def each(template: str) -> list[str]:
         return [template.format(i=i) for i in range(width)]
@@ -713,29 +725,48 @@ def compile_field(w: VectorField) -> FieldFlow:
     def state(template: str) -> str:
         return "(%s,)" % ", ".join(each(template))
 
-    def slope(k: str, var: str) -> list[str]:
-        lines = ["p%d_%d = %s%d**%d" % (pos, e, var, pos, e) for pos, e in shared]
-        for i, row in enumerate(rows):
-            terms = [_term_source(c, factors, var, shared) for c, factors in row]
+    def term(j: int, factors: tuple, var: str) -> str:
+        if not head[j]:
+            return _term_source("c%d" % j, factors, var, shared)
+        rest = _term_source("%sp%d" % (var, j), factors[len(head[j]) :], var, shared)
+        return rest if head[j] == factors else "(%s if %sa%d else 0j)" % (rest, var, j)
+
+    def stage(k: str, var: str, live: bool) -> list[str]:
+        """A stage's live work, or the frozen work of stage 1 or of stages 2 to 4."""
+        lines = ["%s%d_%d = %s%d**%d" % (var, p, e, var, p, e) for p, e in shared if bool(rows[p]) is live]
+        for j, factors in [] if live else [(j, fs) for row in rows for j, fs in row if head[j]]:
+            lines.append("%sp%d = %s" % (var, j, _term_source("c%d" % j, head[j], var, shared)))
+            if head[j] != factors:
+                lines.append("%sa%d = %s" % (var, j, " and ".join("%s%d" % (var, p) for p, _ in head[j])))
+        for i in [i for i, row in enumerate(rows) if row and (i in still) is not live]:
+            terms = [term(j, factors, var) for j, factors in rows[i]]
             for at in range(0, len(terms), _SUM_CHUNK):
                 chunk = ["%s%d" % (k, i) if at else "0j"] + terms[at : at + _SUM_CHUNK]
                 lines.append("%s%d = %s" % (k, i, " + ".join(chunk)))
         return lines
 
-    def inputs(k: str, h: str, zero: str) -> list[str]:
-        return ["y%d = x%d + %s" % (i, i, "%s * %s%d" % (h, k, i) if rows[i] else zero) for i in read]
+    def inputs(k: str, h: str, s: int) -> list[str]:
+        rises = {i: "d%d_%d" % (s, i) if i in still else "%s * %s%d" % (h, k, i) for i in read if rows[i]}
+        return ["y%d = x%d + %s" % (i, i, rise) for i, rise in rises.items()]
 
+    frozen_inputs = ["y%d = x%d + zh" % (i, i) for i in read if not rows[i]]
+    block = stage("k1_", "x", False) + frozen_inputs + stage("k2_", "y", False)
+    for i in still:
+        rises = ["d1_{i} = hh * k1_{i}", "d2_{i} = hh * k2_{i}", "d3_{i} = h * k2_{i}"] if i in read else []
+        rises.append("d6_{i} = h6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k2_{i} + k2_{i})")
+        block += [line.format(i=i) for line in rises]
     step = (
-        slope("k1_", "x")
-        + inputs("k1_", "hh", "zh")
-        + slope("k2_", "y")
-        + inputs("k2_", "hh", "zh")
-        + slope("k3_", "y")
-        + inputs("k3_", "h", "zf")
-        + slope("k4_", "y")
+        stage("k1_", "x", True)
+        + inputs("k1_", "hh", 1)
+        + stage("k2_", "y", True)
+        + inputs("k2_", "hh", 2)
+        + stage("k3_", "y", True)
+        + inputs("k3_", "h", 3)
+        + stage("k4_", "y", True)
     )
-    update = "x{i} + h6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
-    updates = [update.format(i=i) if row else "x%d + z6" % i for i, row in enumerate(rows)]
+    update = "h6 * (k1_{i} + 2.0 * k2_{i} + 2.0 * k3_{i} + k4_{i})"
+    rise = ["d6_%d" % i if i in still else update.format(i=i) if row else "z6" for i, row in enumerate(rows)]
+    updates = ["x%d + %s" % (i, r) for i, r in enumerate(rise)]
     inside = " and ".join(each("abs(x{i}) <= blowup"))
     lines = ["def run(x, h, n, blowup):"]
     if coeffs:
@@ -744,12 +775,13 @@ def compile_field(w: VectorField) -> FieldFlow:
         "    %s = x" % state("x{i}"),
         "    hh = 0.5 * h",
         "    h6 = h / 6.0",
-        "    zh, zf, z6 = hh * 0j, h * 0j, h6 * (0j + 2.0 * 0j + 2.0 * 0j + 0j)",
-        "    for _ in range(n):",
+        "    zh, z6 = hh * 0j, h6 * (0j + 2.0 * 0j + 2.0 * 0j + 0j)",
+        "    for %s in range(n):" % ("_i" if block else "_"),
     ]
-    if step:
+    if block or step:
         lines += [
             "        try:",
+            *(["            if _i < 2:"] + ["                " + line for line in block] if block else []),
             *("            " + line for line in step),
             "        except OverflowError:",
             "            if blowup is None:",

@@ -171,7 +171,7 @@ class FrequencyModel:
             row = self._table.get(k)
             if row is None:
                 raise ModelError("mode %s has no eigenvalue in model %s" % (format_mode(k), self.name))
-            if not row:
+            if self._scaled(row) == (0, 0):
                 raise ModelError(
                     "eigenvalue of mode %s is zero; the linear part must be "
                     "nondegenerate" % format_mode(k)

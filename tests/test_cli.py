@@ -16,6 +16,7 @@ from resnf.cli import (
     EXIT_INPUT,
     EXIT_MODEL,
     EXIT_OK,
+    build_parser,
     load_problem,
     run,
 )
@@ -900,6 +901,24 @@ class TestExitCodes:
         assert run(["analyze", path]) == EXIT_MODEL
         assert "nondegenerate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "normalize"])
+    def test_model_error_for_eigenvalue_that_cancels_to_zero(self, tmp_path, capsys, command):
+        doc = {
+            "schema_version": 1,
+            "model": {
+                "name": "cancel",
+                "symbols": {"a": 1, "b": 1},
+                "modes": {"1+": {"a": 1, "b": -1}, "2+": {"a": 1}},
+            },
+            "truncation": {"mode_cutoff": 2, "degree_cutoff": 4},
+            "field": {"terms": ["2+ | 2+^1 | 1/1 0/1"]},
+        }
+        path = write(tmp_path, doc)
+        assert run([command, path]) == EXIT_MODEL
+        assert capsys.readouterr().err == (
+            "model error: eigenvalue of mode 1+ is zero; the linear part must be nondegenerate\n"
+        )
+
     def test_resonant_term_at_window_edge_is_cutoff_error(self, tmp_path, capsys):
         doc = {
             "schema_version": 1,
@@ -1012,3 +1031,25 @@ def test_cli_import_does_not_load_numpy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+class TestParser:
+    def test_runs_share_one_parser(self, tmp_path, capsys):
+        path = write(tmp_path, nls_doc())
+        resnf.cli._parser.cache_clear()
+        assert run(["analyze", path]) == EXIT_OK
+        assert run(["analyze", path]) == EXIT_OK
+        info = resnf.cli._parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_help_and_usage_errors_repeat(self, capsys):
+        """The shared parser keeps no state between calls."""
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                run(["--help"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == build_parser().format_help()
+            with pytest.raises(SystemExit) as exc:
+                run(["analyze"])
+            assert exc.value.code == 2
+            assert "the following arguments are required: problem" in capsys.readouterr().err

@@ -9,6 +9,7 @@ four-stage step over lists, and the ``integrate_flow`` and
 divergence flag, and raise ``OverflowError`` in the same cases.
 """
 
+import cmath
 import itertools
 import math
 import random
@@ -21,6 +22,7 @@ from resnf.fields import VectorField
 from resnf.indexing import MultiIndex, TruncationContext, iter_indices
 from resnf.normalform import (
     _SUM_CHUNK,
+    _term_source,
     TransformLog,
     apply_transform,
     compile_field,
@@ -373,6 +375,151 @@ def test_power_never_taken_first_stays_inline():
     assert not run.diverged
     point = outcome(apply_transform, TransformLog((("kam", field),)), state, "forward", 3)
     assert point[0] == "ok"
+
+
+# ---------------------------------------------------------------------------
+# frozen coordinates: what reads only them runs in steps 1 and 2 alone
+# ---------------------------------------------------------------------------
+
+
+def oracle_run(field, x, h, n):
+    """``n`` oracle steps of size ``h`` and no bound: the mode of ``run``
+    that ``apply_transform`` uses, at any ``h``."""
+    evaluate = oracle_compile_field(field)
+    x = [complex(v) for v in x]
+    for _ in range(n):
+        x = oracle_rk4(evaluate, x, h)
+    return tuple(x)
+
+
+def compiled_run(field, x, h, n):
+    return compile_field(field).run(tuple(complex(v) for v in x), h, n, None)[0]
+
+
+def assert_runs_match(field, state, hs=(0.5, -0.5, math.inf, -math.inf)):
+    """Steps 1, 2 and 3 against the oracle: unbounded at each step size in
+    ``hs``, and both modes of ``assert_flows_match`` at t = ±1 and ±inf."""
+    for n in (1, 2, 3):
+        for h in hs:
+            assert_same_point(
+                outcome(compiled_run, field, state, h, n),
+                outcome(oracle_run, field, state, h, n),
+            )
+        assert_flows_match(field, state, steps=n, times=(1.0, -1.0, math.inf, -math.inf))
+
+
+def overflows_in_step_one(field, state):
+    """Whether the bounded run stops in step 1 on an overflow, after
+    checking that it then returns the initial state."""
+    run = integrate_flow(compile_field(field), state, 1.0, FlowConfig(steps=3, blowup=1e300))
+    if run.diverged:
+        assert same_state(run.final, [complex(v) for v in state])
+    return run.diverged
+
+
+M = DIM6.modes()
+
+
+def test_frozen_zero_turns_nan_at_infinite_time():
+    """``x1`` is frozen at 0, a zero base in step 1; at t = ±inf ``z6`` is
+    NaN, so from step 2 on ``x1`` is NaN.  Component 0 reads only frozen
+    coordinates, and component 3's term has the prefix ``x1`` before the
+    live ``x3``."""
+    field = VectorField(
+        DIM6,
+        [
+            (M[0], MultiIndex({M[1]: 1}), 1.0),
+            (M[0], MultiIndex({M[2]: 2}), complex(0.5, 0.25)),
+            (M[3], MultiIndex({M[1]: 1, M[3]: 1}), -1.0),
+        ],
+    )
+    for x1 in (0j, complex(-0.0, -0.0)):
+        state = [0.5, x1, complex(1.0, 1.0), 0.25, 0j, 0j]
+        assert_runs_match(field, state)
+        assert cmath.isnan(compiled_run(field, state, math.inf, 1)[1])
+
+
+def test_hoisted_frozen_power_overflows_in_step_one():
+    """``x1**3`` is a frozen first power and ``x2**3`` an inline power of a
+    frozen prefix: at 1e200 either overflows in step 1, in both lanes,
+    and ``x2**3`` only when the base before it, ``x1``, is nonzero."""
+    field = VectorField(
+        DIM6,
+        [
+            (M[0], MultiIndex({M[1]: 3}), 1.0),
+            (M[3], MultiIndex({M[1]: 1, M[2]: 3, M[3]: 1}), 0.5),
+        ],
+    )
+    for x1, x2, overflows in ((1e200, 0.5, True), (0.5, 1e200, True), (0j, 1e200, False)):
+        state = [0j, x1, x2, 0.25, 0j, 0j]
+        assert_runs_match(field, state, hs=(0.5, -0.5))
+        assert overflows_in_step_one(field, state) is overflows
+
+
+def test_zero_prefix_base_guards_the_live_rest():
+    """Term ``x1 * x3**3``: the prefix ``x1`` is frozen and ``x3`` is live
+    at 1e200.  With ``x1 = 0`` the evaluator stops before ``x3**3``, so
+    the prefix's flag must keep the live power from being taken."""
+    field = VectorField(DIM6, [(M[3], MultiIndex({M[1]: 1, M[3]: 3}), 1.0)])
+    for x1, overflows in ((0j, False), (0.5, True)):
+        state = [0j, x1, 0j, 1e200, 0j, 0j]
+        assert_runs_match(field, state, hs=(0.5, -0.5))
+        assert overflows_in_step_one(field, state) is overflows
+
+
+def test_frozen_only_component_read_by_a_live_term():
+    """Component 0 reads only the frozen ``x1`` and ``x2``, so its slopes
+    and increments are computed once; component 3's term reads ``x0``,
+    whose stage inputs add those increments (``h * K2`` in stage 4)."""
+    field = VectorField(
+        DIM6,
+        [
+            (M[0], MultiIndex({M[1]: 1, M[2]: 1}), complex(0.5, -1.0)),
+            (M[0], MultiIndex({M[2]: 2}), 0.75),
+            (M[3], MultiIndex({M[0]: 2, M[3]: 1}), -1.5),
+        ],
+    )
+    for re, im in itertools.product(SIGNED_ZERO_PARTS, repeat=2):
+        assert_runs_match(field, [complex(re, 0.3), complex(0.6, im), complex(im, re), 0.4, 0j, 0j])
+
+
+def test_live_factor_before_a_frozen_one_gets_no_prefix():
+    """Term ``x0 * x4**2`` with ``x0`` live: no prefix, and the frozen
+    ``x4**2`` is taken in the loop only when ``x0`` is nonzero."""
+    field = VectorField(DIM6, [(M[0], MultiIndex({M[0]: 1, M[4]: 2}), 1.0)])
+    for x0, overflows in ((0j, False), (0.5, True)):
+        state = [x0, 0j, 0j, 0j, 1e200, 0j]
+        assert_runs_match(field, state, hs=(0.5, -0.5))
+        assert overflows_in_step_one(field, state) is overflows
+
+
+def test_frozen_power_above_100_sees_the_sign_z6_fixes():
+    """``complex.__pow__`` takes an exponent above 100 in polar form, where
+    the sign of a zero imaginary part moves the result.  ``z6`` turns
+    ``x1``'s ``-0.0`` into ``+0.0`` in step 1, so step 2 must recompute
+    what reads ``x1``; from step 2 on ``x1`` no longer changes."""
+    ctx = TruncationContext(6, 101, momentum_enabled=False, arithmetic="float")
+    modes = ctx.modes()
+    field = VectorField(ctx, [(modes[0], MultiIndex({modes[1]: 101}), 1.0)])
+    state = [0j, complex(-1.1, -0.0), 0j, 0j, 0j, 0j]
+    assert_runs_match(field, state, hs=(0.25, -0.25))
+    one, two = (compiled_run(field, state, 0.25, n)[0] for n in (1, 2))
+    assert two != one + one
+
+
+@pytest.mark.parametrize("h", [0.0, -0.0, 5e-324, -5e-324, 0.3, -2.0, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan])
+def test_stage_four_frozen_input_is_stage_two_one(h):
+    """Stages 2 to 4 read one frozen input: stage 4 adds ``h * 0j``, which
+    is stage 2's ``0.5 * h * 0j`` bit for bit."""
+    assert same_state([h * 0j], [0.5 * h * 0j])
+
+
+def test_equal_zero_branches_share_one_test():
+    """Consecutive bases whose zero branches agree are tested together."""
+    assert _term_source("c0", ((0, 2), (1, 1), (4, 1), (5, 2)), "x", {(0, 2)}) == (
+        "(c0*x0_2*x1**1*x4**1*x5**2 if x0 and x1 and x4 and x5 else 0j if not (x0 and x1) "
+        "else (x1**1, 0j)[1] if not x4 else (x1**1, x4**1, 0j)[2])"
+    )
 
 
 @pytest.mark.parametrize("t", [1.0, -1.0])

@@ -91,6 +91,20 @@ class TestFrequencyModel:
         with pytest.raises(ModelError, match="zero"):
             model.validate(TruncationContext(1, 2))
 
+    @pytest.mark.parametrize("one", [Fraction(1), 1.0, 0.1])
+    def test_eigenvalue_that_cancels_to_zero(self, one):
+        """A nonempty key whose exact value is 0 (``a - b`` with ``a = b``,
+        floats read as the binary fractions they are) is a zero eigenvalue."""
+        model = FrequencyModel(
+            "cancel", [("a", one), ("b", one)], {fin(1): {"a": 1, "b": -1}, fin(2): {"a": 1}}
+        )
+        for arithmetic in ("exact", "float"):
+            ctx = TruncationContext(2, 3, arithmetic=arithmetic)
+            with pytest.raises(ModelError, match=r"eigenvalue of mode 1\+ is zero"):
+                model.validate(ctx)
+            with pytest.raises(ModelError, match=r"eigenvalue of mode 1\+ is zero"):
+                model.linear_field(ctx)
+
     def test_exact_capability(self):
         assert dim6_model().exact_capable
         floaty = FrequencyModel(
