@@ -19,13 +19,13 @@ an eigenvalue's key has that eigenvalue's value: an index of the window
 can be a lattice element, a resonant pair or a failure of the coherence
 audit only when its value lies within tolerance of 0 or of an
 eigenvalue's value.  The enumeration looks up exactly those indices, with
-a meet in the middle over a prefix and a suffix of the modes: a table
-holds each suffix index once, as the record of its pairs, degree and
-walked sums with its rank in the suffix walk, and an index is a prefix
-index plus a record.  It applies to each, in walk order, the rules a walk
-over every index would apply; every other index passes the audit and
-records nothing.  The audit therefore certifies the same statement as a
-walk over the whole window.
+a meet in the middle over three runs of the modes: a table holds each
+suffix index once, as the record of its pairs, degree and walked sums with
+its rank in the suffix walk; lists hold the values of the middle indices;
+and an index is an outer index plus a middle index plus a record.  It
+applies to each, in walk order, the rules a walk over every index would
+apply; every other index passes the audit and records nothing.  The audit
+therefore certifies the same statement as a walk over the whole window.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .errors import (
     ProblemFileError,
     UniqueFactorizationViolation,
 )
-from .fields import GaussianRational, VectorField, _reduced
+from .fields import GaussianRational, VectorField, _Packing, _reduced
 from .indexing import (
     Mode,
     MultiIndex,
@@ -497,11 +497,11 @@ def enumerate_resonance(ctx: TruncationContext, model: FrequencyModel) -> Resona
     Certificate: the value of ``q`` is linear in its key, so ``q`` can
     resonate, or fail the audit, only when its value is within tolerance
     of 0 or of an eigenvalue's value.  :func:`_resonant_indices` finds
-    every such ``q`` of the window ``1 <= |q| <= D + 1`` by a lookup
-    rather than a walk over all of it, and applies the per-index rules to
-    each in walk order.  The elements, the pairs and their order, and the
-    first audit failure raised, are those of the full walk, so the audit
-    certifies the same statement.
+    every such ``q`` of the window ``1 <= |q| <= D + 1`` by lookups and
+    list scans rather than a walk over all of it, and applies the
+    per-index rules to each in walk order.  The elements, the pairs and
+    their order, and the first audit failure raised, are those of the full
+    walk, so the audit certifies the same statement.
 
     Generators: in ``sort_key`` order (degree first), an element is one
     unless a step down by a generator already found lands on an element
@@ -512,43 +512,48 @@ def enumerate_resonance(ctx: TruncationContext, model: FrequencyModel) -> Resona
     to ``e``, built by the coin-change recurrence over the sorted
     elements; each element needs ``ways == 1``, and each translate ``p``
     one split ``p = g + e``, ``g`` a generator of its direction and ``e``
-    zero or an element.
+    zero or an element.  Steps are taken on ``fields._Packing`` keys.
     """
     model.validate(ctx)
     D = ctx.degree_cutoff
     module_elements, resonant_pairs = _resonant_indices(model, ctx)
 
     module_elements.sort(key=MultiIndex.sort_key)
-    element_set = frozenset(module_elements)
-    q_generators = _generators(module_elements, element_set)
+    # Packed keys, degree digit on top: for degrees <= D < radix, key(a) -
+    # key(b) = key(c) iff a = b + c (key(b) + key(c) > key(a) if |b| + |c| > D)
+    packing = _Packing.of(ctx)
+    elements = {packing.key(e): e for e in module_elements}
+    q_codes = _generators(elements, elements)
+    q_generators = tuple(elements[g] for g in q_codes)
     for g in q_generators:
         if g.degree >= D:
             raise CutoffTooSmall(
                 "module generator %s touches the degree window %d; raise the "
                 "cutoff to certify completeness" % (g, D)
             )
-    ways = dict.fromkeys(module_elements, 0)
-    for g in q_generators:
+    ways = dict.fromkeys(elements, 0)
+    for g in q_codes:
         ways[g] += 1
-        for e in module_elements:
+        for e in elements:
             ways[e] += ways.get(e - g, 0)
-    for e in module_elements:
-        if ways[e] != 1:
+    for e, n in ways.items():
+        if n != 1:
             raise UniqueFactorizationViolation(
                 "lattice element %s admits %d generator factorizations; the "
-                "frequency model violates the unique-sum hypothesis" % (e, ways[e])
+                "frequency model violates the unique-sum hypothesis" % (elements[e], n)
             )
 
-    # per direction, the signed resonant translates outside the lattice
-    translates: dict[Mode, list[MultiIndex]] = {}
+    # per direction, the translates q - e_k outside the lattice, by key(q) - key(e_k)
+    translates: dict[Mode, dict[int, MultiIndex]] = {}
     for q, k in resonant_pairs:
-        p = q - MultiIndex.unit(k)
-        if not p.is_zero and p not in element_set:
-            translates.setdefault(k, []).append(p)
-    p_generators = {}
+        code = packing.key(q) - packing.weights[k] - packing.top
+        if code and code not in ways:
+            translates.setdefault(k, {})[code] = q - MultiIndex.unit(k)
+    p_codes = {}
     for k, plist in translates.items():
-        plist.sort(key=MultiIndex.sort_key)
-        p_generators[k] = _generators(plist, set(plist), q_generators)
+        translates[k] = plist = dict(sorted(plist.items(), key=lambda it: it[1].sort_key()))
+        p_codes[k] = _generators(plist, plist, q_codes)
+    p_generators = {k: tuple(translates[k][p] for p in gens) for k, gens in p_codes.items()}
     for k, gens in p_generators.items():
         for p in gens:
             if p.degree + 1 >= D:
@@ -557,8 +562,8 @@ def enumerate_resonance(ctx: TruncationContext, model: FrequencyModel) -> Resona
                     "degree window %d" % (p, format_mode(k), D)
                 )
     for k, plist in translates.items():
-        for p in plist:
-            n = sum(1 if p == g else ways.get(p - g, 0) for g in p_generators[k])
+        for code, p in plist.items():
+            n = sum(1 if code == g else ways.get(code - g, 0) for g in p_codes[k])
             if n != 1:
                 raise UniqueFactorizationViolation(
                     "translate %s (direction %s) admits %d factorizations "
@@ -566,7 +571,7 @@ def enumerate_resonance(ctx: TruncationContext, model: FrequencyModel) -> Resona
                 )
 
     return ResonanceModule(
-        model, ctx, q_generators, p_generators, element_set, resonant_pairs
+        model, ctx, q_generators, p_generators, frozenset(module_elements), resonant_pairs
     )
 
 
@@ -574,19 +579,26 @@ def enumerate_resonance(ctx: TruncationContext, model: FrequencyModel) -> Resona
 #: unless the suffix is empty.
 SPLIT_TABLE_CAP = 4096
 
+#: The most indices (about 200 bytes each) the middle lists keep, unless empty.
+MIDDLE_CAP = 800
 
-def resonance_split(n_modes: int, window: int, targets: int) -> int:
-    """How many leading modes :func:`_resonant_indices` walks; the rest form
-    its table.  The split ``s`` minimises the work ``C(s + window, window) +
-    targets * C(n_modes - s + window, window)`` (prefix indices walked plus
-    table entries) over the splits whose table holds at most
-    ``SPLIT_TABLE_CAP`` entries, and ``s = n_modes`` (one entry per target)
-    always qualifies; ties go to the smaller ``s``."""
+
+def resonance_split(n_modes: int, window: int, targets: int, cap: int = SPLIT_TABLE_CAP) -> int:
+    """How many leading modes of ``n_modes`` are walked when the indices of
+    the others are filed once per target.  The split ``s`` minimises the
+    work ``C(s + window, window) + targets * C(n_modes - s + window,
+    window)`` (indices walked plus entries filed) over the splits that file
+    at most ``cap`` entries, and ``s = n_modes`` (one entry per target)
+    always qualifies; ties go to the smaller ``s``.
+
+    :func:`_resonant_indices` splits its modes with ``SPLIT_TABLE_CAP``,
+    then its prefix with one target and ``MIDDLE_CAP``, which leaves the
+    middle empty only for an empty prefix (one prefix mode ties, to 0)."""
 
     def table(s):
         return targets * math.comb(n_modes - s + window, window)
 
-    fits = [s for s in range(n_modes + 1) if s == n_modes or table(s) <= SPLIT_TABLE_CAP]
+    fits = [s for s in range(n_modes + 1) if s == n_modes or table(s) <= cap]
     return min(fits, key=lambda s: math.comb(s + window, window) + table(s))
 
 
@@ -598,14 +610,20 @@ def _resonant_indices(model: FrequencyModel, ctx: TruncationContext):
     A meet in the middle (Horowitz & Sahni, J. ACM 21, 1974) finds the
     indices whose value is within tolerance of a target (0 or an
     eigenvalue's value): ``value(q) = value(p) + value(r)`` for its parts
-    ``p`` over ``modes[:s]`` and ``r`` over ``modes[s:]``.  The suffix
-    walk files each ``r`` once, as the record ``(rank, pairs, degree,
-    sums)`` with ``rank`` its place in that walk, under ``t - value(r)``
-    for each target ``t``; the prefix walk looks up ``value(p)``, and each
-    record found gives ``q`` as ``p`` plus ``r``, with the prefix modes
-    first.  A float-valued model files grid cells of side ``>= tol *
+    ``p`` over the prefix ``modes[:s]`` and ``r`` over the suffix
+    ``modes[s:]``.  The suffix walk files each ``r`` once, as the record
+    ``(rank, pairs, degree, sums)`` with ``rank`` its place in that walk,
+    under ``t - value(r)`` for each target ``t``; a prefix index ``p`` that
+    finds records gives each ``q`` as ``p`` plus ``r``, with the prefix
+    modes first.  A float-valued model files grid cells of side ``>= tol *
     value_scale`` and probes the 3 x 3 cells around ``value(p)``, taking
-    each record once, in rank order: the walk order of ``r``."""
+    each record once, in rank order: the walk order of ``r``.
+
+    The prefix splits again (Schroeppel & Shamir, SIAM J. Comput. 10,
+    1981): ``p`` is an outer index ``o`` over ``modes[:a]`` plus a middle
+    index, walked once into a list of values per degree budget.  Each ``o``
+    scans its budget's list for values ``v`` with ``value(o) + v`` filed;
+    only those become prefix indices.  An empty middle is the two-part walk."""
     D = ctx.degree_cutoff
     window = D + 1
     modes = ctx.modes()
@@ -633,7 +651,7 @@ def _resonant_indices(model: FrequencyModel, ctx: TruncationContext):
 
     targets = {0} | {rows[k][1] for k in modes}
     split = resonance_split(len(modes), window, len(targets))
-    prefix, suffix = modes[:split], modes[split:]
+    outer = resonance_split(split, window, 1, MIDDLE_CAP)
     if not exactly:
         num, den = tol.as_integer_ratio()
         side = max(1, -(-num * codes.value_scale // den))
@@ -643,7 +661,7 @@ def _resonant_indices(model: FrequencyModel, ctx: TruncationContext):
             return re // side, im // side
 
     table: dict = {}
-    for rank, (pairs, degree, sums) in enumerate(walk(suffix, window, 0, rows)):
+    for rank, (pairs, degree, sums) in enumerate(walk(modes[split:], window, 0, rows)):
         record = (rank, tuple(pairs), degree, sums)
         for t in targets:
             at = t - sums[1] if exactly else cell(t - sums[1])
@@ -663,14 +681,33 @@ def _resonant_indices(model: FrequencyModel, ctx: TruncationContext):
             found = {record[0]: record for entries in near for record in entries}
             return [found[rank] for rank in sorted(found)]
 
+    # The middle: per degree budget, the values of the middle indices of at
+    # most that degree, in walk order; under each value, its indices' (rank,
+    # pairs, degree, key, momentum).
+    budgets: list[list[int]] = [[] for _ in range(window + 1)]
+    named: dict[int, list] = {}
+    for rank, (pairs, degree, sums) in enumerate(walk(modes[outer:split], window, 0, rows)):
+        named.setdefault(sums[1], []).append((rank, tuple(pairs), degree, sums[0], sums[2]))
+        for budget in range(degree, window + 1):
+            budgets[budget].append(sums[1])
+
+    def prefix_hits():  # the prefix indices with records, in walk order
+        for opairs, odegree, (okey, ovalue, omom) in walk(modes[:outer], window, 0, rows):
+            budget = window - odegree
+            if exactly:
+                found = [v for v in budgets[budget] if ovalue + v in table]
+            else:
+                found = [v for v in budgets[budget] if probe(ovalue + v)]
+            if found:
+                middles = [(m, v) for v in set(found) for m in named[v] if m[2] <= budget]
+                for (_, mpairs, mdegree, mkey, mmom), mvalue in sorted(middles):
+                    pairs = tuple(opairs) + mpairs
+                    yield pairs, odegree + mdegree, (okey + mkey, ovalue + mvalue, omom + mmom)
+
     module_elements: list[MultiIndex] = []
     resonant_pairs: list[tuple[MultiIndex, Mode]] = []
-    for ppairs, pdegree, (pkey, pvalue, pmom) in walk(prefix, window, 0, rows):
-        hits = probe(pvalue)
-        if not hits:
-            continue
-        head = tuple(ppairs)
-        for _, rpairs, rdegree, (rkey, rvalue, rmom) in hits:
+    for head, pdegree, (pkey, pvalue, pmom) in prefix_hits():
+        for _, rpairs, rdegree, (rkey, rvalue, rmom) in probe(pvalue):
             degree = pdegree + rdegree
             if not degree or degree > window:
                 continue
@@ -714,14 +751,14 @@ def _require_coherent(model, q, k, symbolic_zero: bool, numeric_zero: bool) -> N
         )
 
 
-def _generators(ordered, members, steps=None) -> tuple[MultiIndex, ...]:
-    """The elements of ``ordered`` from which no step down by one of
-    ``steps`` (default: the ones found so far) lands in ``members``."""
-    gens: list[MultiIndex] = []
+def _generators(ordered, members, steps=None) -> list[int]:
+    """The codes of ``ordered`` from which no step down by one of ``steps``
+    (default: the ones found so far) lands in ``members``."""
+    gens: list[int] = []
     for e in ordered:
         if not any(e - g in members for g in (gens if steps is None else steps)):
             gens.append(e)
-    return tuple(gens)
+    return gens
 
 
 # ---------------------------------------------------------------------------
@@ -757,20 +794,22 @@ def _divisor_candidates(model: FrequencyModel, ctx: TruncationContext, degree_bo
     translates ``q - e_k`` reachable from nonnegative exponents.  Each
     walked base comes first, then ``base - e_k`` for each direction
     ``k`` outside its support, in modes order; momentum and resonance are
-    read off the walk's carried sums, so only the vectors kept are built."""
+    read off the walk's carried sums; a vector is its pairs, as a tuple."""
     modes = ctx.modes()
     codes = model.walk_rows(modes, degree_bound, ctx.momentum_enabled)
     by_momentum: dict[int, list[tuple[Mode, int]]] = {}
     for k in modes:
         kcode, _, mom = codes.rows[k]
         by_momentum.setdefault(mom, []).append((k, kcode))
+    places = {k: place for place, k in enumerate(modes)}
     for pairs, degree, (key, _, mom) in walk(modes, degree_bound, 0, codes.rows):
         if degree and key and not mom:
-            yield MultiIndex._from_sorted(tuple(pairs), degree)
+            yield tuple(pairs)
         if degree < degree_bound:
             for k, kcode in by_momentum.get(mom, ()):
                 if kcode != key and all(m != k for m, _ in pairs):
-                    yield MultiIndex(pairs + [(k, -1)])
+                    cut = sum(places[m] < places[k] for m, _ in pairs)
+                    yield (*pairs[:cut], (k, -1), *pairs[cut:])
 
 
 def diophantine_audit(
@@ -796,32 +835,32 @@ def diophantine_audit(
     fvalues = {k: model.eigenvalue_complex(k) for k in modes}
     asymptotics = {k: model.asymptotic_eigenvalue(k) for k in modes}
     gamma_max = math.inf
-    worst: MultiIndex | None = None
+    worst = None
     count = 0
     fast_hits = 0
     for p in _divisor_candidates(model, ctx, degree_bound):
         count += 1
-        value = abs(sum(fvalues[k] * e for k, e in p.items()))
+        value = abs(sum(fvalues[k] * e for k, e in p))
         if use_fast_path:
-            asymptotic = sum(e * asymptotics[k] for k, e in p.items())
-            if abs(asymptotic) >= 2 * p.l1:
+            asymptotic = sum(e * asymptotics[k] for k, e in p)
+            if abs(asymptotic) >= 2 * sum(abs(e) for _, e in p):
                 fast_hits += 1
                 if value < 1.0:
                     raise ModelError(
                         "asymptotic fast-path premise held for %s but "
                         "|lambda . p| = %g < 1; the declared eigenvalue "
-                        "shape is inconsistent with the model" % (p, value)
+                        "shape is inconsistent with the model" % (MultiIndex(p), value)
                     )
                 if gamma_max < 1.0:
                     continue  # cannot lower a minimum already below 1
         try:
             weighted = value
-            for m, e in p.items():
+            for m, e in p:
                 weighted *= (1 + e * e * mode_weight(m) ** 2) ** tau
         except OverflowError:
             # a weight beyond the float range; the product may lie within it
             log_weighted = math.log(value) + tau * sum(
-                math.log(1 + e * e * mode_weight(m) ** 2) for m, e in p.items()
+                math.log(1 + e * e * mode_weight(m) ** 2) for m, e in p
             )
             try:
                 weighted = math.exp(log_weighted)
@@ -838,7 +877,7 @@ def diophantine_audit(
     return DiophantineReport(
         tau=float(tau),
         gamma_max=gamma_max,
-        worst_p=worst,
+        worst_p=None if worst is None else MultiIndex(worst),
         enumerated_count=count,
         degree_bound=degree_bound,
         mode_cutoff=ctx.mode_cutoff,

@@ -22,6 +22,7 @@ from resnf.errors import (
     NormalFormError,
     UniqueFactorizationViolation,
 )
+from resnf import resonance
 from resnf.fields import GaussianRational
 from resnf.indexing import (
     Mode,
@@ -32,6 +33,7 @@ from resnf.indexing import (
     mode_momentum,
 )
 from resnf.resonance import (
+    MIDDLE_CAP,
     FrequencyModel,
     ResonanceModule,
     _require_coherent,
@@ -359,12 +361,13 @@ def _dependent_model(name, coordinates, values=(1, 2)):
 def split_cases():
     """Windows for the split rule of the lookup walk: nls N=3 D=5 splits
     inside its 14 modes; a 60-rung ladder at D=1 keeps every mode in the
-    walk; a one-mode model whose eigenvalue has the value 0 has one target
-    and walks no mode.  The two four-mode models (split 3, suffix ``4+``)
-    each fail the value audit at two places on opposite sides of the
-    split: first at ``4+^2``, a suffix index, then at ``3+^1``; first at
-    ``3+^1``, a prefix index, then at ``1+^1 4+^1``.  The float model of
-    :func:`float_order_case` pins the walk order of float hits."""
+    prefix, half of them in the middle; a one-mode model whose eigenvalue
+    has the value 0 has one target and an empty prefix.  The two four-mode
+    models (outer ``1+``, middle ``2+ 3+``, suffix ``4+``) each fail the
+    value audit at two places in different parts: first at ``4+^2``, a
+    suffix index, then at ``3+^1``, a middle index; first at ``3+^1``,
+    then at ``1+^1 4+^1``, an outer index plus a suffix index.  The float
+    model of :func:`float_order_case` pins the walk order of float hits."""
     yield "nls-N3-D5", nls_model(3), TruncationContext(3, 5, momentum_enabled=True)
     rungs = {Mode(j, 1): {"a": j} for j in range(1, 61)}
     yield "ladder-60", FrequencyModel("ladder-60", [("a", Fraction(1))], rungs), TruncationContext(60, 1)
@@ -375,14 +378,14 @@ def split_cases():
 
 
 def float_order_case():
-    """A float model (split 3, suffix ``4+``) whose second prefix index
-    ``3+^1`` finds two records that fail the value audit, in different
-    probe cells.  With ``a = 1`` and ``e = 0.6e-9``: ``4+^1`` (rank 1),
-    filed under the target 0 at ``-1``, gives ``3+^1 4+^1`` of key ``-e``
-    and value ``-0.6e-9``; ``4+^2`` (rank 2), filed under ``lambda_2`` at
-    ``-1 - 1.2e-9``, one cell lower, gives ``3+^1 4+^2``, whose value lies
-    within tolerance of ``lambda_2`` and of ``lambda_4`` while its key
-    equals neither.  Walk order raises the first failure; the order the
+    """A float model (outer ``1+``, middle ``2+ 3+``, suffix ``4+``) whose
+    second prefix index ``3+^1`` finds two records that fail the value
+    audit, in different probe cells.  With ``a = 1`` and ``e = 0.6e-9``:
+    ``4+^1`` (rank 1), filed under the target 0 at ``-1``, gives ``3+^1
+    4+^1`` of key ``-e`` and value ``-0.6e-9``; ``4+^2`` (rank 2), filed
+    under ``lambda_2`` at ``-1 - 1.2e-9``, one cell lower, gives ``3+^1
+    4+^2``, whose value lies within tolerance of ``lambda_2`` and of
+    ``lambda_4`` while its key equals neither.  Walk order raises the first failure; the order the
     cells are scanned in would raise the second."""
     coords = {
         Mode(1, 1): {"a": 5},
@@ -395,12 +398,20 @@ def float_order_case():
 
 
 def split_of(model, ctx):
-    """Where ``enumerate_resonance`` splits the window of ``ctx``: 0, an
-    index inside the mode list, or the mode count ``n``."""
+    """Where ``enumerate_resonance`` splits the window of ``ctx``: the
+    suffix starts at 0, at an index inside the mode list or at the mode
+    count ``n``; the prefix before it has no middle, an outer walk and a
+    middle, or an empty outer walk (the whole prefix is the middle)."""
     modes = ctx.modes()
+    window = ctx.degree_cutoff + 1
     targets = {(0, 0)} | {model._scaled(model._table[k]) for k in modes}
-    s = resonance_split(len(modes), ctx.degree_cutoff + 1, len(targets))
-    return {0: 0, len(modes): "n"}.get(s, "inside")
+    s = resonance_split(len(modes), window, len(targets))
+    outer = resonance_split(s, window, 1, MIDDLE_CAP)
+    if outer == s:
+        middle = "no middle"
+    else:
+        middle = "empty outer" if outer == 0 else "outer and middle"
+    return {0: 0, len(modes): "n"}.get(s, "inside"), middle
 
 
 FLOAT_CASES = [random_float_case(seed) for seed in range(80)]
@@ -437,20 +448,37 @@ def error_kind(result):
     return None
 
 
-def test_library_matches_parent_certificates():
+def test_library_matches_parent_certificates(monkeypatch):
     kinds = Counter()
     splits = Counter()
+    shapes = Counter()
+    no_middle = []
     edges = Counter()
     for name, model, ctx in CASES:
         expected = outcome(parent_enumerate, ctx, model)
         assert outcome(enumerate_resonance, ctx, model) == expected, name
+        with monkeypatch.context() as patch:
+            # no middle fits: the outer walk is the whole prefix
+            patch.setattr(resonance, "MIDDLE_CAP", 0)
+            assert outcome(enumerate_resonance, ctx, model) == expected, name
         kinds[error_kind(expected)] += 1
-        splits[split_of(model, ctx)] += 1
+        suffix, middle = split_of(model, ctx)
+        splits[suffix] += 1
+        shapes[model.exact_capable, middle] += 1
+        if middle == "no middle":
+            no_middle.append(name)
         if name.startswith("edge-"):
             edges[error_kind(expected)] += 1
     # the lookup walk splits before, inside and after the mode list, and
     # the tolerance-edge models both pass and fail the value audit
     assert splits[0] and splits["inside"] and splits["n"], splits
+    # exact and float windows each take both shapes the split rule gives a
+    # nonempty prefix; it leaves the middle empty only for an empty prefix
+    # (the zero-valued model, which validation rejects before the walk), so
+    # the no-middle shape is reached above with ``MIDDLE_CAP = 0``
+    for exact in (True, False):
+        assert shapes[exact, "empty outer"] and shapes[exact, "outer and middle"], shapes
+    assert no_middle == ["zero-value"], no_middle
     assert edges[None] and edges["ModelError", "symbol"], edges
     # every certificate failure occurs, so agreement is not vacuous
     for kind in (
@@ -472,9 +500,8 @@ def test_new_cases_reach_every_lookup_path():
         summaries = [r[2] for r in outcomes if not error_kind(r)]
         assert any(summary["resonant_pair_count"] for summary in summaries)
         assert any(summary["module_count"] for summary in summaries)
-    float_kinds = Counter(
-        error_kind(outcome(parent_enumerate, ctx, model)) for _, model, ctx in FLOAT_CASES
-    )
+        if cases is FLOAT_CASES:
+            float_kinds = Counter(error_kind(r) for r in outcomes)
     assert float_kinds[None] > 0 and float_kinds["ModelError", "symbol"] > 0
 
 
@@ -482,7 +509,7 @@ def test_float_hits_follow_walk_order():
     """The first audit failure of the float lookup is the walk's, not the
     first one met in the probe's cell scan."""
     _, model, ctx = float_order_case()
-    assert split_of(model, ctx) == "inside"
+    assert split_of(model, ctx) == ("inside", "outer and middle")
     result = outcome(enumerate_resonance, ctx, model)
     assert result[0] is ModelError
     assert "vanishing of lambda . 3+^1 4+^1 in" in result[1]
