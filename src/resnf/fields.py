@@ -175,7 +175,11 @@ def parse_coefficient(ctx: TruncationContext, text: str):
 # output term once.  A float coefficient is a complex.  A sum pops a key
 # whose total vanishes, so a key that comes back is re-inserted at the end:
 # outputs keep the insertion order of term-by-term sums, which fixes the
-# order later float sums (the float lane, ``majorant_norm``) run in.
+# order the float lane's later sums run in.  An exact bracket of two
+# self-mirrored fields keeps that order only in its sigma=+ components and
+# fills each sigma=- one from its mirror (see ``_Packing.bracket``); no
+# exact artifact reads dict order, since ``decompose`` rebuilds its parts
+# in ``terms()`` order and the text form sorts.
 
 
 def _stored(ctx: TruncationContext, value):
@@ -284,7 +288,7 @@ class _Packing:
     exponent of each key.  ``of`` keeps it on the context for the context's
     lifetime; it holds nothing of the context, so it is freed with it."""
 
-    __slots__ = ("exact", "radix", "modes", "weights", "top", "built", "__weakref__")
+    __slots__ = ("exact", "radix", "modes", "weights", "top", "built", "mirrored", "__weakref__")
 
     def __init__(self, ctx: TruncationContext):
         self.exact = ctx.exact
@@ -293,6 +297,9 @@ class _Packing:
         self.weights = {m: radix**i for i, m in enumerate(modes)}
         self.top = radix ** len(modes)
         self.built: dict[int, MultiIndex] = {}
+        # key -> key of its mirror, which ``mirror`` fills; None where no
+        # bracket halves: a float context, or one without the sigma=- modes
+        self.mirrored: dict[int, int] | None = {} if ctx.exact and ctx.momentum_enabled else None
 
     @staticmethod
     def of(ctx: TruncationContext) -> "_Packing":
@@ -380,20 +387,72 @@ class _Packing:
                 else:
                     del out[key]
 
+    def mirror(self, key: int) -> int:
+        """The key of the mirror of ``key``'s exponent, each mode's sigma
+        swapped: a momentum context's modes come in pairs ``(j, -1), (j,
+        +1)``, so the digits of each pair swap.  Built once per key."""
+        m = self.mirrored.get(key)
+        if m is None:
+            radix = self.radix
+            pair_radix = radix * radix
+            rest = key % self.top
+            m, w = key - rest, 1
+            while rest:
+                rest, pair = divmod(rest, pair_radix)
+                m += (pair % radix * radix + pair // radix) * w
+                w *= pair_radix
+            self.mirrored[key] = m
+        return m
+
+    def _self_mirrored(self, terms: dict) -> bool:
+        """Whether stored exact terms are their own mirror: each component
+        ``(j, sigma)`` has the component ``(j, -sigma)``, as many terms,
+        and at the mirror of each key the conjugate coefficient, compared
+        cross-multiplied because the series' terms are unreduced."""
+        mirror = self.mirror
+        for k, comp in terms.items():
+            other = terms.get(Mode(k.j, -k.sigma))
+            if other is None or len(other) != len(comp):
+                return False
+            if k.sigma < 0:
+                continue
+            for key, (re, im, den) in comp.items():
+                c = other.get(mirror(key))
+                if c is None or re * c[2] != c[0] * den or im * c[2] != -c[1] * den:
+                    return False
+        return True
+
     def bracket(self, xs: dict, ys: dict, cutoff: int) -> dict:
         """``[X, Y]`` on stored terms: direction to key to unreduced
-        coefficient."""
+        coefficient.  When X and Y are both exact and self-mirrored, so is
+        ``[X, Y]`` (the mirror relabels the coordinates and conjugates, and
+        the bracket's structure constants are integers): only its sigma=+
+        components are computed, and each sigma=- one is the mirror of its
+        twin."""
+        half = (
+            self.mirrored is not None and self._self_mirrored(xs) and self._self_mirrored(ys)
+        )
         store: dict[Mode, dict] = {}
         for j, comp in ys.items():
+            if half and j.sigma < 0:
+                continue
             target: dict = {}
             self.lie_into(target, xs, comp, cutoff)
             if target:
                 store[j] = target
         for j, comp in xs.items():
+            if half and j.sigma < 0:
+                continue
             target = store.setdefault(j, {})
             self.lie_into(target, ys, comp, cutoff, -1)
             if not target:
                 del store[j]
+        if half:
+            mirror = self.mirror
+            for j, comp in list(store.items()):
+                store[Mode(j.j, -1)] = {
+                    mirror(key): (re, -im, den) for key, (re, im, den) in comp.items()
+                }
         return store
 
 

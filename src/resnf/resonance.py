@@ -378,6 +378,7 @@ class ResonanceModule:
         "violations",
         "resonant_pair_count",
         "_packing",
+        "_classes",
     )
 
     def __init__(
@@ -406,6 +407,7 @@ class ResonanceModule:
         places = {m: 1 << (i * width) for i, m in enumerate(modes)}
         packed = tuple(sum(e * places[m] for m, e in g.items()) for g in q_generators)
         self._packing = (sum(places.values()) << (width - 1), cap, places, packed)
+        self._classes: dict[MultiIndex, int] = {}
         # Resonant field exponents not absorbed by two generators; their
         # maximal scaling order determines the minimal valid cutoff.
         violations = [
@@ -418,11 +420,20 @@ class ResonanceModule:
 
     def classify(self, q: MultiIndex) -> int:
         """Ideal class of an exponent: 2 if two generators (repetition
-        allowed) fit inside ``q``, 1 if one does, else 0.  A packed
-        divisibility test (Monagan & Pearce, J. Symb. Comput. 46, 2011): a
-        digit per generator mode, holding any ``g_i + h_i`` (``q`` clamped
-        to it) under a guard bit; ``G`` fits when ``Q - G`` keeps every
-        guard bit, and that remainder tests ``H`` alike."""
+        allowed) fit inside ``q``, 1 if one does, else 0.  Each exponent is
+        tested once and its class kept: the pipeline asks again for the
+        terms of every solve and series."""
+        klass = self._classes.get(q)
+        if klass is None:
+            klass = self._classes[q] = self._fits(q)
+        return klass
+
+    def _fits(self, q: MultiIndex) -> int:
+        """``classify`` without the memo.  A packed divisibility test
+        (Monagan & Pearce, J. Symb. Comput. 46, 2011): a digit per
+        generator mode, holding any ``g_i + h_i`` (``q`` clamped to it)
+        under a guard bit; ``G`` fits when ``Q - G`` keeps every guard
+        bit, and that remainder tests ``H`` alike."""
         guard, cap, places, packed = self._packing
         code = guard
         for m, e in q.items():

@@ -36,18 +36,26 @@ compared with the library:
   ``parent_truediv``, the divide through the complex norm, written out
   against ``GaussianRational`` arithmetic on exact rationals with either
   operand, both or neither real, purely imaginary or zero;
-- ``parent_split_ideals``, one projection per class.
+- ``parent_split_ideals``, one projection per class;
+- ``parent_bracket`` and ``parent_pushforward_exp`` again, as the full
+  loop against the half path that ``bracket`` and ``lie_exp`` take when
+  both exact operands are self-mirrored, on random fields plus their
+  mirrors, and on such fields with one term moved off its mirror, which
+  must take the full loop.
 
 ``split_ideals`` and ``decompose`` classify on packed integers, so on the
 nls field they are counted to make no ``MultiIndex`` difference and no
 ``contains`` call.
 
 Results must be equal term for term and in the same insertion order,
-which fixes the order of later float sums.  The Lie algebra laws and the
-agreement of the exact and float lanes are checked on random fields over
-a momentum-enabled context.
+which fixes the order of later float sums; a half bracket keeps that
+order on its sigma=+ components, and its sigma=- ones follow their
+twins.  The Lie algebra laws and the agreement of the exact and float
+lanes are checked on random fields over a momentum-enabled context, and
+the lanes' order on a half bracket on a hand-built pair.
 """
 
+import contextlib
 import functools
 import random
 from fractions import Fraction
@@ -55,7 +63,7 @@ from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from parent_fields import (
@@ -359,14 +367,14 @@ def _coefficient(ctx, re, im):
 
 
 @st.composite
-def field_terms(draw, ctx, max_terms=6, parts=PARTS, min_degree=1):
-    """Terms of every degree from ``min_degree`` up to ``degree_cutoff +
-    1``, in random order, so products land below, on and above the
-    cutoff."""
+def field_terms(draw, ctx, max_terms=6, parts=PARTS, min_degree=1, max_degree=None):
+    """Terms of every degree from ``min_degree`` up to ``max_degree``
+    (``degree_cutoff + 1`` by default), in random order, so products land
+    below, on and above the cutoff."""
     modes = ctx.modes()
     terms = []
     for _ in range(draw(st.integers(0, max_terms))):
-        degree = draw(st.integers(min_degree, ctx.degree_cutoff + 1))
+        degree = draw(st.integers(min_degree, max_degree or ctx.degree_cutoff + 1))
         q = MultiIndex((draw(st.sampled_from(modes)), 1) for _ in range(degree))
         if ctx.momentum_enabled:
             ks = [k for k in modes if k.sigma * k.j == q.momentum_sum]
@@ -633,6 +641,171 @@ def test_series_cancellations_keep_the_chained_order(arithmetic):
 
 
 # ---------------------------------------------------------------------------
+# the half bracket on self-mirrored fields against the full loop
+# ---------------------------------------------------------------------------
+
+MIRROR_CONTEXTS = (
+    TruncationContext(2, 4, momentum_enabled=True),
+    TruncationContext(1, 5, momentum_enabled=True),
+)
+
+
+def bar(m):
+    return Mode(m.j, -m.sigma)
+
+
+def mirrored(terms):
+    """The mirror of exact ``(k, q, c)`` terms: the sigma of every mode
+    swapped and the coefficient conjugated."""
+    return [
+        (bar(k), MultiIndex((bar(m), e) for m, e in q.items()), GaussianRational(c.re, -c.im))
+        for k, q, c in terms
+    ]
+
+
+def self_mirrored(ctx, terms):
+    """A field plus its mirror, which is its own mirror."""
+    return VectorField(ctx, list(terms) + mirrored(terms))
+
+
+def unordered(obj):
+    """Decoded terms, without their order."""
+    return {k: dict(comp) for k, comp in decoded(obj)._terms.items()}
+
+
+def plus_layout(obj):
+    """``layout`` of the sigma=+ components alone."""
+    return [(k, comp) for k, comp in layout(obj) if k.sigma > 0]
+
+
+@contextlib.contextmanager
+def kernel_spy():
+    """Record each ``lie_into`` call and each ``_self_mirrored`` result."""
+    seen = {"lie_into": 0, "mirrored": []}
+    lie_into, check = fields._Packing.lie_into, fields._Packing._self_mirrored
+
+    def counted(self, *args):
+        seen["lie_into"] += 1
+        return lie_into(self, *args)
+
+    def recorded(self, terms):
+        seen["mirrored"].append(check(self, terms))
+        return seen["mirrored"][-1]
+
+    with mock.patch.object(fields._Packing, "lie_into", counted), mock.patch.object(
+        fields._Packing, "_self_mirrored", recorded
+    ):
+        yield seen
+
+
+def plus_count(*xs):
+    return sum(k.sigma > 0 for x in xs for k in x._terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_half_bracket_matches_full_loop(data):
+    ctx = data.draw(st.sampled_from(MIRROR_CONTEXTS))
+    x = self_mirrored(ctx, data.draw(field_terms(ctx, 6, WIDE_PARTS, max_degree=4)))
+    y = self_mirrored(ctx, data.draw(field_terms(ctx, 6, WIDE_PARTS, max_degree=4)))
+    with kernel_spy() as seen:
+        got = x.bracket(y)
+    # the half path: one lie_into per sigma=+ component of either operand
+    assert seen["mirrored"] == [True, True]
+    assert seen["lie_into"] == plus_count(x, y)
+    want = parent_bracket(x, y)
+    assert unordered(got) == unordered(want)
+    assert plus_layout(got) == plus_layout(want)
+    packing = fields._Packing.of(ctx)
+    assert packing._self_mirrored(got._terms)
+    # the same values with the sigma=- side unreduced, as the series' terms
+    # may be: still self-mirrored, and the same bracket
+    tripled = {
+        k: {key: (3 * re, 3 * im, 3 * den) if k.sigma < 0 else (re, im, den)
+            for key, (re, im, den) in comp.items()}
+        for k, comp in x._terms.items()
+    }
+    with kernel_spy() as seen:
+        store = packing.bracket(tripled, y._terms, ctx.degree_cutoff + 1)
+    assert seen["mirrored"] == [True, True]
+    reduced = {j: fields._reduce(True, t) for j, t in store.items()}
+    assert unordered(VectorField._raw(ctx, reduced)) == unordered(want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_half_series_matches_chained_series(data):
+    # the series' running terms are unreduced: the check cross-multiplies
+    ctx = data.draw(st.sampled_from(MIRROR_CONTEXTS))
+    f = self_mirrored(ctx, data.draw(field_terms(ctx, 3, WIDE_PARTS, 2, 3)))
+    w = self_mirrored(ctx, data.draw(field_terms(ctx, 5, WIDE_PARTS, max_degree=4)))
+    with kernel_spy() as seen:
+        got, count = fields.lie_exp(f, w)
+    assert all(seen["mirrored"])
+    assert unordered(got) == unordered(parent_pushforward_exp(f, w))
+    assert count == len(parent_lie_series_terms(f, w)) - 1
+
+
+GAUGE = index((1, 1, 1), (1, -1, 1))
+
+
+def with_fault(x, fault, i):
+    """``x`` with one term off its mirror: its coefficient doubled, the
+    term dropped, or its coefficient moved or copied to ``x^q x_{1+}
+    x_{1-}``, a key that ``x^q``'s component lacks."""
+    terms = x.terms()
+    k, q, c = terms[i]
+    if fault == "scale":
+        terms[i] = (k, q, c * 2)
+    elif fault == "drop":
+        del terms[i]
+    elif fault == "move":
+        terms[i] = (k, q + GAUGE, c)
+    else:
+        terms.append((k, q + GAUGE, c))
+    return VectorField(x.ctx, terms)
+
+
+def movable(x):
+    """Positions of the terms that ``with_fault`` can move or copy."""
+    ctx = x.ctx
+    return [
+        i
+        for i, (k, q, _) in enumerate(x.terms())
+        if q.degree + 2 <= ctx.degree_cutoff + 1 and x.coefficient(k, q + GAUGE) is None
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_term_off_its_mirror_takes_the_full_loop(data):
+    ctx = data.draw(st.sampled_from(MIRROR_CONTEXTS))
+    x = self_mirrored(ctx, data.draw(field_terms(ctx, 6, WIDE_PARTS, max_degree=4)))
+    y = self_mirrored(ctx, data.draw(field_terms(ctx, 6, WIDE_PARTS, max_degree=4)))
+    fault = data.draw(st.sampled_from(("scale", "drop", "move", "copy")))
+    places = movable(x) if fault in ("move", "copy") else range(x.term_count())
+    assume(places)
+    bad = with_fault(x, fault, data.draw(st.sampled_from(list(places))))
+    packing = fields._Packing.of(ctx)
+    assert packing._self_mirrored(x._terms) and not packing._self_mirrored(bad._terms)
+    for left, right in ((bad, y), (y, bad)):
+        with kernel_spy() as seen:
+            got = left.bracket(right)
+        assert False in seen["mirrored"]
+        assert seen["lie_into"] == len(left._terms) + len(right._terms)
+        assert layout(got) == layout(parent_bracket(left, right))
+    # as the generator of a series, whose every bracket takes the full loop
+    f = self_mirrored(ctx, data.draw(field_terms(ctx, 3, WIDE_PARTS, 2, 3)))
+    if not f.is_zero:
+        f = with_fault(f, "scale", data.draw(st.integers(0, f.term_count() - 1)))
+        with kernel_spy() as seen:
+            got, count = fields.lie_exp(f, y)
+        assert not any(seen["mirrored"])
+        assert layout(got) == layout(parent_pushforward_exp(f, y))
+        assert count == len(parent_lie_series_terms(f, y)) - 1
+
+
+# ---------------------------------------------------------------------------
 # GaussianRational: products and quotients against the written-out formulas
 # ---------------------------------------------------------------------------
 
@@ -743,10 +916,37 @@ def test_antisymmetry_and_jacobi_with_momentum(data):
 def test_float_lane_matches_exact_lane(data):
     # degrees up to the field cutoff, so products also land above it
     x, y = (data.draw(integer_field(NLS, 6, NLS.degree_cutoff + 1)) for _ in range(2))
+    assert_lanes_agree(x, y)
+
+
+def assert_lanes_agree(x, y):
+    """The float bracket equals the exact one, in insertion order; on two
+    nonzero self-mirrored operands the exact lane inserts its sigma=-
+    components after the sigma=+ ones, so only those keep the order."""
     exact = x.bracket(y)
     got = x.as_float().bracket(y.as_float())
     assert got == exact.as_float()
-    assert layout(got) == layout(exact.as_float())
+    packing = fields._Packing.of(x.ctx)
+    half = all(packing._self_mirrored(f._terms) for f in (x, y))
+    order = plus_layout if half else layout
+    assert order(got) == order(exact.as_float())
+
+
+def test_float_lane_matches_a_half_bracket():
+    # the float lane orders these directions 0+, 1-, 0-, 1+ and the half
+    # bracket 0+, 1+, 0-, 1-: equal terms, the sigma=+ ones in one order
+    x = self_mirrored(
+        NLS, [(Mode(1, 1), index((0, -1, 1), (0, 1, 1), (1, 1, 1)), GaussianRational(1, 2))]
+    )
+    y = self_mirrored(
+        NLS,
+        [
+            (Mode(0, 1), index((0, 1, 1), (1, -1, 1), (1, 1, 1)), GaussianRational(3, 1)),
+            (Mode(1, -1), index((1, -1, 1)), GaussianRational(1, 0)),
+        ],
+    )
+    assert layout(x.as_float().bracket(y.as_float())) != layout(x.bracket(y).as_float())
+    assert_lanes_agree(x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,32 @@ def test_classify_on_every_exponent_a_normalize_classifies():
     assert set(classes) == {0, 1, 2}
 
 
+def test_classify_tests_each_exponent_once():
+    # the pipeline asks again for the terms of every solve and series; the
+    # module keeps each exponent's class, so the guard-bit test runs once
+    field, model = build_example_nls(1, cutoff=2, degree=5)
+    module = enumerate_resonance(field.ctx, model)
+    calls, fits = [], []
+    classify, test = ResonanceModule.classify, ResonanceModule._fits
+
+    def spy_classify(self, q):
+        calls.append(q)
+        return classify(self, q)
+
+    def spy_fits(self, q):
+        fits.append(q)
+        return test(self, q)
+
+    with mock.patch.object(ResonanceModule, "classify", spy_classify), mock.patch.object(
+        ResonanceModule, "_fits", spy_fits
+    ):
+        normalform.normalize(field, module)
+    again = [module.classify(q) for q in calls]
+    assert len(fits) == len(set(fits)) and set(fits) <= set(calls)
+    assert len(calls) > 4 * len(fits)  # 1,704 calls, 380 tests
+    assert again == [test(module, q) for q in calls]
+
+
 CUTOFFS = (1, 2, 3, 4)
 
 

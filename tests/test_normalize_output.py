@@ -1,8 +1,15 @@
 """``normalize --out`` writes four artifacts; all of them are pinned byte
 for byte, exact and ``--float``, to outputs recorded before the exact Lie
 series moved to packed Gaussian-integer numerators.  ``kam_trace.json``'s
-``eps`` and ``theta`` are float sums taken in the fields' dict order, so
-they pin that order as well as the values.
+``eps`` and ``theta`` are float sums taken in the dict order of
+``decompose``'s parts, which it builds in ``terms()`` order, sorted; so
+they pin that sorted order as well as the values.
+
+The exact artifacts read no dict order of a bracket's output, which lets
+a bracket of two self-mirrored exact fields compute its sigma=+ components
+and fill the sigma=- ones from them: with every bracket's directions and
+keys reversed they stay byte-identical.  Neither the float lane nor a
+dim6 context, which has no sigma=- modes, takes that half path.
 
 The two lanes must also agree with each other on whole runs: the same
 report, the same terms in the same order, and coefficients and trace
@@ -15,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from resnf import fields
 from resnf.cli import EXIT_OK, NORMAL_FORM_FILE, REPORT_FILE, TRACE_FILE, TRANSFORM_FILE, run
 
 RECORDED = Path(__file__).resolve().parent / "normalize_output"
@@ -60,10 +68,63 @@ def normalize_out(tmp_path, name, lane):
 def test_normalize_artifacts_match_recorded(tmp_path, capsys, name, lane):
     out = normalize_out(tmp_path, name, lane)
     capsys.readouterr()
-    recorded = RECORDED / ("%s-%s" % (name, lane))
     assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
+    assert_recorded(out, name, lane)
+
+
+def assert_recorded(out, name, lane):
+    recorded = RECORDED / ("%s-%s" % (name, lane))
     for artifact in ARTIFACTS:
         assert (out / artifact).read_bytes() == (recorded / artifact).read_bytes(), artifact
+
+
+@pytest.mark.parametrize("name", ["nls-2-5", "readme"])
+def test_exact_artifacts_read_no_bracket_order(tmp_path, capsys, monkeypatch, name):
+    bracket = fields._Packing.bracket
+    calls = []
+
+    def reversed_bracket(self, xs, ys, cutoff):
+        calls.append(cutoff)
+        store = bracket(self, xs, ys, cutoff)
+        return {j: dict(reversed(comp.items())) for j, comp in reversed(store.items())}
+
+    monkeypatch.setattr(fields._Packing, "bracket", reversed_bracket)
+    out = normalize_out(tmp_path, name, "exact")
+    capsys.readouterr()
+    assert calls
+    assert_recorded(out, name, "exact")
+
+
+@pytest.mark.parametrize(
+    "name, lane, half",
+    [
+        ("nls-2-5", "exact", True),
+        ("nls-2-5", "float", False),
+        ("readme", "exact", False),
+        ("readme", "float", False),
+        ("dim6-11", "exact", False),
+        ("dim6-11", "float", False),
+    ],
+)
+def test_only_exact_mirrored_contexts_halve_the_bracket(
+    tmp_path, capsys, monkeypatch, name, lane, half
+):
+    check = fields._Packing._self_mirrored
+    results = []
+
+    def recorded(self, terms):
+        results.append(check(self, terms))
+        return results[-1]
+
+    monkeypatch.setattr(fields._Packing, "_self_mirrored", recorded)
+    out = normalize_out(tmp_path, name, lane)
+    capsys.readouterr()
+    # the exact nls run halves every bracket; the others never test for it
+    if half:
+        assert results and all(results)
+    else:
+        assert not results
+    assert_recorded(out, name, lane)
 
 
 # The pinned artifacts agree to 1.5e-14 relative.

@@ -290,17 +290,28 @@ class TestGaugePairedModule:
         assert gauge_module.classify(pair + other) == 2
 
     def test_lookup_walk_peak_memory(self):
-        """nls N=4 D=5 splits its 18 modes after the fourteenth: 38,760
-        prefix indices and a 3,990-entry suffix table stand for the
-        134,596-index window, where the table cap binds (without it the
-        split would be 13, with an 8,778-entry table).  The enumeration
-        peaks at about 0.31 MB of traced allocations, as the earlier walk
-        over every index did (0.61 MB without the cap); a window kept in
-        memory would take tens of MB."""
+        """nls N=4 D=5 (18 modes, window 6, 19 targets) splits its modes
+        after the fourteenth, where the table cap binds (without it the
+        split would be 13, with an 8,778-entry table): the suffix table
+        holds 3,990 entries, and the 38,760 prefix indices of a two-part
+        split are an outer walk of the 5,005 indices of the first 9 modes
+        over the middle lists of the 462 indices of the next 5.  They stand
+        for the 134,596-index window.  The enumeration peaks at about 0.31
+        MB of traced allocations; a window kept in memory would take tens
+        of MB.  As in the lattice test below, a full collection runs before
+        the warm-up, so that none empties the free lists inside the
+        trace."""
         ctx = TruncationContext(4, 5, momentum_enabled=True)
         model = nls_model(4)
         targets = {model._scaled(model._table[k]) for k in ctx.modes()} | {(0, 0)}
-        assert resonance_split(18, 6, len(targets)) == 14
+        split = resonance_split(18, 6, len(targets))
+        outer = resonance_split(split, 6, 1, MIDDLE_CAP)
+        assert (outer, split) == (9, 14)
+        assert math.comb(outer + 6, 6) == 5_005
+        assert math.comb(split - outer + 6, 6) == 462
+        assert len(targets) * math.comb(18 - split + 6, 6) == 3_990
+        assert math.comb(split + 6, 6) == 38_760
+        gc.collect()
         enumerate_resonance(ctx, model)
         tracemalloc.start()
         try:
