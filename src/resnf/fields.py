@@ -22,7 +22,7 @@ from .indexing import (
     TruncationContext,
     format_mode,
     mode_key,
-    norm_weight,
+    mode_weight,
     parse_mode,
 )
 
@@ -283,20 +283,29 @@ def _sum_into(exact: bool, target: dict, items) -> None:
 
 
 class _Packing:
-    """The stored form of one context's terms and its one ``key ->
-    MultiIndex`` map, which only :meth:`index` fills, with the canonical
-    exponent of each key.  ``of`` keeps it on the context for the context's
+    """The stored form of one context's terms and what is read off a key,
+    each once per key: the support (:meth:`support`), the exponent
+    (:meth:`index`, which alone builds a ``MultiIndex``) and the order code
+    (:meth:`order`).  ``of`` keeps it on the context for the context's
     lifetime; it holds nothing of the context, so it is freed with it."""
 
-    __slots__ = ("exact", "radix", "modes", "weights", "top", "built", "mirrored", "__weakref__")
+    __slots__ = ("exact", "radix", "modes", "weights", "positions", "top", "smoothing", "pairs")
+    __slots__ += ("supports", "built", "codes", "mirrored", "__weakref__")
 
     def __init__(self, ctx: TruncationContext):
         self.exact = ctx.exact
         self.radix = radix = ctx.degree_cutoff + 2
         self.modes = modes = ctx.modes()
         self.weights = {m: radix**i for i, m in enumerate(modes)}
+        self.positions = {m: i for i, m in enumerate(modes)}
         self.top = radix ** len(modes)
+        # per mode, ``(<h>, <h>**theta)`` of its norm weight
+        self.smoothing = [(w, w**ctx.theta) for w in map(mode_weight, modes)]
+        # each ``(i, e)`` of a support once, so a support tuple holds references
+        self.pairs = [[(i, e) for e in range(radix)] for i in range(len(modes))]
+        self.supports: dict[int, tuple] = {}
         self.built: dict[int, MultiIndex] = {}
+        self.codes: dict[int, int] = {}
         # key -> key of its mirror, which ``mirror`` fills; None where no
         # bracket halves: a float context, or one without the sigma=- modes
         self.mirrored: dict[int, int] | None = {} if ctx.exact and ctx.momentum_enabled else None
@@ -328,46 +337,109 @@ class _Packing:
         """The exponent of ``key``, built once per key."""
         q = self.built.get(key)
         if q is None:
-            digits, rest = [], key % self.top
-            while rest:
-                rest, e = divmod(rest, self.radix)
-                digits.append(e)
-            pairs = tuple((m, e) for m, e in zip(self.modes, digits) if e)
+            modes = self.modes
+            pairs = tuple((modes[i], e) for i, e in self.support(key))
             q = self.built[key] = MultiIndex._from_sorted(pairs, key // self.top)
         return q
 
-    def _fitting(self, xterms: dict[Mode, dict], fterms: dict, cutoff: int):
-        """For each direction ``k`` of X and each f term with ``x_k`` in
-        it: the X^(k) terms whose product with it stays within ``cutoff``
-        (in stored order; each component is filtered once per distinct f
-        degree), the key offset ``-e_k`` of the product, the exponent of
-        ``x_k`` and the f coefficient."""
-        radix, weights, top = self.radix, self.weights, self.top
-        for k, comp in xterms.items():
-            w = weights[k]
-            shift = w + top
-            fits: dict[int, list] = {}
-            for qf, cf in fterms.items():
-                e = qf // w % radix
-                if not e:
-                    continue
-                limit = (cutoff + 2 - qf // top) * top
-                xs = fits.get(limit)
-                if xs is None:
-                    xs = fits[limit] = [t for t in comp.items() if t[0] < limit]
-                if xs:
-                    yield xs, qf - shift, e, cf
+    def support(self, key: int) -> tuple:
+        """``(i, e)`` for each nonzero digit ``e`` of ``key``, the entry of
+        the i-th mode, in modes order.  Built once per key."""
+        found = self.supports.get(key)
+        if found is None:
+            radix, made, pairs, rest, i = self.radix, self.pairs, [], key % self.top, 0
+            while rest:
+                rest, e = divmod(rest, radix)
+                if e:
+                    pairs.append(made[i][e])
+                i += 1
+            found = self.supports[key] = tuple(pairs)
+        return found
 
-    def lie_into(self, out: dict, xterms: dict, fterms: dict, cutoff: int, sign: int = 1):
+    def entry(self, key: int, k: Mode) -> int:
+        """The entry of the mode ``k`` in ``key``'s exponent."""
+        return key // self.weights[k] % self.radix
+
+    def order(self, key: int) -> int:
+        """The order code of ``key``, which orders keys as
+        ``MultiIndex.sort_key`` orders their exponents: the degree as the
+        top digit, then the i-th mode's digit at weight ``radix**(n-1-i)``
+        (the first mode most significant), ``e - 1`` for an entry ``e > 0``
+        and ``radix - 1`` for 0.  Built once per key."""
+        code = self.codes.get(key)
+        if code is None:
+            radix, top = self.radix, self.top
+            code = (key // top + 1) * top - 1  # every digit at ``radix - 1``
+            for i, e in self.support(key):
+                code += (e - radix) * (top // radix ** (i + 1))
+            self.codes[key] = code
+        return code
+
+    def sort(self, keys) -> list[int]:
+        """``keys`` in the ``MultiIndex.sort_key`` order of their exponents."""
+        codes, order = self.codes, self.order
+        for key in keys:
+            if key not in codes:
+                order(key)
+        return sorted(keys, key=codes.__getitem__)
+
+    def norm_factors(self, k: Mode, key: int) -> tuple:
+        """What the majorant-norm weight of ``x^q d/dx_k`` reads of the
+        exponent: the degree ``d``, ``(<k> / prod_h <h>**q_h)**2`` and the
+        smoothing gap ``sum_h <h>**theta * q_h - <k>**theta``, each with
+        the operations of ``indexing.norm_weight`` in its order, so
+        ``float(r)**(d-1) * square * exp(-float(s) * gap)`` is that weight
+        bit for bit.  Not kept: a norm meets a term once per KAM step."""
+        smoothing, prod, total = self.smoothing, 1, 0.0
+        for i, e in self.support(key):
+            w, power = smoothing[i]
+            prod *= w**e
+            total += power * e
+        wk, power = smoothing[self.positions[k]]
+        return key // self.top, (wk / prod) ** 2, total - power
+
+    def _fitting(self, xterms: dict[Mode, dict], by_mode: dict, fits: dict):
+        """For each direction ``k`` of X and each f term with ``x_k`` in
+        it, in stored order: the X^(k) terms whose product with it stays
+        within the cutoff (in stored order), the key offset ``-e_k`` of the
+        product, the exponent of ``x_k`` and the f coefficient.  ``by_mode``
+        is f's :meth:`support_index`; ``fits`` keeps each X component's
+        filtered list per limit, and a caller that keeps X passes the same
+        one again to share them."""
+        positions = self.positions
+        for k, comp in xterms.items():
+            lists = fits.setdefault(k, {})
+            for limit, base, e, cf in by_mode.get(positions[k], ()):
+                xs = lists.get(limit)
+                if xs is None:
+                    xs = lists[limit] = [t for t in comp.items() if t[0] < limit]
+                if xs:
+                    yield xs, base, e, cf
+
+    def support_index(self, fterms: dict, cutoff: int) -> dict:
+        """f's terms by the modes of their support: per mode position, in
+        stored order, each f term with an entry ``e > 0`` there as ``(limit,
+        base, e, cf)``, where an X key fits under ``limit`` and ``base`` is
+        the key offset ``-e_k`` of the product."""
+        top, weights, support = self.top, list(self.weights.values()), self.support
+        index: dict[int, list] = {}
+        for qf, cf in fterms.items():
+            limit = (cutoff + 2 - qf // top) * top
+            for i, e in support(qf):
+                index.setdefault(i, []).append((limit, qf - weights[i] - top, e, cf))
+        return index
+
+    def lie_into(self, out: dict, xterms: dict, fterms: dict, cutoff: int, sign: int = 1, fits: dict | None = None):
         """Accumulate ``sign * sum_k X^(k) * d f / dx_k`` into ``out``
         (key to unreduced coefficient), skipping products above
-        ``cutoff``."""
+        ``cutoff``; ``fits`` as for :meth:`_fitting`."""
+        pairs = self._fitting(xterms, self.support_index(fterms, cutoff), {} if fits is None else fits)
         if not self.exact:
-            for xs, base, e, cf in self._fitting(xterms, fterms, cutoff):
+            for xs, base, e, cf in pairs:
                 cf = -cf if sign < 0 else cf
                 _sum_into(False, out, ((qx + base, cx * cf * e) for qx, cx in xs))
             return
-        for xs, base, e, (fr, fi, fd) in self._fitting(xterms, fterms, cutoff):
+        for xs, base, e, (fr, fi, fd) in pairs:
             fr *= sign * e
             fi *= sign * e
             for qx, (xr, xi, xd) in xs:
@@ -422,22 +494,31 @@ class _Packing:
                     return False
         return True
 
-    def bracket(self, xs: dict, ys: dict, cutoff: int) -> dict:
+    def halves(self, *operands: dict) -> bool:
+        """Whether a bracket of these stored terms halves: the context is
+        exact with momentum and each operand is self-mirrored, tested in
+        turn until one fails."""
+        return self.mirrored is not None and all(map(self._self_mirrored, operands))
+
+    def bracket(self, xs: dict, ys: dict, cutoff: int, half: bool | None = None, fits: dict | None = None) -> dict:
         """``[X, Y]`` on stored terms: direction to key to unreduced
         coefficient.  When X and Y are both exact and self-mirrored, so is
         ``[X, Y]`` (the mirror relabels the coordinates and conjugates, and
         the bracket's structure constants are integers): only its sigma=+
         components are computed, and each sigma=- one is the mirror of its
-        twin."""
-        half = (
-            self.mirrored is not None and self._self_mirrored(xs) and self._self_mirrored(ys)
-        )
+        twin.  ``half`` is :meth:`halves` of X and Y, tested here when None.
+        ``fits`` holds X's fit lists (see :meth:`_fitting`) for a caller
+        whose X stays the same."""
+        if half is None:
+            half = self.halves(xs, ys)
+        if fits is None:
+            fits = {}
         store: dict[Mode, dict] = {}
         for j, comp in ys.items():
             if half and j.sigma < 0:
                 continue
             target: dict = {}
-            self.lie_into(target, xs, comp, cutoff)
+            self.lie_into(target, xs, comp, cutoff, 1, fits)
             if target:
                 store[j] = target
         for j, comp in xs.items():
@@ -493,11 +574,9 @@ class ScalarSeries:
         return not self._terms
 
     def terms(self) -> list[tuple[MultiIndex, object]]:
-        index = _Packing.of(self.ctx).index
-        return sorted(
-            ((index(key), _edge(c)) for key, c in self._terms.items()),
-            key=lambda it: it[0].sort_key(),
-        )
+        packing = _Packing.of(self.ctx)
+        terms = self._terms
+        return [(packing.index(key), _edge(terms[key])) for key in packing.sort(terms)]
 
     def __eq__(self, other) -> bool:
         return (
@@ -574,15 +653,16 @@ class VectorField:
         return None if c is None else _edge(c)
 
     def terms(self) -> list[tuple[Mode, MultiIndex, object]]:
-        return [(k, q, _edge(c)) for k, _, q, c in self._sorted_terms()]
-
-    def _sorted_terms(self) -> Iterator[tuple[Mode, int, MultiIndex, object]]:
-        """``(k, key, q, stored coefficient)`` in ``terms()`` order."""
         index = _Packing.of(self.ctx).index
+        return [(k, index(key), _edge(c)) for k, key, c in self._sorted_terms()]
+
+    def _sorted_terms(self) -> Iterator[tuple[Mode, int, object]]:
+        """``(k, key, stored coefficient)`` in ``terms()`` order."""
+        sort = _Packing.of(self.ctx).sort
         for k in self.directions():
             comp = self._terms[k]
-            for q, key in sorted(((index(key), key) for key in comp), key=lambda t: t[0].sort_key()):
-                yield k, key, q, comp[key]
+            for key in sort(comp):
+                yield k, key, comp[key]
 
     def _iter_terms(self) -> Iterator[tuple[Mode, int, MultiIndex, object]]:
         """``(k, key, q, stored coefficient)`` in stored order."""
@@ -656,8 +736,12 @@ class VectorField:
     # -- projections ----------------------------------------------------
 
     def project_degree(self, d: int) -> "VectorField":
-        """Terms of scaling order exactly ``d`` (that is ``|q| = d + 1``)."""
-        return self.project(lambda k, q: q.degree == d + 1)
+        """Terms of scaling order exactly ``d`` (that is ``|q| = d + 1``):
+        the keys in ``[(d + 1) * top, (d + 2) * top)``."""
+        top = _Packing.of(self.ctx).top
+        low, high = (d + 1) * top, (d + 2) * top
+        store = {k: {key: c for key, c in comp.items() if low <= key < high} for k, comp in self._terms.items()}
+        return VectorField._raw(self.ctx, store)
 
     def project(self, keep: Callable[[Mode, MultiIndex], bool]) -> "VectorField":
         store: dict[Mode, dict[int, object]] = {}
@@ -680,14 +764,18 @@ class VectorField:
         operator norm on the ball of radius ``r`` with smoothing parameter
         ``s``: absolute coefficients summed against the monomial weights,
         l1 in the exponent and l2 across directions."""
-        theta = self.ctx.theta
-        index = _Packing.of(self.ctx).index
+        factors = _Packing.of(self.ctx).norm_factors
+        r, s = float(r), float(s)
         upper_sq = 0.0
         for k, comp in self._terms.items():
-            col = sum(
-                abs(_complex(c)) * norm_weight(index(key), k, r, s, theta)
-                for key, c in comp.items()
-            )
+            col = 0
+            for key, c in comp.items():
+                d, square, gap = factors(k, key)
+                # ``indexing.norm_weight``'s operations, in its order
+                weight = r ** (d - 1) * square
+                if s:
+                    weight *= math.exp(-s * gap)
+                col += abs(_complex(c)) * weight
             upper_sq += col * col
         return math.sqrt(upper_sq)
 
@@ -825,7 +913,12 @@ def lie_exp(f: VectorField, w: VectorField) -> tuple[VectorField, int]:
     is reduced once, at the end.  In the exact lane ``1/k`` folds into a
     term's denominators; in the float lane it multiplies the coefficients
     as ``VectorField.scale`` does.  The sum keeps the insertion order of
-    ``W + t_1 + t_2 + ...`` summed with ``__add__``."""
+    ``W + t_1 + t_2 + ...`` summed with ``__add__``.
+
+    F and W are tested for the mirror symmetry once: when both pass, every
+    term is self-mirrored by construction, and every bracket halves; when
+    one fails, every bracket takes the full loop.  F's fit lists are
+    shared by the brackets of the series."""
     if f.is_zero:
         return w, 0
     bound = _series_bound(f)
@@ -836,9 +929,11 @@ def lie_exp(f: VectorField, w: VectorField) -> tuple[VectorField, int]:
     current = w._terms
     total = {j: dict(comp) for j, comp in current.items()}
     cutoff = ctx.degree_cutoff + 1
+    half = packing.halves(f._terms, current)
+    fits: dict = {}
     k = 0
     while True:
-        store = packing.bracket(f._terms, current, cutoff)
+        store = packing.bracket(f._terms, current, cutoff, half, fits)
         if not store:
             break
         k += 1

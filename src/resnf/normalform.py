@@ -28,7 +28,7 @@ from .errors import (
     ProblemFileError,
     ResonantTermInRange,
 )
-from .fields import VectorField, _quotient, _series_bound, _vanishes, bracket, lie_exp
+from .fields import VectorField, _Packing, _quotient, _series_bound, _vanishes, bracket, lie_exp
 from .indexing import TruncationContext, format_mode
 from .resonance import FrequencyModel, ResonanceModule, split_ideals
 
@@ -107,25 +107,29 @@ def decompose(w: VectorField, module: ResonanceModule) -> DecomposedField:
             "linear part differs from the diagonal part of model %s"
             % model.name
         )
+    packing = _Packing.of(ctx)
+    index, top = packing.index, packing.top
+    divisor = model.divisors(ctx)
     z, x, n = {}, {}, {}
-    for k, key, q, c in w._sorted_terms():
-        order = q.degree - 1
-        if order == 0:
+    # keys of order 0 lie below 2 * top, and of order below mstar below
+    # (mstar + 1) * top
+    for k, key, c in w._sorted_terms():
+        if key < 2 * top:
             continue
-        if order < mstar:
-            if not model.is_resonant_pair(q, k):
+        if key < (mstar + 1) * top:
+            if divisor(k, key)[0]:
                 raise HypothesisViolation(
                     "non-resonant term x^%s d/dx_%s of order %d below the "
                     "cutoff order %d; prenormalize first"
-                    % (q, format_mode(k), order, mstar)
+                    % (index(key), format_mode(k), key // top - 1, mstar)
                 )
-            if q.get(k) < 1:
+            if not packing.entry(key, k):
                 raise HypothesisViolation(
                     "resonant non-diagonal term x^%s d/dx_%s: the kernel "
-                    "below the cutoff order must be diagonal" % (q, format_mode(k))
+                    "below the cutoff order must be diagonal" % (index(key), format_mode(k))
                 )
             z.setdefault(k, {})[key] = c
-        elif module.classify(q) == 2:
+        elif module.classify(index(key)) == 2:
             n.setdefault(k, {})[key] = c
         else:
             x.setdefault(k, {})[key] = c
@@ -133,10 +137,12 @@ def decompose(w: VectorField, module: ResonanceModule) -> DecomposedField:
 
 
 def _require_diagonal_resonant(z: VectorField, model: FrequencyModel) -> None:
-    for k, _, q, _ in z._sorted_terms():
-        if q.get(k) < 1 or not model.is_resonant_pair(q, k):
+    packing = _Packing.of(z.ctx)
+    divisor = model.divisors(z.ctx)
+    for k, key, _ in z._sorted_terms():
+        if not packing.entry(key, k) or divisor(k, key)[0]:
             raise HypothesisViolation(
-                "Z term x^%s d/dx_%s is not diagonal resonant" % (q, format_mode(k))
+                "Z term x^%s d/dx_%s is not diagonal resonant" % (packing.index(key), format_mode(k))
             )
 
 
@@ -147,26 +153,33 @@ def _require_diagonal_resonant(z: VectorField, model: FrequencyModel) -> None:
 
 def _divide(y: VectorField, model: FrequencyModel, sign: int, resonant: Callable) -> VectorField:
     """Termwise ``sign * Y_q^(k) / (lambda . (q - e_k))`` on the stored
-    coefficients; ``resonant(k, q)`` raises for a zero divisor.  The exact
-    lane divides by the integer pair ``model._scaled(key)`` over
+    coefficients; ``resonant(k, q)`` raises for a zero divisor, found on the
+    packed divisor of ``model.divisors``.  The exact lane divides by its
+    integer pair (``model._scaled`` of the divisor's key) over
     ``model.exact_unit()``; the float lane by ``model.value(key, False)``,
     negating the quotient and dropping one at or below ``FLOAT_ATOL``."""
-    unit = sign * model.exact_unit() if y.ctx.exact and not y.is_zero else 0
+    ctx = y.ctx
+    if y.is_zero:
+        return y
+    unit = sign * model.exact_unit() if ctx.exact else 0
+    index = _Packing.of(ctx).index
+    divisor = model.divisors(ctx)
     store: dict = {}
-    for k, key, q, c in y._iter_terms():
-        divisor = model.key(q, k)
-        if not divisor:
-            resonant(k, q)
-        if unit:
-            c = _quotient(c, *model._scaled(divisor), unit)
-        else:
-            c = c / model.value(divisor, False)
-            if sign < 0:
-                c = -c
-            if _vanishes(c):
-                continue
-        store.setdefault(k, {})[key] = c
-    return VectorField._raw(y.ctx, store)
+    for k, comp in y._terms.items():
+        for key, c in comp.items():
+            code, scaled = divisor(k, key)
+            if not code:
+                resonant(k, index(key))
+            if unit:
+                c = _quotient(c, *scaled, unit)
+            else:
+                c = c / model.value(model.key(index(key), k), False)
+                if sign < 0:
+                    c = -c
+                if _vanishes(c):
+                    continue
+            store.setdefault(k, {})[key] = c
+    return VectorField._raw(ctx, store)
 
 
 def solve_linear_homological(y: VectorField, model: FrequencyModel) -> VectorField:
@@ -496,10 +509,15 @@ def _eliminate_orders(
 ) -> tuple[VectorField, TransformLog]:
     out = w
     entries: list[tuple[str, VectorField]] = []
+    top = _Packing.of(w.ctx).top
+    divisor = model.divisors(w.ctx)
     for d in orders:
-        y = out.project(
-            lambda k, q: q.degree == d + 1 and not model.is_resonant_pair(q, k)
-        )
+        # the non-resonant terms of order d, keys in [(d + 1) * top, (d + 2) * top)
+        low, high = (d + 1) * top, (d + 2) * top
+        y = VectorField._raw(w.ctx, {
+            k: {key: c for key, c in comp.items() if low <= key < high and divisor(k, key)[0]}
+            for k, comp in out._terms.items()
+        })
         if y.is_zero:
             continue
         f = solve_linear_homological(y, model)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -234,6 +235,28 @@ class FrequencyModel:
                 mode_momentum(k) if momentum else 0,
             )
         return codes
+
+    def divisors(self, ctx: TruncationContext):
+        """``divisor(k, key)`` over the stored keys of ``ctx``: the divisor
+        ``lambda . (q - e_k)`` of ``q``'s key as its packed key, which is 0
+        exactly when ``key(q, k)`` is empty, and its ``_scaled`` pair (see
+        :class:`WalkRows`; ``D + 2`` eigenvalues at most), summed over the
+        support of the key."""
+        packing = _Packing.of(ctx)
+        modes = packing.modes
+        codes = self.walk_rows([m for m in modes if m in self._table], ctx.degree_cutoff + 2, False)
+        rows = [codes.rows.get(m) for m in modes]
+        support, unpack = packing.support, codes.unpack_value
+
+        def divisor(k: Mode, key: int) -> tuple[int, tuple[int, int]]:
+            a, b, _ = codes.rows.get(k) or self._row(k)
+            for i, e in support(key):
+                row = rows[i] or self._row(modes[i])  # raises: the model lacks the mode
+                a -= e * row[0]
+                b -= e * row[1]
+            return -a, unpack(-b)
+
+        return divisor
 
     def value(self, key: Key, exact: bool):
         """``sum_i key_i * symbol_i`` over the common denominator: a
@@ -805,22 +828,26 @@ def _divisor_candidates(model: FrequencyModel, ctx: TruncationContext, degree_bo
     translates ``q - e_k`` reachable from nonnegative exponents.  Each
     walked base comes first, then ``base - e_k`` for each direction
     ``k`` outside its support, in modes order; momentum and resonance are
-    read off the walk's carried sums; a vector is its pairs, as a tuple."""
+    read off the walk's carried sums.  A vector is its pairs, as a tuple,
+    given with its l1 norm."""
     modes = ctx.modes()
     codes = model.walk_rows(modes, degree_bound, ctx.momentum_enabled)
-    by_momentum: dict[int, list[tuple[Mode, int]]] = {}
+    places = {k: place for place, k in enumerate(modes)}
+    by_momentum: dict[int, list[tuple[Mode, int, int]]] = {}
     for k in modes:
         kcode, _, mom = codes.rows[k]
-        by_momentum.setdefault(mom, []).append((k, kcode))
-    places = {k: place for place, k in enumerate(modes)}
+        by_momentum.setdefault(mom, []).append((k, places[k], kcode))
     for pairs, degree, (key, _, mom) in walk(modes, degree_bound, 0, codes.rows):
         if degree and key and not mom:
-            yield tuple(pairs)
-        if degree < degree_bound:
-            for k, kcode in by_momentum.get(mom, ()):
-                if kcode != key and all(m != k for m, _ in pairs):
-                    cut = sum(places[m] < places[k] for m, _ in pairs)
-                    yield (*pairs[:cut], (k, -1), *pairs[cut:])
+            yield tuple(pairs), degree
+        directions = by_momentum.get(mom) if degree < degree_bound else None
+        if directions:
+            # k lies in the support iff the support's place at k's cut is k's
+            taken = [places[m] for m, _ in pairs]
+            for k, place, kcode in directions:
+                cut = bisect_left(taken, place)
+                if kcode != key and (cut == len(taken) or taken[cut] != place):
+                    yield (*pairs[:cut], (k, -1), *pairs[cut:]), degree + 1
 
 
 def diophantine_audit(
@@ -845,16 +872,28 @@ def diophantine_audit(
     modes = ctx.modes()
     fvalues = {k: model.eigenvalue_complex(k) for k in modes}
     asymptotics = {k: model.asymptotic_eigenvalue(k) for k in modes}
+    # per pair (mode, entry) of a vector: its term of each sum, and its
+    # weight factor; a factor beyond the float range sends the vectors
+    # that use it down the log path
+    pairs = [(m, e) for m in modes for e in (-1, *range(1, degree_bound + 1))]
+    values = {(k, e): fvalues[k] * e for k, e in pairs}
+    shapes = {(k, e): e * asymptotics[k] for k, e in pairs}
+    factors, overflowed = {}, set()
+    for m, e in pairs:
+        try:
+            factors[m, e] = (1 + e * e * mode_weight(m) ** 2) ** tau
+        except OverflowError:
+            overflowed.add((m, e))
     gamma_max = math.inf
     worst = None
     count = 0
     fast_hits = 0
-    for p in _divisor_candidates(model, ctx, degree_bound):
+    for p, l1 in _divisor_candidates(model, ctx, degree_bound):
         count += 1
-        value = abs(sum(fvalues[k] * e for k, e in p))
+        value = abs(sum(map(values.__getitem__, p)))
         if use_fast_path:
-            asymptotic = sum(e * asymptotics[k] for k, e in p)
-            if abs(asymptotic) >= 2 * sum(abs(e) for _, e in p):
+            asymptotic = sum(map(shapes.__getitem__, p))
+            if abs(asymptotic) >= 2 * l1:
                 fast_hits += 1
                 if value < 1.0:
                     raise ModelError(
@@ -864,11 +903,9 @@ def diophantine_audit(
                     )
                 if gamma_max < 1.0:
                     continue  # cannot lower a minimum already below 1
-        try:
-            weighted = value
-            for m, e in p:
-                weighted *= (1 + e * e * mode_weight(m) ** 2) ** tau
-        except OverflowError:
+        if overflowed.isdisjoint(p):
+            weighted = math.prod(map(factors.__getitem__, p), start=value)
+        else:
             # a weight beyond the float range; the product may lie within it
             log_weighted = math.log(value) + tau * sum(
                 math.log(1 + e * e * mode_weight(m) ** 2) for m, e in p

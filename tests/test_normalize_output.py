@@ -83,9 +83,9 @@ def test_exact_artifacts_read_no_bracket_order(tmp_path, capsys, monkeypatch, na
     bracket = fields._Packing.bracket
     calls = []
 
-    def reversed_bracket(self, xs, ys, cutoff):
+    def reversed_bracket(self, xs, ys, cutoff, *args):
         calls.append(cutoff)
-        store = bracket(self, xs, ys, cutoff)
+        store = bracket(self, xs, ys, cutoff, *args)
         return {j: dict(reversed(comp.items())) for j, comp in reversed(store.items())}
 
     monkeypatch.setattr(fields._Packing, "bracket", reversed_bracket)
