@@ -12,12 +12,12 @@ conditions are evaluated and reported as diagnostics only.
 
 from __future__ import annotations
 
-import itertools
+import cmath
 import math
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Container, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     AlreadyNormal,
@@ -663,75 +663,118 @@ class FieldFlow:
     an ``OverflowError`` propagates.  With a bound it stops after the
     first step that leaves it (NaN never stays inside), and an
     ``OverflowError`` ends the run at the state before the failing step.
-    Each stage takes every first power once, a component without terms
-    gets no slopes, and what reads only the coordinates of such components
-    runs in steps 1 and 2 alone; ``compile_field`` says why, bit for bit.
+    It returns the result of ``loop``, the compiled loop without zero-base
+    guards, unless ``loop`` raises ``OverflowError`` or ends non-finite:
+    then ``_replay`` takes the ``n`` steps again, with those guards, over
+    ``rows``, the ``(component, coefficient, factors)`` table.
+    ``compile_field`` says why both give the same bits.
     """
 
     ctx: TruncationContext
-    run: Callable[..., tuple[tuple[complex, ...], bool]]
+    loop: Callable[..., tuple[tuple[complex, ...], bool]]
+    rows: tuple[tuple[int, complex, tuple[tuple[int, int], ...]], ...]
+
+    def run(self, x, h, n, blowup) -> tuple[tuple[complex, ...], bool]:
+        try:
+            out = self.loop(x, h, n, blowup)
+            if all(map(cmath.isfinite, out[0])):
+                return out
+        except OverflowError:
+            pass
+        return _replay(self.rows, x, h, n, blowup)
 
 
-def _term_source(coeff: str, factors: Sequence[tuple[int, int]], var: str, shared: Container) -> str:
-    """Source of the term ``coeff * b1**e1 * b2**e2 ...`` over the bases
-    ``<var><position>``; a factor in ``shared`` reads the power that was
-    taken once, ``<var><position>_<exponent>``.
+def _replay(rows, x, h, n, blowup):
+    """``FieldFlow.run`` over guarded terms: a term is ``0j`` from its first
+    zero base on, else its coefficient times its ``**`` powers, in order."""
 
-    A zero base makes the term exactly ``0j``.  The inline powers of the
-    bases before the first zero one are still taken: a power whose result
-    is infinite raises ``OverflowError``, and that ends the step.  The
-    shared ones were taken already, so with no inline power left the
-    branch is ``0j``, and consecutive bases with one branch share a test."""
-    if not factors:
-        return coeff
-    bases = ["%s%d" % (var, pos) for pos, _ in factors]
-    powers = ["%s%d_%d" % (var, *f) if f in shared else "%s%d**%d" % (var, *f) for f in factors]
-    # cases[j]: the first zero base is bases[j]
-    taken = [[p for f, p in zip(factors[:j], powers) if f not in shared] for j in range(len(factors))]
-    cases = ["(%s, 0j)[%d]" % (", ".join(t), len(t)) if t else "0j" for t in taken]
-    runs = [(case, [b for _, b in run]) for case, run in itertools.groupby(zip(cases, bases), lambda z: z[0])]
-    zero = runs[-1][0]
-    for case, tests in runs[-2::-1]:
-        test = tests[0] if len(tests) == 1 else "(%s)" % " and ".join(tests)
-        zero = "%s if not %s else %s" % (case, test, zero)
-    product = "*".join([coeff] + powers)
-    return "(%s if %s else %s)" % (product, " and ".join(bases), zero)
+    def slopes(y):
+        out = [0j] * len(y)
+        for target, val, factors in rows:
+            for pos, e in factors:
+                if not y[pos]:
+                    val = 0j
+                    break
+                val *= y[pos] ** e
+            out[target] += val
+        return out
+
+    for _ in range(n):
+        try:
+            k1 = slopes(x)
+            k2 = slopes([a + 0.5 * h * k for a, k in zip(x, k1)])
+            k3 = slopes([a + 0.5 * h * k for a, k in zip(x, k2)])
+            k4 = slopes([a + h * k for a, k in zip(x, k3)])
+        except OverflowError:
+            if blowup is None:
+                raise
+            return tuple(x), True
+        x = [a + h / 6.0 * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
+        if blowup is not None and not all(abs(v) <= blowup for v in x):
+            return tuple(x), True
+    return tuple(x), False
+
+
+def _power_lines(base: str, exponents: Iterable[int]) -> list[str]:
+    """Source that takes each power ``base**e`` once as ``<base>_<e>``: for
+    ``2 <= e <= 100`` as ``b**a * b**(e - a)``, the squarings and products
+    of CPython 3.11's ``c_powu`` without its products with ``1+0j``, and
+    above 100 by ``**``.  A first power ``base**1`` is ``base`` itself."""
+
+    def name(e: int) -> str:
+        return base if e == 1 else "%s_%d" % (base, e)
+
+    steps: dict[int, str] = {}
+    todo = list(exponents)
+    while todo:
+        e = todo.pop()
+        if e > 1 and e not in steps:
+            low = e - (1 << e.bit_length() - 1) or e // 2
+            steps[e] = "%s**%d" % (base, e) if e > 100 else "%s*%s" % (name(low), name(e - low))
+            todo += [] if e > 100 else [low, e - low]
+    return ["%s = %s" % (name(e), steps[e]) for e in sorted(steps)]
 
 
 def compile_field(w: VectorField) -> FieldFlow:
     """Generate and compile the fixed-step RK4 loop of ``w``'s float twin.
 
-    The generated code performs the float operations of a term-by-term
-    evaluator and a four-stage RK4 step in the same order, so its results
-    are bitwise theirs (``tests/test_flow_oracle.py`` keeps that
-    reference): each component is ``0j`` plus its terms in ``terms()``
-    order, each term is a left-associated product, and the new state is
-    assigned at the end of the step.  Three rules skip work, bit for bit.
-    (1) A power that some term takes at its first base is taken once per
-    stage, and every term that uses it reads it: the evaluator takes it
-    whenever the base is nonzero, and a zero base's power never raises,
-    so a step overflows exactly when the evaluator's does.  (2) A
-    component without terms has slopes ``0j`` and gets none; its stage
-    inputs add ``zh = hh * 0j`` (stage 4's ``h * 0j`` has the same bits)
-    and its update ``z6``.  (3) As ``x + z6`` is idempotent, the coordinate
-    is frozen from step 2 on, and what reads only frozen inputs runs in
-    steps 1 and 2 alone, for stage 1 and for stages 2 to 4: their powers
-    of (1); each term's leading run of frozen factors, ``c*b1**e1*...``
-    with the zero-base rule, and a flag that its bases are nonzero, without
-    which the live rest is not taken; and a component whose terms read
-    only frozen factors, with its increments.  Step 2 sees the zero signs
-    and NaN that ``z6`` brings."""
+    The loop performs a four-stage RK4 step over local variables: each
+    component is ``0j`` plus its terms in ``terms()`` order, each term is
+    the left-associated, unguarded product of its coefficient and powers,
+    and the new state is assigned at the end of the step.  A first power
+    ``b**1`` reads ``b``, and each other power is taken once per stage by
+    ``_power_lines``.  Two rules skip work, bit for bit.  (1) A component
+    without terms has slopes ``0j`` and gets none; its stage inputs add
+    ``zh = hh * 0j`` (stage 4's ``h * 0j`` has the same bits) and its
+    update ``z6``.  (2) As ``x + z6`` is idempotent, the coordinate is
+    frozen from step 2 on, and what reads only frozen inputs runs in steps
+    1 and 2 alone, for stage 1 and for stages 2 to 4: the powers of frozen
+    bases, wherever they sit in a term; each term's leading run of frozen
+    factors, ``c*b1**e1*...``; and a component whose terms read only frozen
+    factors, with its increments.  Step 2 sees the zero signs and NaN that
+    ``z6`` brings.
+
+    The result equals that of ``_replay``, the term-by-term evaluator,
+    whenever it is finite, and ``FieldFlow.run`` replays every other run.
+    For finite values a fast term differs from the evaluator's only in the
+    signs of zero parts: a power chain is ``b**e`` up to them, a zero base
+    makes both terms zero, and a finite chain means ``b**e`` does not
+    raise.  The ``0j + ...`` at the head of every component sum erases
+    those signs, so the slopes are bitwise equal.  Every power the
+    evaluator takes is also taken by the loop and multiplied into a term,
+    so an infinite one makes that step's slopes, and then the state,
+    non-finite; each coordinate updates as ``x_i + ...``, so a non-finite
+    state stays non-finite; and a finite state that leaves the bound is
+    already exact.  ``tests/test_flow_oracle.py`` checks the interpreter
+    facts this rests on."""
     f = w.as_float()
     positions = f.ctx.mode_positions()
     width = len(positions)
-    coeffs: list[complex] = []
-    rows: list[list[tuple[int, tuple[tuple[int, int], ...]]]] = [[] for _ in range(width)]
-    for k, q, c in f.terms():
-        factors = tuple((positions[m], e) for m, e in q.items())
-        rows[positions[k]].append((len(coeffs), factors))
-        coeffs.append(complex(c))
+    table = tuple(
+        (positions[k], complex(c), tuple((positions[m], e) for m, e in q.items())) for k, q, c in f.terms()
+    )
+    rows = [[(j, fs) for j, (at, _, fs) in enumerate(table) if at == i] for i in range(width)]
     supports = [factors for row in rows for _, factors in row if factors]
-    shared = dict.fromkeys(factors[0] for factors in supports)
     read = sorted({pos for factors in supports for pos, _ in factors})
     # head[j]: term j's leading run of factors over frozen coordinates
     head = {j: t[: next((r for r, (p, _) in enumerate(t) if rows[p]), len(t))] for row in rows for j, t in row}
@@ -743,21 +786,20 @@ def compile_field(w: VectorField) -> FieldFlow:
     def state(template: str) -> str:
         return "(%s,)" % ", ".join(each(template))
 
-    def term(j: int, factors: tuple, var: str) -> str:
-        if not head[j]:
-            return _term_source("c%d" % j, factors, var, shared)
-        rest = _term_source("%sp%d" % (var, j), factors[len(head[j]) :], var, shared)
-        return rest if head[j] == factors else "(%s if %sa%d else 0j)" % (rest, var, j)
+    def product(lead: str, factors: tuple, var: str) -> str:
+        return "*".join([lead] + ["%s%d%s" % (var, p, "_%d" % e if e > 1 else "") for p, e in factors])
 
     def stage(k: str, var: str, live: bool) -> list[str]:
         """A stage's live work, or the frozen work of stage 1 or of stages 2 to 4."""
-        lines = ["%s%d_%d = %s%d**%d" % (var, p, e, var, p, e) for p, e in shared if bool(rows[p]) is live]
+        lines: list[str] = []
+        for pos in [pos for pos in read if bool(rows[pos]) is live]:
+            lines += _power_lines("%s%d" % (var, pos), {e for fs in supports for p, e in fs if p == pos})
         for j, factors in [] if live else [(j, fs) for row in rows for j, fs in row if head[j]]:
-            lines.append("%sp%d = %s" % (var, j, _term_source("c%d" % j, head[j], var, shared)))
-            if head[j] != factors:
-                lines.append("%sa%d = %s" % (var, j, " and ".join("%s%d" % (var, p) for p, _ in head[j])))
+            lines.append("%sp%d = %s" % (var, j, product("c%d" % j, head[j], var)))
         for i in [i for i, row in enumerate(rows) if row and (i in still) is not live]:
-            terms = [term(j, factors, var) for j, factors in rows[i]]
+            terms = [
+                product("%sp%d" % (var, j) if head[j] else "c%d" % j, fs[len(head[j]) :], var) for j, fs in rows[i]
+            ]
             for at in range(0, len(terms), _SUM_CHUNK):
                 chunk = ["%s%d" % (k, i) if at else "0j"] + terms[at : at + _SUM_CHUNK]
                 lines.append("%s%d = %s" % (k, i, " + ".join(chunk)))
@@ -787,34 +829,24 @@ def compile_field(w: VectorField) -> FieldFlow:
     updates = ["x%d + %s" % (i, r) for i, r in enumerate(rise)]
     inside = " and ".join(each("abs(x{i}) <= blowup"))
     lines = ["def run(x, h, n, blowup):"]
-    if coeffs:
-        lines.append("    %s, = coeffs" % ", ".join("c%d" % j for j in range(len(coeffs))))
+    if table:
+        lines.append("    %s, = coeffs" % ", ".join("c%d" % j for j in range(len(table))))
     lines += [
         "    %s = x" % state("x{i}"),
         "    hh = 0.5 * h",
         "    h6 = h / 6.0",
         "    zh, z6 = hh * 0j, h6 * (0j + 2.0 * 0j + 2.0 * 0j + 0j)",
         "    for %s in range(n):" % ("_i" if block else "_"),
-    ]
-    if block or step:
-        lines += [
-            "        try:",
-            *(["            if _i < 2:"] + ["                " + line for line in block] if block else []),
-            *("            " + line for line in step),
-            "        except OverflowError:",
-            "            if blowup is None:",
-            "                raise",
-            "            return %s, True" % state("x{i}"),
-        ]
-    lines += [
+        *(["        if _i < 2:"] + ["            " + line for line in block] if block else []),
+        *("        " + line for line in step),
         "        %s = (%s,)" % (state("x{i}"), ", ".join(updates)),
         "        if blowup is not None and not (%s):" % inside,
         "            return %s, True" % state("x{i}"),
         "    return %s, False" % state("x{i}"),
     ]
-    namespace = {"coeffs": tuple(coeffs)}
+    namespace = {"coeffs": tuple(c for _, c, _ in table)}
     exec(compile("\n".join(lines), "<compiled field>", "exec"), namespace)
-    return FieldFlow(w.ctx, namespace["run"])
+    return FieldFlow(w.ctx, namespace["run"], table)
 
 
 def apply_transform(
@@ -831,10 +863,9 @@ def apply_transform(
     original field's flow is ``forward`` conjugated with the normalized
     field's flow.  ``inverse`` composes the time -1 flows in entry
     order and undoes ``forward``.  Each flow is integrated with
-    ``steps`` fixed RK4 steps; accuracy is the caller's concern (more
-    steps, smaller points).  A step that overflows raises
-    ``OverflowError``.
-    """
+    ``steps`` fixed RK4 steps of ``FieldFlow.run``; accuracy is the
+    caller's concern (more steps, smaller points).  A step that overflows
+    term by term raises ``OverflowError`` (from the replay)."""
     if direction not in ("forward", "inverse"):
         raise ValueError("direction must be 'forward' or 'inverse'")
     state = tuple(complex(v) for v in point)

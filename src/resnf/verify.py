@@ -205,14 +205,14 @@ def check_tangent_sigma(w: VectorField, module: ResonanceModule) -> TangencyRepo
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Fixed-step integrator parameters."""
+    """Fixed-step integrator parameters: an int count >= 1 and a bound > 0, which NaN is not."""
 
     steps: int = 256
     blowup: float = 10.0
 
     def __post_init__(self):
-        if self.steps < 1 or self.blowup <= 0:
-            raise NormalFormError("steps and blowup must be positive")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, int) or self.steps < 1 or not self.blowup > 0:
+            raise NormalFormError("steps must be a positive integer and blowup positive")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 """Differential oracle for the compiled RK4 flows.
 
 ``compile_field`` generates one Python function per field that runs the
-whole fixed-step RK4 loop over local variables.  The interpreted lane it
-replaced is kept here as the reference: a row-table evaluator, a
-four-stage step over lists, and the ``integrate_flow`` and
-``apply_transform`` loops around them.  The two must agree bit for bit
-(signed zeros and NaN included), stop at the same step with the same
-divergence flag, and raise ``OverflowError`` in the same cases.
+whole fixed-step RK4 loop over local variables, without zero-base
+guards; ``FieldFlow.run`` replays a run whose result is not finite with
+``normalform._replay``.  The interpreted lane the compiled loop replaced
+is kept here as the reference: a row-table evaluator, a four-stage step
+over lists, and the ``integrate_flow`` and ``apply_transform`` loops
+around them.  The two must agree bit for bit (signed zeros and NaN
+included), stop at the same step with the same divergence flag, and raise
+``OverflowError`` in the same cases.  Named cases check which runs take
+the replay, and the interpreter facts the loop's exactness rests on.
 """
 
 import cmath
@@ -18,11 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resnf import normalform
 from resnf.fields import VectorField
 from resnf.indexing import MultiIndex, TruncationContext, iter_indices
 from resnf.normalform import (
     _SUM_CHUNK,
-    _term_source,
+    _power_lines,
     TransformLog,
     apply_transform,
     compile_field,
@@ -152,6 +156,27 @@ def assert_same_point(got, want):
         assert same_state(got[1], want[1]), (got[1], want[1])
 
 
+@pytest.fixture
+def replays(monkeypatch):
+    """The arguments of every ``normalform._replay`` call in the test."""
+    calls = []
+    replay = normalform._replay
+
+    def counted(*args):
+        calls.append(args)
+        return replay(*args)
+
+    monkeypatch.setattr(normalform, "_replay", counted)
+    return calls
+
+
+def replayed(replays, fn, *args) -> bool:
+    """Whether ``fn(*args)`` takes the replay, whatever it returns or raises."""
+    replays.clear()
+    outcome(fn, *args)
+    return bool(replays)
+
+
 # ---------------------------------------------------------------------------
 # random fields on the dim6 and hyperbolic windows
 # ---------------------------------------------------------------------------
@@ -254,12 +279,13 @@ def test_apply_transform_matches_oracle(case, direction, n):
     )
 
 
-def test_power_before_a_zero_base_still_overflows():
+def test_power_before_a_zero_base_still_overflows(replays):
     """A term stops at its first zero base, after the powers before it:
-    ``x0**3`` or the inline ``x1**3`` overflows below, so the step fails
-    even though a later base is 0; with the zero base first, the huge
-    power is never taken (``x0**3``, a first power, is taken once per
-    stage in any case, and a zero base's power never overflows)."""
+    ``x0**3`` or ``x1**3`` overflows below, so the step fails even though
+    a later base is 0; with the zero base first, the huge power is never
+    taken.  The loop takes every power: an infinite one makes its state
+    non-finite, so exactly the overflowing runs take the replay, and the
+    others (a zero times a finite base) are exact as they stand."""
     modes = DIM6.modes()
     cases = {
         MultiIndex({modes[0]: 3, modes[1]: 1}): (
@@ -281,6 +307,7 @@ def test_power_before_a_zero_base_still_overflows():
             got = integrate_flow(flow, state, 1.0, config)
             assert got.diverged is want.diverged is overflows
             assert same_state(got.final, want.final)
+            assert replayed(replays, integrate_flow, flow, state, 1.0, config) is overflows
             point = outcome(apply_transform, log, state, "forward", 3)
             assert_same_point(point, outcome(oracle_apply_transform, log, state, "forward", 3))
             assert point[0] == ("raised" if overflows else "ok")
@@ -319,7 +346,7 @@ def test_zero_field():
     assert all(same_state([v], [0j]) for v in final)
 
 
-def test_live_component_over_empty_coordinates():
+def test_live_component_over_empty_coordinates(replays):
     """Component 0 reads only coordinates whose components have no terms:
     their stage inputs must still add ``hh * 0j`` and ``h * 0j``.  At a
     finite t these are signed zeros, and no sign of a zero part of a
@@ -336,12 +363,15 @@ def test_live_component_over_empty_coordinates():
     for re, im in itertools.product(SIGNED_ZERO_PARTS, repeat=2):
         state = [complex(im, re), complex(re, im), complex(im, re), complex(re, -0.0), 0j, 0j]
         assert_flows_match(field, state, times=(1.0, -1.0, math.inf, -math.inf))
+        assert replayed(replays, compiled_run, field, state, math.inf, 3)
 
 
-def test_first_power_taken_later_by_another_term():
-    """``x1**3`` is the first power of one term and a later one of another,
-    so each stage takes it once: with ``x0 = 0`` only the first term would
-    take it, and the step overflows exactly when the oracle's does."""
+def test_first_power_taken_later_by_another_term(replays):
+    """``x1**3`` is a later power of one term and the first of another,
+    and each stage takes it once for both.  With ``x0 = 0`` the evaluator
+    takes it only in the second term; at ``x1 = 1e200`` it is infinite in
+    the loop, the run takes the replay, and the step overflows exactly
+    when the oracle's does."""
     modes = DIM6.modes()
     field = VectorField(
         DIM6,
@@ -355,12 +385,15 @@ def test_first_power_taken_later_by_another_term():
         assert_flows_match(field, state)
         point = outcome(apply_transform, TransformLog((("kam", field),)), state, "forward", 3)
         assert point[0] == ("raised" if overflows else "ok")
+        assert replayed(replays, compiled_run, field, state, 1.0, 3) is overflows
 
 
-def test_power_never_taken_first_stays_inline():
+def test_power_never_taken_first_stays_inline(replays):
     """``x2**3`` is shared by two terms but never their first power (a
-    term's bases come in mode order): with ``x0 = x1 = 0`` neither term
-    takes it, so no step may overflow."""
+    term's bases come in mode order): with ``x0 = x1 = 0`` the evaluator
+    takes it in neither term, so no step may overflow.  The loop takes it
+    once per stage; at 1e200 a zero base times that infinite power is
+    NaN, and the replay returns the evaluator's state."""
     modes = DIM6.modes()
     field = VectorField(
         DIM6,
@@ -375,6 +408,7 @@ def test_power_never_taken_first_stays_inline():
     assert not run.diverged
     point = outcome(apply_transform, TransformLog((("kam", field),)), state, "forward", 3)
     assert point[0] == "ok"
+    assert replayed(replays, compiled_run, field, state, 1.0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +454,7 @@ def overflows_in_step_one(field, state):
 M = DIM6.modes()
 
 
-def test_frozen_zero_turns_nan_at_infinite_time():
+def test_frozen_zero_turns_nan_at_infinite_time(replays):
     """``x1`` is frozen at 0, a zero base in step 1; at t = ±inf ``z6`` is
     NaN, so from step 2 on ``x1`` is NaN.  Component 0 reads only frozen
     coordinates, and component 3's term has the prefix ``x1`` before the
@@ -437,12 +471,14 @@ def test_frozen_zero_turns_nan_at_infinite_time():
         state = [0.5, x1, complex(1.0, 1.0), 0.25, 0j, 0j]
         assert_runs_match(field, state)
         assert cmath.isnan(compiled_run(field, state, math.inf, 1)[1])
+        assert replayed(replays, compiled_run, field, state, math.inf, 1)
 
 
-def test_hoisted_frozen_power_overflows_in_step_one():
-    """``x1**3`` is a frozen first power and ``x2**3`` an inline power of a
-    frozen prefix: at 1e200 either overflows in step 1, in both lanes,
-    and ``x2**3`` only when the base before it, ``x1``, is nonzero."""
+def test_hoisted_frozen_power_overflows_in_step_one(replays):
+    """``x1**3`` is a frozen first power and ``x2**3`` a frozen power in a
+    term's frozen prefix: at 1e200 either overflows the evaluator in step
+    1, and ``x2**3`` only when the base before it, ``x1``, is nonzero.
+    The loop takes both in every case, so every run takes the replay."""
     field = VectorField(
         DIM6,
         [
@@ -454,17 +490,20 @@ def test_hoisted_frozen_power_overflows_in_step_one():
         state = [0j, x1, x2, 0.25, 0j, 0j]
         assert_runs_match(field, state, hs=(0.5, -0.5))
         assert overflows_in_step_one(field, state) is overflows
+        assert replayed(replays, compiled_run, field, state, 0.5, 1)
 
 
-def test_zero_prefix_base_guards_the_live_rest():
+def test_zero_prefix_base_guards_the_live_rest(replays):
     """Term ``x1 * x3**3``: the prefix ``x1`` is frozen and ``x3`` is live
-    at 1e200.  With ``x1 = 0`` the evaluator stops before ``x3**3``, so
-    the prefix's flag must keep the live power from being taken."""
+    at 1e200.  With ``x1 = 0`` the evaluator stops before ``x3**3``; the
+    loop takes it, the zero prefix times that infinite power is NaN, and
+    the replay keeps the step from overflowing."""
     field = VectorField(DIM6, [(M[3], MultiIndex({M[1]: 1, M[3]: 3}), 1.0)])
     for x1, overflows in ((0j, False), (0.5, True)):
         state = [0j, x1, 0j, 1e200, 0j, 0j]
         assert_runs_match(field, state, hs=(0.5, -0.5))
         assert overflows_in_step_one(field, state) is overflows
+        assert replayed(replays, compiled_run, field, state, 0.5, 1)
 
 
 def test_frozen_only_component_read_by_a_live_term():
@@ -483,14 +522,17 @@ def test_frozen_only_component_read_by_a_live_term():
         assert_runs_match(field, [complex(re, 0.3), complex(0.6, im), complex(im, re), 0.4, 0j, 0j])
 
 
-def test_live_factor_before_a_frozen_one_gets_no_prefix():
+def test_live_factor_before_a_frozen_one_gets_no_prefix(replays):
     """Term ``x0 * x4**2`` with ``x0`` live: no prefix, and the frozen
-    ``x4**2`` is taken in the loop only when ``x0`` is nonzero."""
+    ``x4**2`` is taken in steps 1 and 2 whatever ``x0`` is.  At 1e200 it
+    is infinite, so both runs take the replay, and the evaluator takes it
+    only when ``x0`` is nonzero."""
     field = VectorField(DIM6, [(M[0], MultiIndex({M[0]: 1, M[4]: 2}), 1.0)])
     for x0, overflows in ((0j, False), (0.5, True)):
         state = [x0, 0j, 0j, 0j, 1e200, 0j]
         assert_runs_match(field, state, hs=(0.5, -0.5))
         assert overflows_in_step_one(field, state) is overflows
+        assert replayed(replays, compiled_run, field, state, 0.5, 1)
 
 
 def test_frozen_power_above_100_sees_the_sign_z6_fixes():
@@ -514,12 +556,56 @@ def test_stage_four_frozen_input_is_stage_two_one(h):
     assert same_state([h * 0j], [0.5 * h * 0j])
 
 
-def test_equal_zero_branches_share_one_test():
-    """Consecutive bases whose zero branches agree are tested together."""
-    assert _term_source("c0", ((0, 2), (1, 1), (4, 1), (5, 2)), "x", {(0, 2)}) == (
-        "(c0*x0_2*x1**1*x4**1*x5**2 if x0 and x1 and x4 and x5 else 0j if not (x0 and x1) "
-        "else (x1**1, 0j)[1] if not x4 else (x1**1, x4**1, 0j)[2])"
-    )
+# ---------------------------------------------------------------------------
+# the interpreter facts that make the unguarded loop exact
+# ---------------------------------------------------------------------------
+
+
+def chain(x: complex, e: int) -> complex:
+    """``x**e`` as the compiled loop takes it, from ``_power_lines``."""
+    namespace = {"b": x}
+    exec("\n".join(_power_lines("b", [e])), namespace)
+    return namespace["b" if e == 1 else "b_%d" % e]
+
+
+def flip_zero_signs(t: complex) -> complex:
+    return complex(-t.real if t.real == 0 else t.real, -t.imag if t.imag == 0 else t.imag)
+
+
+finite_parts = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    # magnitudes whose powers up to 100 cross the overflow and underflow edges
+    st.builds(lambda m, k: m * 2.0**k, st.floats(-2.0, 2.0), st.integers(-80, 80)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.builds(complex, finite_parts, finite_parts), st.integers(1, 100))
+def test_power_chain_is_complex_pow_up_to_zero_signs(x, e):
+    """For finite ``x`` and ``1 <= e <= 100``: if ``x**e`` or the chain is
+    finite, both are, and they are equal up to the signs of zero parts; a
+    finite chain means ``x**e`` does not raise.  A Python whose
+    ``complex.__pow__`` no longer takes integer powers by ``c_powu``
+    fails here."""
+    got = chain(x, e)
+    try:
+        want = x**e
+    except OverflowError:
+        assert not cmath.isfinite(got)
+        return
+    if cmath.isfinite(got) or cmath.isfinite(want):
+        assert got == want, (x, e, got, want)
+
+
+@given(st.complex_numbers(allow_nan=True, allow_infinity=True), st.complex_numbers(allow_nan=True, allow_infinity=True))
+def test_sum_head_erases_zero_signs(t, u):
+    """``0j + t`` has the same bits for ``t`` and for ``t`` with its zero
+    parts' signs flipped, and so has every later sum ``s + u``: a sum
+    that starts at ``0j`` has no ``-0.0`` part."""
+    assert same_state([0j + t], [0j + flip_zero_signs(t)])
+    s = 0j + t
+    assert same_state([s + u], [s + flip_zero_signs(u)])
 
 
 @pytest.mark.parametrize("t", [1.0, -1.0])

@@ -198,6 +198,15 @@ class TestIntegrateFlow:
         with pytest.raises(NormalFormError):
             FlowConfig(steps=0)
 
+    @pytest.mark.parametrize(
+        "bad", [{"blowup": math.nan}, {"blowup": 0.0}, {"steps": 1.5}, {"steps": 2.0}, {"steps": True}]
+    )
+    def test_config_rejects_what_cannot_run(self, bad):
+        """A NaN bound would end every run after step 1, and a count that
+        is not an int cannot drive the loop (``True`` is rejected too)."""
+        with pytest.raises(NormalFormError):
+            FlowConfig(**bad)
+
 
 class TestConjugacy:
     def test_zero_point_zero_error(self, six_setup, normalized_example):
