@@ -5,8 +5,9 @@ division) or complex doubles with a configured zero tolerance.  Fields and
 series store their terms in the packed form of the Lie kernel (see
 ``_Packing``), validated against a shared
 :class:`~resnf.indexing.TruncationContext`; products that fall outside the
-degree window are dropped.  ``MultiIndex`` exponents and ``GaussianRational``
-coefficients are built only where a term leaves the algebra.
+degree window are dropped.  The pipeline reads the stored keys as they are;
+``MultiIndex`` exponents and ``GaussianRational`` coefficients are built, anew
+each time, only where a term leaves the algebra.
 """
 
 from __future__ import annotations
@@ -283,14 +284,15 @@ def _sum_into(exact: bool, target: dict, items) -> None:
 
 
 class _Packing:
-    """The stored form of one context's terms and what is read off a key,
-    each once per key: the support (:meth:`support`), the exponent
-    (:meth:`index`, which alone builds a ``MultiIndex``) and the order code
-    (:meth:`order`).  ``of`` keeps it on the context for the context's
+    """The stored form of one context's terms and what is read off a key:
+    the support (:meth:`support`, kept per key), the order code
+    (:meth:`order`), the text (``tokens``) and, where a term leaves the
+    algebra, the exponent (:meth:`index`, which alone builds a
+    ``MultiIndex``).  ``of`` keeps it on the context for the context's
     lifetime; it holds nothing of the context, so it is freed with it."""
 
-    __slots__ = ("exact", "radix", "modes", "weights", "positions", "top", "smoothing", "pairs")
-    __slots__ += ("supports", "built", "codes", "mirrored", "__weakref__")
+    __slots__ = ("exact", "radix", "modes", "weights", "positions", "top", "smoothing", "pairs", "tokens")
+    __slots__ += ("ranks", "supports", "mirrored", "__weakref__")
 
     def __init__(self, ctx: TruncationContext):
         self.exact = ctx.exact
@@ -298,14 +300,15 @@ class _Packing:
         self.modes = modes = ctx.modes()
         self.weights = {m: radix**i for i, m in enumerate(modes)}
         self.positions = {m: i for i, m in enumerate(modes)}
-        self.top = radix ** len(modes)
+        self.top = top = radix ** len(modes)
+        self.ranks = [top // radix ** (i + 1) for i in range(len(modes))]  # the order code's digit weights
         # per mode, ``(<h>, <h>**theta)`` of its norm weight
         self.smoothing = [(w, w**ctx.theta) for w in map(mode_weight, modes)]
         # each ``(i, e)`` of a support once, so a support tuple holds references
         self.pairs = [[(i, e) for e in range(radix)] for i in range(len(modes))]
+        # the text ``str(MultiIndex)`` gives each ``(i, e)``
+        self.tokens = [["%s^%d" % (format_mode(m), e) for e in range(radix)] for m in modes]
         self.supports: dict[int, tuple] = {}
-        self.built: dict[int, MultiIndex] = {}
-        self.codes: dict[int, int] = {}
         # key -> key of its mirror, which ``mirror`` fills; None where no
         # bracket halves: a float context, or one without the sigma=- modes
         self.mirrored: dict[int, int] | None = {} if ctx.exact and ctx.momentum_enabled else None
@@ -334,13 +337,10 @@ class _Packing:
         return key
 
     def index(self, key: int) -> MultiIndex:
-        """The exponent of ``key``, built once per key."""
-        q = self.built.get(key)
-        if q is None:
-            modes = self.modes
-            pairs = tuple((modes[i], e) for i, e in self.support(key))
-            q = self.built[key] = MultiIndex._from_sorted(pairs, key // self.top)
-        return q
+        """The exponent of ``key``, built anew: only ``terms()``, error
+        messages and the float lane's divisors ask for a ``MultiIndex``."""
+        modes = self.modes
+        return MultiIndex._from_sorted(tuple((modes[i], e) for i, e in self.support(key)), key // self.top)
 
     def support(self, key: int) -> tuple:
         """``(i, e)`` for each nonzero digit ``e`` of ``key``, the entry of
@@ -365,23 +365,13 @@ class _Packing:
         ``MultiIndex.sort_key`` orders their exponents: the degree as the
         top digit, then the i-th mode's digit at weight ``radix**(n-1-i)``
         (the first mode most significant), ``e - 1`` for an entry ``e > 0``
-        and ``radix - 1`` for 0.  Built once per key."""
-        code = self.codes.get(key)
-        if code is None:
-            radix, top = self.radix, self.top
-            code = (key // top + 1) * top - 1  # every digit at ``radix - 1``
-            for i, e in self.support(key):
-                code += (e - radix) * (top // radix ** (i + 1))
-            self.codes[key] = code
+        and ``radix - 1`` for 0."""
+        radix, top, ranks = self.radix, self.top, self.ranks
+        code = (key // top + 1) * top - 1  # every digit at ``radix - 1``
+        found = self.supports.get(key)  # the support, without a call when kept
+        for i, e in found if found is not None else self.support(key):
+            code += (e - radix) * ranks[i]
         return code
-
-    def sort(self, keys) -> list[int]:
-        """``keys`` in the ``MultiIndex.sort_key`` order of their exponents."""
-        codes, order = self.codes, self.order
-        for key in keys:
-            if key not in codes:
-                order(key)
-        return sorted(keys, key=codes.__getitem__)
 
     def norm_factors(self, k: Mode, key: int) -> tuple:
         """What the majorant-norm weight of ``x^q d/dx_k`` reads of the
@@ -576,7 +566,7 @@ class ScalarSeries:
     def terms(self) -> list[tuple[MultiIndex, object]]:
         packing = _Packing.of(self.ctx)
         terms = self._terms
-        return [(packing.index(key), _edge(terms[key])) for key in packing.sort(terms)]
+        return [(packing.index(key), _edge(terms[key])) for key in sorted(terms, key=packing.order)]
 
     def __eq__(self, other) -> bool:
         return (
@@ -658,18 +648,11 @@ class VectorField:
 
     def _sorted_terms(self) -> Iterator[tuple[Mode, int, object]]:
         """``(k, key, stored coefficient)`` in ``terms()`` order."""
-        sort = _Packing.of(self.ctx).sort
+        order = _Packing.of(self.ctx).order
         for k in self.directions():
             comp = self._terms[k]
-            for key in sort(comp):
+            for key in sorted(comp, key=order):
                 yield k, key, comp[key]
-
-    def _iter_terms(self) -> Iterator[tuple[Mode, int, MultiIndex, object]]:
-        """``(k, key, q, stored coefficient)`` in stored order."""
-        index = _Packing.of(self.ctx).index
-        for k, comp in self._terms.items():
-            for key, c in comp.items():
-                yield k, key, index(key), c
 
     def order(self) -> int | None:
         """Smallest scaling order ``|q| - 1`` present, or None if zero."""
@@ -716,11 +699,13 @@ class VectorField:
 
     def map_coefficients(self, fn: Callable[[Mode, MultiIndex, object], object]):
         """Termwise coefficient map; drops terms mapped to zero."""
+        index = _Packing.of(self.ctx).index
         store: dict[Mode, dict[int, object]] = {}
-        for k, key, q, c in self._iter_terms():
-            new = _stored(self.ctx, fn(k, q, _edge(c)))
-            if not _vanishes(new):
-                store.setdefault(k, {})[key] = new
+        for k, comp in self._terms.items():
+            for key, c in comp.items():
+                new = _stored(self.ctx, fn(k, index(key), _edge(c)))
+                if not _vanishes(new):
+                    store.setdefault(k, {})[key] = new
         return VectorField._raw(self.ctx, store)
 
     # -- derivations ----------------------------------------------------
@@ -744,10 +729,8 @@ class VectorField:
         return VectorField._raw(self.ctx, store)
 
     def project(self, keep: Callable[[Mode, MultiIndex], bool]) -> "VectorField":
-        store: dict[Mode, dict[int, object]] = {}
-        for k, key, q, c in self._iter_terms():
-            if keep(k, q):
-                store.setdefault(k, {})[key] = c
+        index = _Packing.of(self.ctx).index
+        store = {k: {key: c for key, c in comp.items() if keep(k, index(key))} for k, comp in self._terms.items()}
         return VectorField._raw(self.ctx, store)
 
     def split_diagonal(self) -> tuple["VectorField", "VectorField"]:
@@ -787,17 +770,16 @@ class VectorField:
         The pipeline's flows run the code ``normalform.compile_field``
         generates; this term-by-term evaluator is a reference the tests
         compare one generated RK4 step against."""
-        positions = self.ctx.mode_positions()
-        index = _Packing.of(self.ctx).index
-        out = [0j] * len(positions)
+        packing = _Packing.of(self.ctx)
+        out = [0j] * len(packing.modes)
         for k, comp in self._terms.items():
             acc = 0j
             for key, c in comp.items():
                 val = _complex(c)
-                for m, e in index(key).items():
-                    val *= x[positions[m]] ** e
+                for i, e in packing.support(key):
+                    val *= x[i] ** e
                 acc += val
-            out[positions[k]] = acc
+            out[packing.positions[k]] = acc
         return out
 
     def as_float(self) -> "VectorField":
@@ -813,9 +795,12 @@ class VectorField:
     # -- text ----------------------------------------------------------
 
     def to_lines(self) -> list[str]:
+        packing = _Packing.of(self.ctx)
+        tokens, support, ctx = packing.tokens, packing.support, self.ctx
         return [
-            "%s | %s | %s" % (format_mode(k), q, format_coefficient(self.ctx, c))
-            for k, q, c in self.terms()
+            "%s | %s | %s"
+            % (format_mode(k), " ".join([tokens[i][e] for i, e in support(key)]), format_coefficient(ctx, _edge(c)))
+            for k, key, c in self._sorted_terms()
         ]
 
     @classmethod

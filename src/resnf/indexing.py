@@ -131,9 +131,6 @@ class MultiIndex:
     def momentum_sum(self) -> int:
         return sum(mode_momentum(m) * e for m, e in self._pairs)
 
-    def negative_entries(self) -> tuple[tuple[Mode, int], ...]:
-        return tuple((m, e) for m, e in self._pairs if e < 0)
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "MultiIndex") -> "MultiIndex":
@@ -141,9 +138,6 @@ class MultiIndex:
 
     def __sub__(self, other: "MultiIndex") -> "MultiIndex":
         return MultiIndex(self._pairs + tuple((m, -e) for m, e in other._pairs))
-
-    def __neg__(self) -> "MultiIndex":
-        return MultiIndex(tuple((m, -e) for m, e in self._pairs))
 
     def add_unit(self, mode: Mode, count: int = 1) -> "MultiIndex":
         return MultiIndex(self._pairs + ((mode, count),))

@@ -100,7 +100,7 @@ def decompose(w: VectorField, module: ResonanceModule) -> DecomposedField:
     terms below the cutoff order remain (prenormalize first).
     """
     ctx = w.ctx
-    model, mstar = module.model, module.m_star_minimal
+    model, mstar, classify = module.model, module.m_star_minimal, module.classifier(ctx)
     linear = w.project_degree(0)
     if not (linear - model.linear_field(ctx)).is_zero:
         raise HypothesisViolation(
@@ -129,7 +129,7 @@ def decompose(w: VectorField, module: ResonanceModule) -> DecomposedField:
                     "below the cutoff order must be diagonal" % (index(key), format_mode(k))
                 )
             z.setdefault(k, {})[key] = c
-        elif module.classify(index(key)) == 2:
+        elif classify(key) == 2:
             n.setdefault(k, {})[key] = c
         else:
             x.setdefault(k, {})[key] = c
@@ -710,7 +710,10 @@ def _replay(rows, x, h, n, blowup):
                 raise
             return tuple(x), True
         x = [a + h / 6.0 * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
-        if blowup is not None and not all(abs(v) <= blowup for v in x):
+        try:
+            if blowup is not None and not all(abs(v) <= blowup for v in x):
+                return tuple(x), True
+        except OverflowError:  # a modulus beyond the float range leaves any bound
             return tuple(x), True
     return tuple(x), False
 
@@ -768,11 +771,9 @@ def compile_field(w: VectorField) -> FieldFlow:
     already exact.  ``tests/test_flow_oracle.py`` checks the interpreter
     facts this rests on."""
     f = w.as_float()
-    positions = f.ctx.mode_positions()
-    width = len(positions)
-    table = tuple(
-        (positions[k], complex(c), tuple((positions[m], e) for m, e in q.items())) for k, q, c in f.terms()
-    )
+    packing = _Packing.of(f.ctx)
+    positions, width = packing.positions, len(packing.modes)
+    table = tuple((positions[k], c, packing.support(key)) for k, key, c in f._sorted_terms())
     rows = [[(j, fs) for j, (at, _, fs) in enumerate(table) if at == i] for i in range(width)]
     supports = [factors for row in rows for _, factors in row if factors]
     read = sorted({pos for factors in supports for pos, _ in factors})

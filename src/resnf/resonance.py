@@ -38,6 +38,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import (
+    ContextMismatch,
     CutoffTooSmall,
     ModelError,
     NormalFormError,
@@ -427,10 +428,13 @@ class ResonanceModule:
         cap = 2 * max((e for g in q_generators for _, e in g.items()), default=0)
         width = cap.bit_length() + 1
         modes = dict.fromkeys(m for g in q_generators for m in g.modes())
-        places = {m: 1 << (i * width) for i, m in enumerate(modes)}
+        places: dict[Mode | int, int] = {m: 1 << (i * width) for i, m in enumerate(modes)}
         packed = tuple(sum(e * places[m] for m, e in g.items()) for g in q_generators)
-        self._packing = (sum(places.values()) << (width - 1), cap, places, packed)
-        self._classes: dict[MultiIndex, int] = {}
+        guard = sum(places.values()) << (width - 1)
+        # a stored key's places by mode position, which never equals a mode
+        places.update((i, places[m]) for i, m in enumerate(ctx.modes()) if m in modes)
+        self._packing = (guard, cap, places, packed, _Packing.of(ctx).support)
+        self._classes: dict[MultiIndex | int, int] = {}
         # Resonant field exponents not absorbed by two generators; their
         # maximal scaling order determines the minimal valid cutoff.
         violations = [
@@ -441,25 +445,33 @@ class ResonanceModule:
         self.m_star_minimal = 1 + max((s for s, _, _ in violations), default=-1)
         self.resonant_pair_count = len(resonant_pairs)
 
-    def classify(self, q: MultiIndex) -> int:
-        """Ideal class of an exponent: 2 if two generators (repetition
-        allowed) fit inside ``q``, 1 if one does, else 0.  Each exponent is
-        tested once and its class kept: the pipeline asks again for the
-        terms of every solve and series."""
+    def classify(self, q: MultiIndex | int) -> int:
+        """Ideal class of an exponent, a ``MultiIndex`` or the stored key
+        of a term over ``ctx``: 2 if two generators (repetition allowed)
+        fit inside ``q``, 1 if one does, else 0.  Each exponent is tested
+        once and its class kept, one memo for both forms: the pipeline asks
+        again for the terms of every solve and series."""
         klass = self._classes.get(q)
         if klass is None:
             klass = self._classes[q] = self._fits(q)
         return klass
 
-    def _fits(self, q: MultiIndex) -> int:
+    def classifier(self, ctx: TruncationContext):
+        """``classify`` for the stored keys of terms over ``ctx``, if ``ctx`` keys them as ``self.ctx`` does."""
+        if ctx.degree_cutoff != self.ctx.degree_cutoff or ctx.modes() != self.ctx.modes():
+            raise ContextMismatch("terms over %r are not keyed as the module's terms" % (ctx,))
+        return self.classify
+
+    def _fits(self, q: MultiIndex | int) -> int:
         """``classify`` without the memo.  A packed divisibility test
         (Monagan & Pearce, J. Symb. Comput. 46, 2011): a digit per
         generator mode, holding any ``g_i + h_i`` (``q`` clamped to it)
         under a guard bit; ``G`` fits when ``Q - G`` keeps every guard
-        bit, and that remainder tests ``H`` alike."""
-        guard, cap, places, packed = self._packing
+        bit, and that remainder tests ``H`` alike.  A key's entries are
+        its support, by mode position."""
+        guard, cap, places, packed, support = self._packing
         code = guard
-        for m, e in q.items():
+        for m, e in support(q) if type(q) is int else q.items():
             if e < 0:
                 return 0
             code += (e if e < cap else cap) * places.get(m, 0)
@@ -513,8 +525,10 @@ def split_ideals(
 ) -> tuple[VectorField, VectorField, VectorField]:
     """Split a field into its class-0, class-1 and class-2 parts."""
     stores = ({}, {}, {})
-    for k, key, q, c in x._iter_terms():
-        stores[module.classify(q)].setdefault(k, {})[key] = c
+    classify = module.classifier(x.ctx)
+    for k, comp in x._terms.items():
+        for key, c in comp.items():
+            stores[classify(key)].setdefault(k, {})[key] = c
     return tuple(VectorField._raw(x.ctx, store) for store in stores)
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import NormalFormError
-from .fields import GaussianRational, VectorField
+from .fields import GaussianRational, VectorField, _Packing
 from .indexing import (
     Mode,
     MultiIndex,
@@ -189,12 +189,17 @@ def check_tangent_sigma(w: VectorField, module: ResonanceModule) -> TangencyRepo
     Equivalently: the restriction of ``w`` to the invariant set is the
     diagonal linear part, at truncation.
     """
-    model = module.model
-    offenders = w.project(
-        lambda k, q: q.degree > 1
-        and module.classify(q) != 2
-        and not (model.is_resonant_pair(q, k) and q.get(k) >= 1)
-    )
+    packing = _Packing.of(w.ctx)
+    divisor, entry, classify = module.model.divisors(w.ctx), packing.entry, module.classifier(w.ctx)
+    low = 2 * packing.top  # the keys of degree > 1
+    offenders = VectorField._raw(w.ctx, {
+        k: {
+            key: c
+            for key, c in comp.items()
+            if key >= low and classify(key) != 2 and (divisor(k, key)[0] or not entry(key, k))
+        }
+        for k, comp in w._terms.items()
+    })
     return TangencyReport(offenders.is_zero, offenders)
 
 

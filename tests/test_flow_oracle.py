@@ -91,9 +91,9 @@ def oracle_integrate_flow(w, x0, t, config):
     for _ in range(config.steps):
         try:
             x = oracle_rk4(evaluate, x, h)
-        except OverflowError:
-            return Trajectory(tuple(x), True)
-        if not all(abs(v) <= config.blowup for v in x):
+            if not all(abs(v) <= config.blowup for v in x):
+                return Trajectory(tuple(x), True)
+        except OverflowError:  # in a step or in the bound test's ``abs``
             return Trajectory(tuple(x), True)
     return Trajectory(tuple(x), False)
 
@@ -344,6 +344,21 @@ def test_zero_field():
         assert_flows_match(field, state)
     final = integrate_flow(compile_field(field), [complex(-0.0, -0.0)] * 6, 1.0).final
     assert all(same_state([v], [0j]) for v in final)
+
+
+def test_modulus_beyond_the_float_range_leaves_the_bound(replays):
+    """A finite coordinate whose ``abs`` overflows is outside every bound:
+    the loop's bound test raises, the replay's returns the divergence flag
+    after the first step, at the state that step reached."""
+    state = [1.5e308 + 1.5e308j, 0j, 0j, 0j, 0j, 0j]
+    field = VectorField(DIM6, [])
+    flow = compile_field(field)
+    config = FlowConfig(steps=2, blowup=10.0)
+    got = integrate_flow(flow, state, 1.0, config)
+    assert got.diverged
+    assert same_state(got.final, [complex(v) + 0j for v in state])
+    assert_same_trajectory(("ok", got), outcome(oracle_integrate_flow, field, state, 1.0, config))
+    assert replayed(replays, integrate_flow, flow, state, 1.0, config)
 
 
 def test_live_component_over_empty_coordinates(replays):

@@ -13,6 +13,8 @@ integers.  All three are compared on window exponents, on signed
 exponents with modes outside the window and entries up to ``3 (D + 1)``,
 on a module with no generators, and on every exponent that an nls N=2,
 D=7 ``normalize`` classifies (in ``split_ideals`` and in ``decompose``).
+The pipeline passes ``classify`` the stored key of a term, which must
+classify as its exponent, the form the pipeline passed before.
 
 ``parent_admits_mode`` is the earlier mode rule, written out from the
 cutoff, the sign and the momentum flag.  The context now looks a mode
@@ -29,6 +31,7 @@ from hypothesis import strategies as st
 
 from helpers import SQRT2, dim6_model, hyperbolic_model, nls_model
 from resnf import normalform
+from resnf.fields import _Packing
 from resnf.indexing import Mode, MultiIndex, TruncationContext
 from resnf.resonance import (
     FrequencyModel,
@@ -241,14 +244,15 @@ def test_classify_off_the_window_on_gauge_pairs():
 
 
 def test_classify_on_every_exponent_a_normalize_classifies():
-    # the exponents ``split_ideals`` sees, and those ``decompose`` sees
+    # the stored keys ``split_ideals`` and ``decompose`` classify: each must
+    # classify as its exponent, which the pipeline passed before
     field, model = build_example_nls(1, cutoff=2, degree=7)
     module = enumerate_resonance(field.ctx, model)
     split, seen = set(), set()
     classify = ResonanceModule.classify
 
     def spy_split(x, mod):
-        split.update(q for _, q, _ in x.terms())
+        split.update(key for comp in x._terms.values() for key in comp)
         return split_ideals(x, mod)
 
     def spy_classify(self, q):
@@ -259,8 +263,14 @@ def test_classify_on_every_exponent_a_normalize_classifies():
         ResonanceModule, "classify", spy_classify
     ):
         normalform.normalize(field, module)
+    assert all(type(key) is int for key in seen)
     assert split < seen and len(seen) > 2000  # 2,426 distinct of 10,968 calls
-    classes = [assert_classify_agrees(module, q) for q in seen]
+    index = _Packing.of(field.ctx).index
+    classes = []
+    for key in seen:
+        klass = module.classify(key)
+        assert klass == assert_classify_agrees(module, index(key)), key
+        classes.append(klass)
     assert set(classes) == {0, 1, 2}
 
 
@@ -286,8 +296,14 @@ def test_classify_tests_each_exponent_once():
         normalform.normalize(field, module)
     again = [module.classify(q) for q in calls]
     assert len(fits) == len(set(fits)) and set(fits) <= set(calls)
-    assert len(calls) > 4 * len(fits)  # 1,704 calls, 380 tests
+    # 1,704 calls, 472 tests: the module's own classes of its resonant
+    # pairs are kept under their ``MultiIndex``, which no stored key equals
+    assert len(calls) > 3 * len(fits)
     assert again == [test(module, q) for q in calls]
+    # the pipeline passes stored keys; each classifies as its exponent
+    index = _Packing.of(field.ctx).index
+    assert all(type(q) is int for q in calls)
+    assert again == [test(module, index(q)) for q in calls]
 
 
 CUTOFFS = (1, 2, 3, 4)

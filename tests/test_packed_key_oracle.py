@@ -12,10 +12,19 @@ kept here as the reference:
   against ``indexing.norm_weight``, bit for bit;
 - the one mirror test of ``lie_exp`` against the full loop of
   ``tests/parent_fields.py``'s series, with a generator or an initial W
-  one coefficient off its mirror.
+  one coefficient off its mirror;
+- ``check_tangent_sigma`` against its projection on exponents, and the
+  table ``compile_field`` builds from the stored keys against the one it
+  read off ``terms()``.
+
+An exact ``normalize``, its tangency check, the flows of its result and
+generators and their text form build no ``MultiIndex`` at all: ``decompose``,
+``split_ideals`` and ``check_tangent_sigma`` classify stored keys, which
+must be keyed as the module's context keys them.
 """
 
 import contextlib
+import functools
 import math
 from fractions import Fraction
 from unittest import mock
@@ -27,10 +36,12 @@ from hypothesis import strategies as st
 from helpers import dim6_model, nls_model
 from parent_fields import decoded, layout
 from resnf import fields
+from resnf.errors import ContextMismatch
 from resnf.fields import GaussianRational, VectorField, _Packing
 from resnf.indexing import Mode, MultiIndex, TruncationContext, iter_indices, norm_weight
-from resnf.resonance import FrequencyModel
-from resnf.verify import hyperbolic_frequency_model
+from resnf.normalform import compile_field, decompose, normalize
+from resnf.resonance import FrequencyModel, enumerate_resonance, split_ideals
+from resnf.verify import build_example_dim6, build_example_nls, check_tangent_sigma, hyperbolic_frequency_model
 from test_kernel_oracle import (
     MIRROR_CONTEXTS,
     WIDE_PARTS,
@@ -66,7 +77,7 @@ def test_order_code_sorts_like_sort_key(case):
     packing = _Packing(ctx)
     keys = list(dict.fromkeys(packing.key(q) for q in exponents))
     assert None not in keys
-    assert packing.sort(keys) == sorted(keys, key=lambda key: packing.index(key).sort_key())
+    assert sorted(keys, key=packing.order) == sorted(keys, key=lambda key: packing.index(key).sort_key())
     for a in keys:
         for b in keys:
             assert (packing.order(a) < packing.order(b)) == (
@@ -87,7 +98,7 @@ def test_order_code_on_every_key_of_small_windows(ctx):
     packing = _Packing(ctx)
     exponents = list(iter_indices(ctx.modes(), ctx.degree_cutoff + 1, 1))
     want = sorted(exponents, key=MultiIndex.sort_key)
-    got = [packing.index(key) for key in packing.sort([packing.key(q) for q in exponents])]
+    got = [packing.index(key) for key in sorted([packing.key(q) for q in exponents], key=packing.order)]
     assert got == want
 
 
@@ -259,3 +270,104 @@ def test_a_fault_on_the_sigma_minus_side_of_the_initial_field():
     got, count = fields.lie_exp(f, bad)
     assert count >= 1
     assert layout(got) == layout(parent_pushforward_exp(f, bad))
+
+
+# ---------------------------------------------------------------------------
+# the ideal split, tangency and the flow tables on stored keys
+# ---------------------------------------------------------------------------
+
+PIPELINE_CASES = {
+    "nls-N2-D5": lambda: build_example_nls(1, cutoff=2, degree=5),
+    "dim6-seed11-D5": lambda: build_example_dim6(seed=11, degree=5),
+}
+
+
+@functools.cache
+def normalized(name):
+    field, model = PIPELINE_CASES[name]()
+    module = enumerate_resonance(field.ctx, model)
+    return field, module, normalize(field, module)
+
+
+def parent_check_tangent_sigma(w, module):
+    """The earlier ``check_tangent_sigma``: a projection on exponents."""
+    model = module.model
+    return w.project(
+        lambda k, q: q.degree > 1
+        and module.classify(q) != 2
+        and not (model.is_resonant_pair(q, k) and q.get(k) >= 1)
+    )
+
+
+def parent_flow_table(w):
+    """The earlier ``compile_field`` table, read off ``terms()``."""
+    f = w.as_float()
+    positions = f.ctx.mode_positions()
+    return tuple(
+        (positions[k], complex(c), tuple((positions[m], e) for m, e in q.items())) for k, q, c in f.terms()
+    )
+
+
+@contextlib.contextmanager
+def counting_indices():
+    """Count every ``MultiIndex`` built, by either constructor."""
+    built = []
+    init, from_sorted = MultiIndex.__init__, MultiIndex._from_sorted.__func__
+
+    def counted_init(self, *args, **kwargs):
+        built.append("__init__")
+        init(self, *args, **kwargs)
+
+    def counted_from_sorted(cls, pairs, degree):
+        built.append("_from_sorted")
+        return from_sorted(cls, pairs, degree)
+
+    with mock.patch.object(MultiIndex, "__init__", counted_init), mock.patch.object(
+        MultiIndex, "_from_sorted", classmethod(counted_from_sorted)
+    ):
+        yield built
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINE_CASES))
+def test_exact_pipeline_builds_no_exponent(name):
+    # normalize, tangency, the flows and the text form
+    field, model = PIPELINE_CASES[name]()
+    module = enumerate_resonance(field.ctx, model)
+    with counting_indices() as built:
+        dec, log, _ = normalize(field, module)
+        result = dec.assemble()
+        assert check_tangent_sigma(result, module).ok
+        flows = [compile_field(f) for f in (result, *log.fields())]
+        assert result.to_lines() and log.to_lines()
+        assert not built
+        # the patches are live
+        MultiIndex(), MultiIndex._from_sorted((), 0)
+        dec.z.terms()
+    assert built[:2] == ["__init__", "_from_sorted"] and len(built) == 2 + dec.z.term_count()
+    assert len(flows) == 1 + len(log.entries) >= 2
+
+
+@pytest.mark.parametrize("name", sorted(PIPELINE_CASES))
+def test_tangency_and_flow_tables_match_the_exponent_forms(name):
+    field, module, (dec, log, _) = normalized(name)
+    result = dec.assemble()
+    for w in (field, result, result + field.scale(GaussianRational(1, 3)), *log.fields()):
+        report = check_tangent_sigma(w, module)
+        want = parent_check_tangent_sigma(w, module)
+        assert layout(report.offenders) == layout(want) and report.ok == want.is_zero
+        assert compile_field(w).rows == parent_flow_table(w)
+    # the original field is not normal, the result is
+    assert not check_tangent_sigma(field, module).ok and check_tangent_sigma(result, module).ok
+
+
+def test_stored_keys_classify_against_the_module_context_only():
+    field, module, _ = normalized("nls-N2-D5")
+    other = TruncationContext(2, 6, momentum_enabled=True)
+    w = VectorField(other, [(Mode(0, 1), MultiIndex({Mode(0, 1): 1, Mode(1, 1): 1, Mode(1, -1): 1}), 1)])
+    for call in (split_ideals, decompose, check_tangent_sigma):
+        with pytest.raises(ContextMismatch):
+            call(w, module)
+    # the float twin keys its terms alike
+    assert [part.term_count() for part in split_ideals(field.as_float(), module)] == [
+        part.term_count() for part in split_ideals(field, module)
+    ]

@@ -262,10 +262,10 @@ def test_coefficient_outside_the_key_space_is_none(arithmetic):
     assert w.coefficient(m2, inside) is None
     assert w.coefficient(Mode(4, 1), inside) is None
     # the map holds only canonical exponents, each under its own key
-    w.terms()
     packing = _Packing.of(ctx)
-    assert packing.built
-    for key, q in packing.built.items():
+    assert [q for _, q, _ in w.terms()] == [packing.index(key) for _, key, _ in w._sorted_terms()]
+    for key in (key for comp in w._terms.values() for key in comp):
+        q = packing.index(key)
         assert decode_key(ctx, key) == q and packing.key(q) == key
 
 
@@ -394,10 +394,14 @@ def test_exact_normalize_keeps_to_the_stored_form():
         for owner, name in watched:
             stack.enter_context(patch(owner, name))
         dec, log, _ = normalform.normalize(field, module)
+        # nor does it build an exponent: the algebra reads the stored keys
+        assert not indices
         # the patches are live: one of each is counted inside, and the
-        # GaussianRational builds its two parts
+        # GaussianRational builds its two parts; ``terms()`` builds the
+        # exponents
         inside(lambda: (GaussianRational(1), Fraction(1, 2)))()
+        dec.n.terms()
     assert built == {"GaussianRational": 1, "Fraction": 1 + 2}
     assert all(calls.values()), calls
-    assert indices and len(indices) == len(set(indices))
+    assert len(indices) == dec.n.term_count()
     assert (dec.z.term_count(), dec.x.term_count(), dec.n.term_count()) == (50, 0, 92)
