@@ -22,6 +22,7 @@ from .indexing import (
     MultiIndex,
     TruncationContext,
     format_mode,
+    format_power,
     mode_key,
     mode_weight,
     parse_mode,
@@ -307,7 +308,7 @@ class _Packing:
         # each ``(i, e)`` of a support once, so a support tuple holds references
         self.pairs = [[(i, e) for e in range(radix)] for i in range(len(modes))]
         # the text ``str(MultiIndex)`` gives each ``(i, e)``
-        self.tokens = [["%s^%d" % (format_mode(m), e) for e in range(radix)] for m in modes]
+        self.tokens = [[format_power(m, e) for e in range(radix)] for m in modes]
         self.supports: dict[int, tuple] = {}
         # key -> key of its mirror, which ``mirror`` fills; None where no
         # bracket halves: a float context, or one without the sigma=- modes
@@ -337,8 +338,7 @@ class _Packing:
         return key
 
     def index(self, key: int) -> MultiIndex:
-        """The exponent of ``key``, built anew: only ``terms()``, error
-        messages and the float lane's divisors ask for a ``MultiIndex``."""
+        """The exponent of ``key``, built anew where a term leaves the algebra."""
         modes = self.modes
         return MultiIndex._from_sorted(tuple((modes[i], e) for i, e in self.support(key)), key // self.top)
 
@@ -368,8 +368,7 @@ class _Packing:
         and ``radix - 1`` for 0."""
         radix, top, ranks = self.radix, self.top, self.ranks
         code = (key // top + 1) * top - 1  # every digit at ``radix - 1``
-        found = self.supports.get(key)  # the support, without a call when kept
-        for i, e in found if found is not None else self.support(key):
+        for i, e in self.support(key):
             code += (e - radix) * ranks[i]
         return code
 

@@ -43,6 +43,10 @@ def format_mode(k: Mode) -> str:
     return "%d%s" % (k.j, "+" if k.sigma > 0 else "-")
 
 
+def format_power(k: Mode, e: int) -> str:  # one entry of an exponent's text
+    return "%s^%d" % (format_mode(k), e)
+
+
 def parse_mode(text: str) -> Mode:
     text = text.strip()
     if len(text) < 2 or text[-1] not in "+-":
@@ -166,7 +170,7 @@ class MultiIndex:
     def __str__(self) -> str:
         if not self._pairs:
             return "-"
-        return " ".join("%s^%d" % (format_mode(m), e) for m, e in self._pairs)
+        return " ".join(format_power(m, e) for m, e in self._pairs)
 
     __repr__ = __str__
 

@@ -38,7 +38,6 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import (
-    ContextMismatch,
     CutoffTooSmall,
     ModelError,
     NormalFormError,
@@ -433,13 +432,13 @@ class ResonanceModule:
         guard = sum(places.values()) << (width - 1)
         # a stored key's places by mode position, which never equals a mode
         places.update((i, places[m]) for i, m in enumerate(ctx.modes()) if m in modes)
-        self._packing = (guard, cap, places, packed, _Packing.of(ctx).support)
-        self._classes: dict[MultiIndex | int, int] = {}
-        # Resonant field exponents not absorbed by two generators; their
-        # maximal scaling order determines the minimal valid cutoff.
-        violations = [
-            (q.degree - 1, q, k) for q, k in resonant_pairs if self.classify(q) != 2
-        ]
+        packing = _Packing.of(ctx)
+        self._packing = (guard, cap, places, packed, packing.support)
+        # Resonant field exponents not absorbed by two generators; their maximal scaling order
+        # determines the minimal valid cutoff.  Classes are kept by key, as the pipeline asks.
+        found = {q: self._fits(q) for q in dict.fromkeys(q for q, _ in resonant_pairs)}
+        self._classes: dict[MultiIndex | int, int] = {packing.key(q) or q: c for q, c in found.items()}
+        violations = [(q.degree - 1, q, k) for q, k in resonant_pairs if found[q] != 2]
         violations.sort(key=lambda row: (row[0], row[1].sort_key(), mode_key(row[2])))
         self.violations = tuple(violations)
         self.m_star_minimal = 1 + max((s for s, _, _ in violations), default=-1)
@@ -457,18 +456,16 @@ class ResonanceModule:
         return klass
 
     def classifier(self, ctx: TruncationContext):
-        """``classify`` for the stored keys of terms over ``ctx``, if ``ctx`` keys them as ``self.ctx`` does."""
-        if ctx.degree_cutoff != self.ctx.degree_cutoff or ctx.modes() != self.ctx.modes():
-            raise ContextMismatch("terms over %r are not keyed as the module's terms" % (ctx,))
-        return self.classify
+        """``classify`` for the stored keys over ``ctx``, read as exponents if laid out otherwise."""
+        if ctx.degree_cutoff == self.ctx.degree_cutoff and ctx.modes() == self.ctx.modes():
+            return self.classify
+        return lambda key, index=_Packing.of(ctx).index: self.classify(index(key))
 
     def _fits(self, q: MultiIndex | int) -> int:
-        """``classify`` without the memo.  A packed divisibility test
-        (Monagan & Pearce, J. Symb. Comput. 46, 2011): a digit per
-        generator mode, holding any ``g_i + h_i`` (``q`` clamped to it)
-        under a guard bit; ``G`` fits when ``Q - G`` keeps every guard
-        bit, and that remainder tests ``H`` alike.  A key's entries are
-        its support, by mode position."""
+        """``classify`` without the memo.  A packed divisibility test (Monagan & Pearce,
+        J. Symb. Comput. 46, 2011): a digit per generator mode, holding any ``g_i + h_i``
+        (``q`` clamped to it) under a guard bit; ``G`` fits when ``Q - G`` keeps every guard
+        bit, and that remainder tests ``H`` alike.  A key's entries are its support."""
         guard, cap, places, packed, support = self._packing
         code = guard
         for m, e in support(q) if type(q) is int else q.items():

@@ -550,6 +550,23 @@ LOADER_BASES = {
     "custom": custom_doc,
 }
 
+
+def edited_doc(base, edits):
+    """The ``base`` problem document with each dotted key path set to its
+    value, or removed where the value is ``_DROP``."""
+    doc = LOADER_BASES[base]()
+    for dotted, value in edits.items():
+        *parents, key = dotted.split(".")
+        node = doc
+        for part in parents:
+            node = node[part]
+        if value is _DROP:
+            del node[key]
+        else:
+            node[key] = value
+    return doc
+
+
 WINDOW_MESSAGE = (
     "problem.truncation: mode_cutoff and degree_cutoff give a resonance "
     "window of more than 1000000000 indices"
@@ -744,17 +761,7 @@ UNBOUNDED_IF_ACCEPTED = {case[0] for case in LOADER_REJECTIONS if case[0].starts
 def test_loader_rejection(tmp_path, capsys, name, base, edits, argv, message):
     path = tmp_path / "problem.json"
     if base is not None:
-        doc = LOADER_BASES[base]()
-        for dotted, value in edits.items():
-            *parents, key = dotted.split(".")
-            node = doc
-            for part in parents:
-                node = node[part]
-            if value is _DROP:
-                del node[key]
-            else:
-                node[key] = value
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path.write_text(json.dumps(edited_doc(base, edits)), encoding="utf-8")
     elif edits is not None:
         path.write_text(edits, encoding="utf-8")
     if name in UNBOUNDED_IF_ACCEPTED:

@@ -19,8 +19,9 @@ kept here as the reference:
 
 An exact ``normalize``, its tangency check, the flows of its result and
 generators and their text form build no ``MultiIndex`` at all: ``decompose``,
-``split_ideals`` and ``check_tangent_sigma`` classify stored keys, which
-must be keyed as the module's context keys them.
+``split_ideals`` and ``check_tangent_sigma`` classify stored keys.  A
+module over another degree cutoff, whose keys are laid out otherwise,
+classifies the exponents of the keys instead.
 """
 
 import contextlib
@@ -36,7 +37,6 @@ from hypothesis import strategies as st
 from helpers import dim6_model, nls_model
 from parent_fields import decoded, layout
 from resnf import fields
-from resnf.errors import ContextMismatch
 from resnf.fields import GaussianRational, VectorField, _Packing
 from resnf.indexing import Mode, MultiIndex, TruncationContext, iter_indices, norm_weight
 from resnf.normalform import compile_field, decompose, normalize
@@ -360,14 +360,29 @@ def test_tangency_and_flow_tables_match_the_exponent_forms(name):
     assert not check_tangent_sigma(field, module).ok and check_tangent_sigma(result, module).ok
 
 
-def test_stored_keys_classify_against_the_module_context_only():
+@pytest.mark.parametrize("module_degree", [4, 6])
+def test_a_module_over_another_cutoff_classifies_by_exponent(module_degree):
+    # keys over another degree cutoff are laid out otherwise: the module
+    # classifies their exponents, as it classified every term before
+    field, _, (dec, _, _) = normalized("nls-N2-D5")
+    model = dec.module.model
+    other = enumerate_resonance(build_example_nls(1, cutoff=2, degree=module_degree)[0].ctx, model)
+    assert other.ctx.degree_cutoff != field.ctx.degree_cutoff
+    for w in (field, dec.assemble()):
+        parts = split_ideals(w, other)
+        for klass, part in enumerate(parts):
+            assert layout(part) == layout(w.project(lambda k, q: other.classify(q) == klass))
+        report = check_tangent_sigma(w, other)
+        want = parent_check_tangent_sigma(w, other)
+        assert layout(report.offenders) == layout(want) and report.ok == want.is_zero
+    again = decompose(dec.assemble(), other)
+    assert [layout(part) for part in (again.z, again.x, again.n)] == [
+        layout(part) for part in (dec.z, dec.x, dec.n)
+    ]
+
+
+def test_the_float_twin_splits_as_the_exact_field():
     field, module, _ = normalized("nls-N2-D5")
-    other = TruncationContext(2, 6, momentum_enabled=True)
-    w = VectorField(other, [(Mode(0, 1), MultiIndex({Mode(0, 1): 1, Mode(1, 1): 1, Mode(1, -1): 1}), 1)])
-    for call in (split_ideals, decompose, check_tangent_sigma):
-        with pytest.raises(ContextMismatch):
-            call(w, module)
-    # the float twin keys its terms alike
     assert [part.term_count() for part in split_ideals(field.as_float(), module)] == [
         part.term_count() for part in split_ideals(field, module)
     ]

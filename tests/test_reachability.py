@@ -38,12 +38,11 @@ from resnf import cli
 from resnf.cli import EXIT_INPUT, EXIT_OK, run
 import test_cli
 from test_cli import (
-    _DROP,
     DIAGONAL_LINES,
-    LOADER_BASES,
     LOADER_REJECTIONS,
     custom_doc,
     dim6_doc,
+    edited_doc,
     hyperbolic_doc,
     nls_doc,
 )
@@ -88,20 +87,6 @@ def ledger() -> dict[str, tuple[str, str]]:
     return entries
 
 
-def edited(base, edits):
-    doc = LOADER_BASES[base]()
-    for dotted, value in edits.items():
-        *parents, key = dotted.split(".")
-        node = doc
-        for part in parents:
-            node = node[part]
-        if value is _DROP:
-            del node[key]
-        else:
-            node[key] = value
-    return doc
-
-
 def ladder(root: Path) -> list[tuple[list[str], int]]:
     """``(argv, expected exit code)`` of every command of the ladder."""
 
@@ -130,7 +115,7 @@ def ladder(root: Path) -> list[tuple[list[str], int]]:
         if name.startswith("window-"):
             continue
         if base is not None:
-            path = write("bad-%s.json" % name, edited(base, edits))
+            path = write("bad-%s.json" % name, edited_doc(base, edits))
         else:
             path = write("bad-%s.json" % name, edits) if edits is not None else str(root / "absent.json")
         runs.append((["analyze", path, *argv], EXIT_INPUT))
